@@ -1,0 +1,46 @@
+"""Regenerate the golden artifact corpus under ``tests/golden/artifacts``.
+
+Every shipped config in ``configs/`` and every extra config in
+``tests/golden/configs/`` (larger nodewise shortfall and VaR runs, mixed
+sentinels) is run through :func:`horizonrisk.cli.run_config`, and its
+artifacts are written to ``tests/golden/artifacts/<config stem>/``.
+``tests/test_golden.py`` compares fresh runs against these files, so a
+solver rewrite is checked against the artifacts of the code it replaces.
+Regenerate only when an artifact is meant to change, and record why.
+
+    PYTHONPATH=src python tests/golden/make_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import shutil
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent
+ARTIFACTS = GOLDEN / "artifacts"
+ROOT = GOLDEN.parent.parent
+
+
+def golden_configs() -> list[Path]:
+    """Shipped configs first, then the extra golden configs, each sorted."""
+    return (sorted((ROOT / "configs").glob("*.json"))
+            + sorted((GOLDEN / "configs").glob("*.json")))
+
+
+def main() -> None:
+    from horizonrisk.cli import EXIT_OK, run_config
+
+    for config in golden_configs():
+        out = ARTIFACTS / config.stem
+        shutil.rmtree(out, ignore_errors=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run_config(config, out_dir=out)
+        if code != EXIT_OK:
+            raise SystemExit(f"{config.name}: riskctl exit code {code}")
+        print(f"{config.name}: {', '.join(sorted(p.name for p in out.iterdir()))}")
+
+
+if __name__ == "__main__":
+    main()
