@@ -13,8 +13,9 @@ written atomically); the optional wall-time column of convergence tables is
 left empty unless ``timing`` is enabled, precisely so that repeated runs
 stay byte-identical.
 
-Exit codes: 0 success, 2 config/schema violation, 3 numerical or solver
-error, 4 a required axiom check failed.
+Exit codes: 0 success, 2 config/schema violation (non-finite numbers and
+off-grid task times included), 3 numerical or solver error, 4 a required
+axiom check failed.
 """
 
 from __future__ import annotations
@@ -373,7 +374,9 @@ def _build_position(cfg: dict, model, depth: int,
 
 def _fmt(x) -> str:
     x = float(x)
-    if not np.isfinite(x):
+    if np.isnan(x):
+        return "nan"
+    if np.isinf(x):
         return "+inf" if x > 0 else "-inf"
     return format(x, ".9g")
 
@@ -574,13 +577,21 @@ _TASK_RUNNERS = {
 # entry points
 # ---------------------------------------------------------------------------
 
+def _finite_number(literal: str) -> float:
+    value = float(literal)  # also parses NaN and +-Infinity
+    if not np.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {literal}")
+    return value
+
+
 def load_config(path: str | Path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_finite_number,
+                         parse_float=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if jsonschema is None:  # pragma: no cover
@@ -592,12 +603,24 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def validate_config(path: str | Path) -> dict:
-    """Schema validation plus a dry build of the model and measure objects."""
-    cfg = load_config(path)
-    seed = cfg.get("seed", 0)
+def _build_experiment(cfg: dict, seed: int):
+    """Build the model and measure and put every task time on its grid."""
     model = _build_model(cfg["model"], seed)
     _build_rho_family(cfg["measure"], model)
+    for task in cfg["tasks"]:
+        grids = [model]
+        if task["kind"] == "bsde-convergence":
+            grids = [BrownianLattice(n, model.horizon) for n in task["grid"]]
+        for grid in grids:
+            for key in ("t", "u", "v"):
+                grid.depth_of(task.get(key, 0.0))  # TimeGridError if off-grid
+    return model
+
+
+def validate_config(path: str | Path) -> dict:
+    """Schema validation plus a dry build of the model, measure and task times."""
+    cfg = load_config(path)
+    _build_experiment(cfg, cfg.get("seed", 0))
     return cfg
 
 
@@ -606,8 +629,7 @@ def run_config(path: str | Path, out_dir: str | Path | None = None,
     try:
         cfg = load_config(path)
         effective_seed = seed if seed is not None else cfg.get("seed", 0)
-        model = _build_model(cfg["model"], effective_seed)
-        _build_rho_family(cfg["measure"], model)  # domain re-checks
+        model = _build_experiment(cfg, effective_seed)
         target_dir = Path(out_dir if out_dir is not None
                           else cfg.get("output", {}).get("dir", "."))
         target_dir.mkdir(parents=True, exist_ok=True)

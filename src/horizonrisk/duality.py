@@ -35,7 +35,8 @@ import numpy as np
 from .errors import (InternalConsistencyError, SpecificationError,
                      TimeGridError)
 from .probspace import FiltrationModel, RandomVariable
-from .shortfall import ExtendedReal, RiskSentinel, ShortfallSpec, _smallest_m
+from .shortfall import (ExtendedReal, RiskSentinel, ShortfallSpec, _single,
+                        _smallest_m)
 
 __all__ = [
     "DualGrid", "DualReport", "c_min", "c_min_bruteforce", "risk_map_R",
@@ -456,11 +457,11 @@ def rho_bar(m: float, X: RandomVariable, spec: ShortfallSpec,
     model = X.model
     p, uf, B = _static_problem(spec, model, t, u, depth=X.depth,
                                atom_cap=False)
-    xvals = X.values
+    xvals = X.values[None, :]
 
-    def constraint(k: float) -> float:
+    def constraint(k: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.dot(p, uf(xvals + k, np.full_like(xvals, float(m)))))
+            return uf(xvals + k[:, None], float(m)) @ p
 
     start = 1.0 + 2.0 * (X.max_abs() + abs(m))
-    return _smallest_m(constraint, B, start=start)
+    return _single(*_smallest_m(constraint, B, start, 1))

@@ -11,6 +11,10 @@ Two model families share one interface:
   one-dimensional Brownian motion, stored compactly (k+1 states at depth k)
   so that fine grids (N = 64 and beyond) stay cheap.
 
+Both supply the adjoint one-step hooks ``step_expectation`` (backward) and
+``step_forward`` (forward), from which :class:`FiltrationModel` derives the
+rest, the conditional law ``cond_matrix`` included.
+
 A :class:`RandomVariable` holds one value per node at a fixed depth and is
 F_k-measurable by construction; an :class:`AdaptedProcess` holds one such
 layer per depth up to a horizon.
@@ -44,10 +48,12 @@ def _check_times(times: Sequence[float]) -> tuple[float, ...]:
 class FiltrationModel:
     """Common interface of finite filtered models.
 
-    Subclasses provide the node layout per depth, cumulative node
-    probabilities and the one-step conditional expectation; everything else
-    (iterated conditioning, conditional transition matrices, expectations)
-    is derived here.
+    Subclasses provide the node layout per depth and two adjoint one-step
+    hooks, ``step_expectation`` (E[. | F_k] of a depth-(k+1) layer) and
+    ``step_forward`` (depth-k probability rows pushed to depth k+1).
+    Iterated conditioning composes ``step_expectation`` backward; the
+    conditional law ``cond_matrix`` composes ``step_forward`` from the
+    identity, and ``probs`` is its row from the root.
     """
 
     times: tuple[float, ...]
@@ -86,6 +92,11 @@ class FiltrationModel:
         """E[. | F_depth] applied to a depth+1 value layer."""
         raise NotImplementedError
 
+    def step_forward(self, rows: np.ndarray, depth: int) -> np.ndarray:
+        """Push distributions over the depth nodes (last axis) one step to
+        the depth+1 nodes; the adjoint of :meth:`step_expectation`."""
+        raise NotImplementedError
+
     # -- derived operations ----------------------------------------------
     def _check_depth(self, depth: int) -> None:
         if not 0 <= depth <= self.terminal_depth:
@@ -108,16 +119,15 @@ class FiltrationModel:
 
     def cond_matrix(self, from_depth: int, to_depth: int) -> np.ndarray:
         """Conditional probabilities P(node j at to_depth | node i at from_depth),
-        shape (num_nodes(from_depth), num_nodes(to_depth))."""
+        shape (num_nodes(from_depth), num_nodes(to_depth)): the identity on
+        the from_depth nodes pushed forward step by step."""
         self._check_depth(from_depth)
         self._check_depth(to_depth)
         if to_depth < from_depth:
             raise TimeGridError("cond_matrix requires from_depth <= to_depth")
-        n_to = self.num_nodes(to_depth)
-        rows = np.empty((self.num_nodes(from_depth), n_to))
-        eye = np.eye(n_to)
-        for j in range(n_to):
-            rows[:, j] = self.cond_expectation(eye[j], to_depth, from_depth)
+        rows = np.eye(self.num_nodes(from_depth))
+        for k in range(from_depth, to_depth):
+            rows = self.step_forward(rows, k)
         return rows
 
     def constant(self, value: float, depth: int | None = None) -> RandomVariable:
@@ -198,13 +208,6 @@ class ScenarioTree(FiltrationModel):
         self._slot_index = np.empty(n, dtype=int)
         for ids in self._slots:
             self._slot_index[ids] = np.arange(len(ids))
-        cum = np.empty(n)
-        cum[0] = self._branch_p[0]
-        order = np.argsort(self._depth, kind="stable")
-        for i in order:
-            if self._parent[i] >= 0:
-                cum[i] = cum[self._parent[i]] * self._branch_p[i]
-        self._cum = cum
 
     def _validate_probabilities(self) -> None:
         if abs(self._branch_p[0] - 1.0) > _PROB_TOL:
@@ -229,8 +232,7 @@ class ScenarioTree(FiltrationModel):
         return len(self._slots[depth])
 
     def probs(self, depth: int) -> np.ndarray:
-        self._check_depth(depth)
-        return self._cum[self._slots[depth]].copy()
+        return self.cond_matrix(0, depth)[0]
 
     def step_expectation(self, values: np.ndarray, depth: int) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -239,6 +241,10 @@ class ScenarioTree(FiltrationModel):
         out = np.zeros(self.num_nodes(depth))
         np.add.at(out, self._slot_index[self._parent[child_ids]], weighted)
         return out
+
+    def step_forward(self, rows: np.ndarray, depth: int) -> np.ndarray:
+        child_ids = self._slots[depth + 1]
+        return rows[..., self.parent_slot(depth + 1)] * self._branch_p[child_ids]
 
     # -- tree-specific operations -------------------------------------------
     def node_ids(self, depth: int) -> np.ndarray:
@@ -339,7 +345,7 @@ class ScenarioTree(FiltrationModel):
         n = len(self._depth)
         new_cum = np.zeros(n)
         term_ids = self._slots[self.terminal_depth]
-        new_cum[term_ids] = self._cum[term_ids] * dens / mean
+        new_cum[term_ids] = self.probs(self.terminal_depth) * dens / mean
         for k in range(self.terminal_depth, 0, -1):
             ids = self._slots[k]
             np.add.at(new_cum, self._parent[ids], new_cum[ids])
@@ -391,19 +397,20 @@ class BrownianLattice(FiltrationModel):
         return depth + 1
 
     def probs(self, depth: int) -> np.ndarray:
-        self._check_depth(depth)
-        dist = np.array([1.0])
-        for k in range(depth):
-            nxt = np.zeros(k + 2)
-            nxt[1:] += self._up[k] * dist
-            nxt[:-1] += (1.0 - self._up[k]) * dist
-            dist = nxt
-        return dist
+        return self.cond_matrix(0, depth)[0]
 
     def step_expectation(self, values: np.ndarray, depth: int) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         p = self._up[depth]
         return p * values[1:] + (1.0 - p) * values[:-1]
+
+    def step_forward(self, rows: np.ndarray, depth: int) -> np.ndarray:
+        p = self._up[depth]
+        out = np.empty(rows.shape[:-1] + (rows.shape[-1] + 1,))
+        np.multiply(rows, 1.0 - p, out=out[..., :-1])
+        out[..., -1] = 0.0
+        out[..., 1:] += p * rows
+        return out
 
     def step_z(self, values: np.ndarray, depth: int) -> np.ndarray:
         """E[Y_{k+1} dB_k | F_k] / dt -- the exact discrete gradient."""

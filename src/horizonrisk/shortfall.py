@@ -13,7 +13,9 @@ measure cash non-additive; f(y, m) = y + m recovers the classical shortfall.
 The infimum is computed by bisection over m (the constraint is monotone when
 f is non-decreasing in m), with an expanding bracket and explicit
 extended-real sentinels: the empty constraint set maps to ``PLUS_INF`` and
-an always-satisfied constraint to ``MINUS_INF``.  Sentinels are enumerated
+an always-satisfied constraint to ``MINUS_INF``.  One bisection runs over
+all depth-t nodes at once, each probe averaging U(f(X, m_i)) against the
+rows of the conditional law ``model.cond_matrix``.  Sentinels are enumerated
 values, never floating-point infinities, inside all solver arithmetic; only
 the nodewise (dynamic) results surface them as +-inf markers in the value
 array.  Value-at-Risk is included through its shortfall representation with
@@ -234,66 +236,75 @@ class ShortfallSpec:
         f = self.aggregator_at(t, u)
         ys = _GRID_1D if y_grid is None else np.asarray(y_grid, float)
         ms = np.array([-1.0, 0.0, 1.0]) if m_grid is None else np.asarray(m_grid, float)
-        worst = -math.inf
         h = ys[1] - ys[0]
-        for m in ms:
-            vals = U(f(ys, np.full_like(ys, m)))
-            second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-            worst = max(worst, float(np.max(second / (h * h))))
-        return worst
+        vals = U(f(ys[None, :], ms[:, None]))
+        second = vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2]
+        return float(np.max(second / (h * h)))
 
 
 # ---------------------------------------------------------------------------
 # bisection machinery
 # ---------------------------------------------------------------------------
 
-def _smallest_m(constraint: Callable[[float], float], target: float,
-                start: float, tol: float = _BISECT_TOL,
-                cap: float = _BRACKET_CAP) -> ExtendedReal:
-    """Least m with constraint(m) >= target for a non-decreasing constraint.
+def _smallest_m(constraint: Callable[[np.ndarray], np.ndarray], target: float,
+                start: float, n: int, depth: int | None = None,
+                tol: float = _BISECT_TOL, cap: float = _BRACKET_CAP
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least m_i with constraint(m)_i >= target for n non-decreasing
+    constraints at once; ``constraint`` maps n cash amounts to n values.
 
-    Brackets by doubling from +-start up to +-cap; returns PLUS_INF when the
-    constraint stays below the target at the cap and MINUS_INF when it is
-    already met at -cap.  A detected decrease of the constraint along the
-    probe points raises :class:`SpecificationError`.
-    """
-    probes: list[tuple[float, float]] = []
+    Each problem brackets by doubling from +-start; the plus (minus) mask
+    flags problems still unmet at +cap (already met at -cap).  A decrease
+    along a problem's bracketing probes raises SpecificationError, naming
+    ``node i at depth k`` when ``depth`` is given.  A problem stops moving
+    once its bracket is below ``tol``, so each value equals a bisection on
+    its problem alone.  Returns (values, plus, minus)."""
 
-    def value(m: float) -> float:
-        v = float(constraint(m))
-        probes.append((m, v))
-        return v
+    def bracket(edge, active, unmet):
+        edge = np.full(n, edge)
+        capped = np.zeros(n, dtype=bool)
+        probes = []
+        while active.any():
+            values = constraint(edge)
+            probes.append((edge, values, active))
+            active = active & unmet(values)
+            capped = capped | (active & (2.0 * np.abs(edge) > cap))
+            active = active & ~capped
+            edge = np.where(active, 2.0 * edge, edge)
+        return edge, capped, probes
 
-    hi = abs(start)
-    while value(hi) < target:
-        hi *= 2.0
-        if hi > cap:
-            _monotone_guard(probes)
-            return RiskSentinel.PLUS_INF
-    lo = -abs(start)
-    while value(lo) >= target:
-        lo *= 2.0
-        if lo < -cap:
-            _monotone_guard(probes)
-            return RiskSentinel.MINUS_INF
-    _monotone_guard(probes)
-    while hi - lo > tol:
+    hi, plus, hi_probes = bracket(start, np.ones(n, dtype=bool),
+                                  lambda v: v < target)
+    lo, minus, lo_probes = bracket(-start, ~plus, lambda v: v >= target)
+    # each problem's probes, in increasing m, form one contiguous run
+    ms, vs, probed = (np.array(col) for col in zip(*lo_probes[::-1], *hi_probes))
+    drops = probed[:-1] & probed[1:] & (
+        vs[1:] < vs[:-1] - 1e-9 * np.maximum(1.0, np.abs(vs[:-1])))
+    if drops.any():
+        i, j = np.argwhere(drops.T)[0]  # first node, then its first drop
+        where = "" if depth is None else f"node {i} at depth {depth}: "
+        raise SpecificationError(
+            f"{where}shortfall constraint is not non-decreasing in m: value "
+            f"drops from {float(vs[j, i])!r} at m={float(ms[j, i])!r} to "
+            f"{float(vs[j + 1, i])!r} at m={float(ms[j + 1, i])!r}"
+        )
+    lo = np.where(plus | minus, hi, lo)  # sentinel problems do not move
+    while (moving := hi - lo > tol).any():
         mid = 0.5 * (lo + hi)
-        if value(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        up = moving & (constraint(mid) >= target)
+        np.copyto(hi, mid, where=up)
+        np.copyto(lo, mid, where=moving ^ up)
+    return 0.5 * (lo + hi), plus, minus
 
 
-def _monotone_guard(probes: list[tuple[float, float]]) -> None:
-    pts = sorted(probes)
-    for (m1, v1), (m2, v2) in zip(pts, pts[1:]):
-        if v2 < v1 - 1e-9 * max(1.0, abs(v1)):
-            raise SpecificationError(
-                f"shortfall constraint is not non-decreasing in m: value "
-                f"drops from {v1!r} at m={m1!r} to {v2!r} at m={m2!r}"
-            )
+def _single(values: np.ndarray, plus: np.ndarray,
+            minus: np.ndarray) -> ExtendedReal:
+    """The one result of a single-problem :func:`_smallest_m` run."""
+    if plus[0]:
+        return RiskSentinel.PLUS_INF
+    if minus[0]:
+        return RiskSentinel.MINUS_INF
+    return float(values[0])
 
 
 def _bracket_start(X: RandomVariable, utility: UtilityFn, target: float) -> float:
@@ -305,59 +316,42 @@ def _bracket_start(X: RandomVariable, utility: UtilityFn, target: float) -> floa
     return 1.0 + 2.0 * (X.max_abs() + scale)
 
 
+def _problem(X: RandomVariable, spec: ShortfallSpec, t: float,
+             u: float | None, law: np.ndarray):
+    """(m -> (E_i[U_u(f_tu(X, m_i))])_i over the rows i of ``law``, B_tu,
+    bracket start); the horizon u defaults to the time of depth(X)."""
+    if u is None:
+        u = X.model.times[X.depth]
+    U, f, B = spec.utility_at(u), spec.aggregator_at(t, u), spec.target_at(t, u)
+    x = X.values[None, :]
+    return (lambda m: np.einsum("ij,ij->i", law, U(f(x, m[:, None]))),
+            B, _bracket_start(X, U, B))
+
+
 def static_shortfall(X: RandomVariable, spec: ShortfallSpec,
                      u: float | None = None, t: float = 0.0) -> ExtendedReal:
     """Generalized shortfall inf{m : E[U_u(f_u(X, m))] >= B_tu} at t = 0."""
     if t != 0.0:
         raise TimeGridError("the static shortfall is evaluated at t = 0")
-    model = X.model
-    if u is None:
-        u = model.times[X.depth]
-    U = spec.utility_at(u)
-    f = spec.aggregator_at(t, u)
-    B = spec.target_at(t, u)
-    weights = model.probs(X.depth)
-    xvals = X.values
-
-    def constraint(m: float) -> float:
-        return float(np.dot(weights, U(f(xvals, np.full_like(xvals, m)))))
-
-    return _smallest_m(constraint, B, start=_bracket_start(X, U, B))
+    level, B, start = _problem(X, spec, t, u, X.model.probs(X.depth)[None, :])
+    return _single(*_smallest_m(level, B, start, 1))
 
 
 def dynamic_shortfall(X: RandomVariable, t: float, spec: ShortfallSpec,
                       u: float | None = None) -> RandomVariable:
-    """Nodewise h-generalized shortfall at depth(t): at each depth-t node the
-    static bisection runs on the conditional subtree distribution.  Sentinel
-    outcomes surface as +-inf markers in the returned values."""
+    """Nodewise h-generalized shortfall at depth(t): one bisection runs on
+    the conditional subtree distributions of all depth-t nodes at once.
+    Sentinel outcomes surface as +-inf markers in the returned values."""
     model = X.model
     kt = model.depth_of(t)
-    if u is None:
-        u = model.times[X.depth]
-    ku = model.depth_of(u)
-    if ku < X.depth:
+    if u is not None and model.depth_of(u) < X.depth:
         raise TimeGridError("horizon u must not precede the depth of X")
-    if kt > X.depth:
-        raise TimeGridError("evaluation time t must not exceed depth(X)")
-    U = spec.utility_at(u)
-    f = spec.aggregator_at(t, u)
-    B = spec.target_at(t, u)
-    cond = model.cond_matrix(kt, X.depth)
-    xvals = X.values
-    start = _bracket_start(X, U, B)
-    out = np.empty(model.num_nodes(kt))
-    for i in range(model.num_nodes(kt)):
-        row = cond[i]
-
-        def constraint(m: float) -> float:
-            return float(np.dot(row, U(f(xvals, np.full_like(xvals, m)))))
-
-        try:
-            res = _smallest_m(constraint, B, start=start)
-        except SpecificationError as exc:
-            raise SpecificationError(f"node {i} at depth {kt}: {exc}") from exc
-        out[i] = res if isinstance(res, float) else res.as_float()
-    return RandomVariable(model, kt, out)
+    cond = model.cond_matrix(kt, X.depth)  # TimeGridError if t > depth(X)
+    level, B, start = _problem(X, spec, t, u, cond)
+    values, plus, minus = _smallest_m(level, B, start, len(cond), depth=kt)
+    values[plus] = math.inf
+    values[minus] = -math.inf
+    return RandomVariable(model, kt, values)
 
 
 def h_var(X: RandomVariable, t: float, alpha_u: float) -> RandomVariable:
@@ -372,17 +366,10 @@ def h_var(X: RandomVariable, t: float, alpha_u: float) -> RandomVariable:
     model = X.model
     kt = model.depth_of(t)
     cond = model.cond_matrix(kt, X.depth)
-    level = 1.0 - alpha_u
-    atoms, inv = np.unique(X.values, return_inverse=True)
-    out = np.empty(model.num_nodes(kt))
-    for i in range(model.num_nodes(kt)):
-        mass = np.zeros(len(atoms))
-        np.add.at(mass, inv, cond[i])
-        # tail probability P(X >= atoms[j] | node): suffix sums
-        tail = np.cumsum(mass[::-1])[::-1]
-        ok = tail >= level - 1e-12
-        out[i] = -float(atoms[ok][-1])
-    return RandomVariable(model, kt, out)
+    # P(X >= x | node) accumulates over the outcomes in decreasing order
+    order = np.argsort(-X.values, kind="stable")
+    reached = np.cumsum(cond[:, order], axis=1) >= 1.0 - alpha_u - 1e-12
+    return RandomVariable(model, kt, -X.values[order][np.argmax(reached, axis=1)])
 
 
 @dataclass(frozen=True)
@@ -441,23 +428,10 @@ def acceptance_member(Y: RandomVariable, m, spec: ShortfallSpec, t: float,
     i.e. membership of Y in the acceptance set at cash level m."""
     model = Y.model
     kt = model.depth_of(t)
-    if u is None:
-        u = model.times[Y.depth]
-    U = spec.utility_at(u)
-    f = spec.aggregator_at(t, u)
-    B = spec.target_at(t, u)
-    m_arr = np.asarray(m, dtype=float)
-    if m_arr.ndim == 0:
-        m_nodes = np.full(model.num_nodes(kt), float(m_arr))
-    else:
-        if m_arr.shape != (model.num_nodes(kt),):
-            raise SpecificationError("m must be scalar or one value per node")
-        m_nodes = m_arr
     cond = model.cond_matrix(kt, Y.depth)
-    out = np.empty(model.num_nodes(kt))
-    for i in range(model.num_nodes(kt)):
-        level = float(np.dot(
-            cond[i], U(f(Y.values, np.full_like(Y.values, m_nodes[i])))
-        ))
-        out[i] = 1.0 if level >= B else 0.0
-    return RandomVariable(model, kt, out)
+    m_nodes = np.asarray(m, dtype=float)
+    if m_nodes.ndim and m_nodes.shape != (len(cond),):
+        raise SpecificationError("m must be scalar or one value per node")
+    level, B, _ = _problem(Y, spec, t, u, cond)
+    met = level(np.broadcast_to(m_nodes, len(cond))) >= B
+    return RandomVariable(model, kt, np.where(met, 1.0, 0.0))

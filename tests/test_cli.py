@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from horizonrisk.cli import (EXIT_CONFIG, EXIT_NUMERICAL,
-                             EXIT_REQUIRED_AXIOM, EXIT_OK, main, run_config,
-                             validate_config)
+                             EXIT_REQUIRED_AXIOM, EXIT_OK, _fmt, main,
+                             run_config, validate_config)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -70,6 +70,39 @@ class TestValidation:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["validate", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("literal",
+                             ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_numbers_rejected(self, tmp_path, literal):
+        # json.dumps writes NaN and +-Infinity; 1e999 overflows to inf
+        text = json.dumps(base_config()).replace("1.0, -1.0",
+                                                 f"{literal}, -1.0")
+        assert literal in text
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert run_config(path, out_dir=tmp_path / "out") == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("task", [
+        {"kind": "evaluate", "t": 0.0, "u": 0.3},
+        {"kind": "longevity", "t": 0.0, "u": 0.5, "v": 0.9},
+        {"kind": "bsde-convergence", "t": 0.25, "grid": [8, 2]},
+    ])
+    def test_off_grid_task_times_rejected(self, tmp_path, task):
+        cfg = base_config(
+            model={"kind": "lattice", "steps": 8, "horizon": 1.0},
+            measure={"kind": "bsde", "driver": {"kind": "entropic"}},
+            tasks=[task],
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert run_config(path, out_dir=tmp_path / "out") == EXIT_CONFIG
+
+    def test_nan_is_never_printed_as_infinity(self):
+        assert _fmt(float("nan")) == "nan"
+        assert _fmt(float("-inf")) == "-inf"
+        assert _fmt(float("inf")) == "+inf"
 
     def test_valid_config_passes(self, tmp_path):
         path = write_config(tmp_path, base_config())

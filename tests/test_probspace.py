@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horizonrisk import (AdaptedProcess, BrownianLattice, DomainError,
                          RandomVariable, ScenarioTree, TimeGridError,
@@ -85,6 +87,49 @@ class TestConditionalExpectation:
             X.condexp(2)
         with pytest.raises(TimeGridError):
             conditional_expectation(X.condexp(0), 1)
+
+
+def column_by_column_cond_matrix(model, from_depth, to_depth):
+    """Reference conditional law: one backward conditional expectation of
+    each terminal indicator per column."""
+    n_to = model.num_nodes(to_depth)
+    cols = np.empty((model.num_nodes(from_depth), n_to))
+    eye = np.eye(n_to)
+    for j in range(n_to):
+        cols[:, j] = model.cond_expectation(eye[j], to_depth, from_depth)
+    return cols
+
+
+@st.composite
+def models_and_depths(draw):
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
+        model = random_tree(seed, depth=draw(st.integers(1, 4)),
+                            max_branching=draw(st.integers(2, 3)))
+    else:
+        n = draw(st.integers(1, 24))
+        ups = draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n))
+        model = BrownianLattice(n, 1.0, up_probs=np.array(ups))
+    to_depth = draw(st.integers(0, model.terminal_depth))
+    from_depth = draw(st.integers(0, to_depth))
+    return model, from_depth, to_depth
+
+
+class TestConditionalLaw:
+    @given(case=models_and_depths(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_forward_law_matches_backward_columns(self, case, seed):
+        model, k, d = case
+        cond = model.cond_matrix(k, d)
+        np.testing.assert_allclose(cond, column_by_column_cond_matrix(model, k, d),
+                                   rtol=0.0, atol=1e-15)
+        x = np.random.default_rng(seed).uniform(-3.0, 3.0, model.num_nodes(d))
+        np.testing.assert_allclose(cond @ x, model.cond_expectation(x, d, k),
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_depth_order_enforced(self):
+        with pytest.raises(TimeGridError):
+            BrownianLattice(4, 1.0).cond_matrix(3, 1)
 
 
 class TestChangeMeasure:

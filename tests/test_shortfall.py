@@ -111,6 +111,41 @@ class TestDynamicShortfall:
             ref = h_entropic(X, t, 1.0, 1.0, sched)
             np.testing.assert_allclose(dyn.values, ref.values, atol=1e-8)
 
+    def test_mixed_sentinel_and_finite_nodes(self):
+        # node 1's subtree has no losses beyond the buffer, so alpha_q = -2
+        # meets the constraint at every cash level; node 2's has losses
+        tree = ScenarioTree((0.0, 0.5, 1.0), [
+            (0, 0, None, 1.0), (1, 1, 0, 0.4), (2, 1, 0, 0.6),
+            (3, 2, 1, 0.5), (4, 2, 1, 0.5),
+            (5, 2, 2, 0.2), (6, 2, 2, 0.3), (7, 2, 2, 0.5),
+        ])
+        spec = hq_shortfall_spec(QParams(q=0.5, alpha_q=-2.0), beta=0.0,
+                                 schedule=HorizonSchedule.zero())
+        values = [1.0, 0.5, -1.0, 0.3, -2.0]
+        dyn = dynamic_shortfall(RandomVariable(tree, 2, values), 0.5, spec)
+        subtree = ScenarioTree.terminal_atoms([0.2, 0.3, 0.5])
+        alone = static_shortfall(RandomVariable(subtree, 1, values[2:]), spec)
+        assert dyn.values[0] == -math.inf
+        assert isinstance(alone, float)
+        assert dyn.values[1] == pytest.approx(alone, abs=1e-12)
+
+    def test_guard_names_the_failing_node(self):
+        # cash helps on gains and hurts on losses: the constraint rises in m
+        # below node 0 (gains only) and falls below node 1 (losses only)
+        signed = AggregatorFn(fn=lambda y, m: np.where(y > 0.0, m, -m),
+                              monotone_y=False, monotone_m=False,
+                              name="signed-cash")
+        spec = ShortfallSpec(UtilityFn.linear(), signed,
+                             TargetSchedule.constant(0.0))
+        tree = ScenarioTree((0.0, 0.5, 1.0), [
+            (0, 0, None, 1.0), (1, 1, 0, 0.5), (2, 1, 0, 0.5),
+            (3, 2, 1, 0.5), (4, 2, 1, 0.5), (5, 2, 2, 0.5), (6, 2, 2, 0.5),
+        ])
+        X = RandomVariable(tree, 2, [1.0, 2.0, -1.0, -2.0])
+        with pytest.raises(SpecificationError,
+                           match=r"^node 1 at depth 1: .* drops"):
+            dynamic_shortfall(X, 0.5, spec)
+
     def test_nodewise_conditioning_on_subtrees(self):
         tree = random_tree(7, depth=3)
         X = random_rv(tree, 70)
