@@ -14,8 +14,7 @@ from .errors import (ConfigurationError, DomainError,
                      SolverError, SpecificationError, TimeGridError,
                      TreeStructureError)
 from .probspace import (AdaptedProcess, BrownianLattice, FiltrationModel,
-                        RandomVariable, ScenarioTree, change_measure,
-                        conditional_expectation)
+                        RandomVariable, ScenarioTree)
 from .qcalculus import QParams, exp_q, exp_q_extended, ln_q, q_domain_floor
 from .measures import (HorizonSchedule, LossSpec, QMonotonicityReport,
                        StepFunction, UtilityFn, certainty_equivalent,

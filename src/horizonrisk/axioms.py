@@ -1,24 +1,34 @@
 """Reusable axiom checkers producing reproducible reports with witnesses.
 
-Each checker samples positions on a model, evaluates a user-supplied measure
-and reports the worst slack of the axiom's defining inequality together with
-a witness when it fails.  Conventions:
+The checkers share one slack table.  Each axiom is one row of it: the case
+generator that samples its cases, and the axiom's signed slack as a
+function of the ``rho`` values of one case.  One reporter evaluates that
+slack at every node of every case and reports the worst node, with a
+witness when the axiom fails.  Conventions:
 
 * ``rho`` is a callable RandomVariable -> RandomVariable (time binding done
-  by the caller); the family checkers take ``rho(X, t, u)`` instead;
+  by the caller); the two time sweeps, restriction and h-longevity, take
+  the family ``rho(X, t, u)`` instead;
 * sampled positions are nodewise i.i.d. uniform on [-3, 3], plus constants
-  and one-atom spikes; cash shifts m come from {0, 0.1, 1, 5} (constants,
-  hence F_t-measurable at every t);
+  and one-atom spikes;
+* there are four kinds of case: cash shifts X + m with m from
+  {0, 0.1, 1, 5} (constants, hence F_t-measurable at every t); upward
+  bumps X + B with B i.i.d. uniform on [0, 2]; mixtures l X + (1-l) Y with
+  l from {0.25, 0.5, 0.75}; and F_u-measurable positions at every grid
+  triple t <= u < v.  Normalization is the degenerate one-case row rho(0);
 * slacks are signed so that >= 0 means the axiom held; the uniform pass
   tolerance is 1e-8, and reports carry the worst slack so borderline
   numerical failures are distinguishable from structural ones;
 * checkers are deterministic given the seed: reports are reproducible
   bit for bit.
+
+``CHECKERS`` maps each axiom name to its checker, and ``SWEEPS`` holds the
+names of the checkers that sweep the time grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,14 +36,18 @@ import numpy as np
 from .probspace import FiltrationModel, RandomVariable
 
 __all__ = [
-    "AxiomReport", "check_cash_subadditive", "check_cash_additive",
-    "check_monotone", "check_convex", "check_quasi_convex",
-    "check_normalized", "check_restriction", "check_h_longevity",
+    "AxiomReport", "CHECKERS", "SWEEPS", "check_cash_subadditive",
+    "check_cash_additive", "check_monotone", "check_convex",
+    "check_quasi_convex", "check_normalized", "check_restriction",
+    "check_h_longevity",
 ]
 
 TOLERANCE = 1e-8
 _CASH_SHIFTS = (0.0, 0.1, 1.0, 5.0)
 _LAMBDAS = (0.25, 0.5, 0.75)
+
+_Rho = Callable[[RandomVariable], RandomVariable]
+_RhoFamily = Callable[[RandomVariable, float, float], RandomVariable]
 
 
 @dataclass(frozen=True)
@@ -48,13 +62,7 @@ class AxiomReport:
     witness: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "passed": self.passed,
-            "worst_slack": self.worst_slack,
-            "samples": self.samples,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _sample_positions(model: FiltrationModel, depth: int, samples: int,
@@ -73,138 +81,6 @@ def _sample_positions(model: FiltrationModel, depth: int, samples: int,
     return xs[:samples]
 
 
-def _worst(report_rows: list[tuple[float, dict]], axiom: str, samples: int,
-           tol: float) -> AxiomReport:
-    slack, witness = min(report_rows, key=lambda r: r[0])
-    passed = slack >= -tol
-    return AxiomReport(axiom=axiom, passed=bool(passed),
-                       worst_slack=float(slack), samples=samples,
-                       witness=None if passed else witness)
-
-
-def check_cash_subadditive(rho: Callable[[RandomVariable], RandomVariable],
-                           model: FiltrationModel, samples: int = 20,
-                           depth: int | None = None, seed: int = 0,
-                           tol: float = TOLERANCE) -> AxiomReport:
-    """rho(X + m) >= rho(X) - m for cash amounts m >= 0."""
-    depth = model.terminal_depth if depth is None else depth
-    rng = np.random.default_rng(seed)
-    rows = []
-    for X in _sample_positions(model, depth, samples, rng):
-        base = rho(X)
-        for m in _CASH_SHIFTS:
-            shifted = rho(X + m)
-            slack_arr = shifted.values - base.values + m
-            node = int(np.argmin(slack_arr))
-            rows.append((float(slack_arr[node]), {
-                "x": X.values.tolist(), "m": m, "node": node,
-            }))
-    return _worst(rows, "cash_subadditive", samples, tol)
-
-
-def check_cash_additive(rho: Callable[[RandomVariable], RandomVariable],
-                        model: FiltrationModel, samples: int = 20,
-                        depth: int | None = None, seed: int = 0,
-                        tol: float = TOLERANCE) -> AxiomReport:
-    """rho(X + m) = rho(X) - m (translation invariance), checked as
-    -|rho(X+m) - rho(X) + m| >= -tol."""
-    depth = model.terminal_depth if depth is None else depth
-    rng = np.random.default_rng(seed)
-    rows = []
-    for X in _sample_positions(model, depth, samples, rng):
-        base = rho(X)
-        for m in _CASH_SHIFTS:
-            shifted = rho(X + m)
-            gap = np.abs(shifted.values - base.values + m)
-            node = int(np.argmax(gap))
-            rows.append((-float(gap[node]), {
-                "x": X.values.tolist(), "m": m, "node": node,
-            }))
-    return _worst(rows, "cash_additive", samples, tol)
-
-
-def check_monotone(rho: Callable[[RandomVariable], RandomVariable],
-                   model: FiltrationModel, samples: int = 20,
-                   depth: int | None = None, seed: int = 0,
-                   tol: float = TOLERANCE) -> AxiomReport:
-    """X <= Y implies rho(X) >= rho(Y) (losses shrink as payoffs grow)."""
-    depth = model.terminal_depth if depth is None else depth
-    rng = np.random.default_rng(seed)
-    rows = []
-    for X in _sample_positions(model, depth, samples, rng):
-        bump = rng.uniform(0.0, 2.0, size=model.num_nodes(depth))
-        Y = X + RandomVariable(model, depth, bump)
-        slack_arr = rho(X).values - rho(Y).values
-        node = int(np.argmin(slack_arr))
-        rows.append((float(slack_arr[node]), {
-            "x": X.values.tolist(), "y": Y.values.tolist(), "node": node,
-        }))
-    return _worst(rows, "monotone", samples, tol)
-
-
-def check_convex(rho: Callable[[RandomVariable], RandomVariable],
-                 model: FiltrationModel, samples: int = 20,
-                 depth: int | None = None, seed: int = 0,
-                 tol: float = TOLERANCE) -> AxiomReport:
-    """rho(l X + (1-l) Y) <= l rho(X) + (1-l) rho(Y) on sampled mixtures."""
-    depth = model.terminal_depth if depth is None else depth
-    rng = np.random.default_rng(seed)
-    xs = _sample_positions(model, depth, samples, rng)
-    ys = _sample_positions(model, depth, samples, np.random.default_rng(seed + 1))
-    rows = []
-    for X, Y in zip(xs, ys):
-        rx, ry = rho(X), rho(Y)
-        for lam in _LAMBDAS:
-            mix = rho(lam * X + (1.0 - lam) * Y)
-            slack_arr = lam * rx.values + (1.0 - lam) * ry.values - mix.values
-            node = int(np.argmin(slack_arr))
-            rows.append((float(slack_arr[node]), {
-                "x": X.values.tolist(), "y": Y.values.tolist(),
-                "lambda": lam, "node": node,
-            }))
-    return _worst(rows, "convex", samples, tol)
-
-
-def check_quasi_convex(rho: Callable[[RandomVariable], RandomVariable],
-                       model: FiltrationModel, samples: int = 20,
-                       depth: int | None = None, seed: int = 0,
-                       tol: float = TOLERANCE) -> AxiomReport:
-    """rho(l X + (1-l) Y) <= max(rho(X), rho(Y)) on sampled mixtures."""
-    depth = model.terminal_depth if depth is None else depth
-    rng = np.random.default_rng(seed)
-    xs = _sample_positions(model, depth, samples, rng)
-    ys = _sample_positions(model, depth, samples, np.random.default_rng(seed + 1))
-    rows = []
-    for X, Y in zip(xs, ys):
-        cap = np.maximum(rho(X).values, rho(Y).values)
-        for lam in _LAMBDAS:
-            mix = rho(lam * X + (1.0 - lam) * Y)
-            slack_arr = cap - mix.values
-            node = int(np.argmin(slack_arr))
-            rows.append((float(slack_arr[node]), {
-                "x": X.values.tolist(), "y": Y.values.tolist(),
-                "lambda": lam, "node": node,
-            }))
-    return _worst(rows, "quasi_convex", samples, tol)
-
-
-def check_normalized(rho: Callable[[RandomVariable], RandomVariable],
-                     model: FiltrationModel, depth: int | None = None,
-                     tol: float = TOLERANCE) -> AxiomReport:
-    """rho(0) = 0."""
-    depth = model.terminal_depth if depth is None else depth
-    value = rho(model.constant(0.0, depth))
-    gap = np.abs(value.values)
-    node = int(np.argmax(gap))
-    slack = -float(gap[node])
-    passed = slack >= -tol
-    return AxiomReport(
-        axiom="normalized", passed=bool(passed), worst_slack=slack, samples=1,
-        witness=None if passed else {"rho_zero": value.values.tolist(),
-                                     "node": node},
-    )
-
-
 def _time_triples(model: FiltrationModel) -> list[tuple[float, float, float]]:
     ts = model.times
     return [
@@ -216,41 +92,148 @@ def _time_triples(model: FiltrationModel) -> list[tuple[float, float, float]]:
     ]
 
 
-def check_restriction(rho_family: Callable[[RandomVariable, float, float],
-                                           RandomVariable],
-                      model: FiltrationModel, samples: int = 6, seed: int = 0,
+# Case generators.  Each yields, for every sampled position, the list of its
+# cases: the rho values the slack takes, and a witness without its node.
+
+def _cash_shifts(rho, model, depth, samples, seed):
+    """(rho(X), rho(X + m), m) for every cash shift m."""
+    for X in _sample_positions(model, depth, samples,
+                               np.random.default_rng(seed)):
+        base = rho(X).values
+        yield [((base, rho(X + m).values, m), {"x": X.values.tolist(), "m": m})
+               for m in _CASH_SHIFTS]
+
+
+def _bumps(rho, model, depth, samples, seed):
+    """(rho(X), rho(Y)) for Y = X plus an upward bump drawn per position."""
+    rng = np.random.default_rng(seed)
+    for X in _sample_positions(model, depth, samples, rng):
+        bump = rng.uniform(0.0, 2.0, size=model.num_nodes(depth))
+        Y = X + RandomVariable(model, depth, bump)
+        yield [((rho(X).values, rho(Y).values),
+                {"x": X.values.tolist(), "y": Y.values.tolist()})]
+
+
+def _mixtures(rho, model, depth, samples, seed):
+    """(rho(X), rho(Y), rho(Z), w) for Z = w X + (1-w) Y and every weight w."""
+    xs = _sample_positions(model, depth, samples, np.random.default_rng(seed))
+    ys = _sample_positions(model, depth, samples,
+                           np.random.default_rng(seed + 1))
+    for X, Y in zip(xs, ys):
+        rx, ry = rho(X).values, rho(Y).values
+        yield [((rx, ry, rho(w * X + (1.0 - w) * Y).values, w),
+                {"x": X.values.tolist(), "y": Y.values.tolist(), "lambda": w})
+               for w in _LAMBDAS]
+
+
+def _zero(rho, model, depth, samples, seed):
+    """The single case rho(0)."""
+    value = rho(model.constant(0.0, depth)).values
+    yield [((value,), {"rho_zero": value.tolist()})]
+
+
+def _grid_triples(rho_family, model, depth, samples, seed):
+    """(rho_tv(X), rho_tu(X)) for F_u-measurable X at every grid triple."""
+    rng = np.random.default_rng(seed)
+    for t, u, v in _time_triples(model):
+        for X in _sample_positions(model, model.depth_of(u), samples, rng):
+            yield [((rho_family(X, t, v).values, rho_family(X, t, u).values),
+                    {"x": X.values.tolist(), "t": t, "u": u, "v": v})]
+
+
+# The slack table: axiom -> (case generator, signed slack of one case).
+_SLACKS = {
+    "cash_additive": (_cash_shifts, lambda r, rm, m: -np.abs(rm - r + m)),
+    "cash_subadditive": (_cash_shifts, lambda r, rm, m: rm - r + m),
+    "monotone": (_bumps, lambda rx, ry: rx - ry),
+    "convex": (_mixtures, lambda rx, ry, rz, w: w * rx + (1.0 - w) * ry - rz),
+    "quasi_convex": (_mixtures, lambda rx, ry, rz, w: np.maximum(rx, ry) - rz),
+    "normalized": (_zero, lambda r0: -np.abs(r0)),
+    "restriction": (_grid_triples, lambda rv, ru: -np.abs(rv - ru)),
+    "h_longevity": (_grid_triples, lambda rv, ru: rv - ru),
+}
+
+
+def _report(axiom: str, rho, model: FiltrationModel, depth: int | None,
+            samples: int, seed: int, tol: float) -> AxiomReport:
+    """Run the axiom's row of the slack table and report its worst node
+    (the first case attaining it) and the number of sampled positions."""
+    cases, slack = _SLACKS[axiom]
+    depth = model.terminal_depth if depth is None else depth
+    rows, positions = [], 0
+    for position in cases(rho, model, depth, samples, seed):
+        positions += 1
+        for values, witness in position:
+            per_node = slack(*values)
+            node = int(np.argmin(per_node))
+            rows.append((float(per_node[node]), {**witness, "node": node}))
+    worst, witness = min(rows, key=lambda r: r[0])
+    passed = worst >= -tol
+    return AxiomReport(axiom=axiom, passed=bool(passed), worst_slack=worst,
+                       samples=positions, witness=None if passed else witness)
+
+
+def check_cash_subadditive(rho: _Rho, model: FiltrationModel,
+                           samples: int = 20, depth: int | None = None,
+                           seed: int = 0, tol: float = TOLERANCE) -> AxiomReport:
+    """rho(X + m) >= rho(X) - m for cash amounts m >= 0."""
+    return _report("cash_subadditive", rho, model, depth, samples, seed, tol)
+
+
+def check_cash_additive(rho: _Rho, model: FiltrationModel, samples: int = 20,
+                        depth: int | None = None, seed: int = 0,
+                        tol: float = TOLERANCE) -> AxiomReport:
+    """rho(X + m) = rho(X) - m (translation invariance), checked as
+    -|rho(X+m) - rho(X) + m| >= -tol."""
+    return _report("cash_additive", rho, model, depth, samples, seed, tol)
+
+
+def check_monotone(rho: _Rho, model: FiltrationModel, samples: int = 20,
+                   depth: int | None = None, seed: int = 0,
+                   tol: float = TOLERANCE) -> AxiomReport:
+    """X <= Y implies rho(X) >= rho(Y) (losses shrink as payoffs grow)."""
+    return _report("monotone", rho, model, depth, samples, seed, tol)
+
+
+def check_convex(rho: _Rho, model: FiltrationModel, samples: int = 20,
+                 depth: int | None = None, seed: int = 0,
+                 tol: float = TOLERANCE) -> AxiomReport:
+    """rho(l X + (1-l) Y) <= l rho(X) + (1-l) rho(Y) on sampled mixtures."""
+    return _report("convex", rho, model, depth, samples, seed, tol)
+
+
+def check_quasi_convex(rho: _Rho, model: FiltrationModel, samples: int = 20,
+                       depth: int | None = None, seed: int = 0,
+                       tol: float = TOLERANCE) -> AxiomReport:
+    """rho(l X + (1-l) Y) <= max(rho(X), rho(Y)) on sampled mixtures."""
+    return _report("quasi_convex", rho, model, depth, samples, seed, tol)
+
+
+def check_normalized(rho: _Rho, model: FiltrationModel,
+                     depth: int | None = None, tol: float = TOLERANCE, *,
+                     samples: int = 1, seed: int = 0) -> AxiomReport:
+    """rho(0) = 0.
+
+    rho(0) is one deterministic case, so ``samples`` and ``seed`` are unused;
+    they are accepted so that every point checker takes the same keywords.
+    """
+    return _report("normalized", rho, model, depth, samples, seed, tol)
+
+
+def check_restriction(rho_family: _RhoFamily, model: FiltrationModel,
+                      samples: int = 6, seed: int = 0,
                       tol: float = TOLERANCE) -> AxiomReport:
     """rho_tu(X) = rho_tv(X) for v >= u and F_u-measurable X."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    count = 0
-    for (t, u, v) in _time_triples(model):
-        ku = model.depth_of(u)
-        for X in _sample_positions(model, ku, samples, rng):
-            gap = np.abs(rho_family(X, t, v).values - rho_family(X, t, u).values)
-            node = int(np.argmax(gap))
-            rows.append((-float(gap[node]), {
-                "x": X.values.tolist(), "t": t, "u": u, "v": v, "node": node,
-            }))
-            count += 1
-    return _worst(rows, "restriction", count, tol)
+    return _report("restriction", rho_family, model, None, samples, seed, tol)
 
 
-def check_h_longevity(rho_family: Callable[[RandomVariable, float, float],
-                                           RandomVariable],
-                      model: FiltrationModel, samples: int = 6, seed: int = 0,
+def check_h_longevity(rho_family: _RhoFamily, model: FiltrationModel,
+                      samples: int = 6, seed: int = 0,
                       tol: float = TOLERANCE) -> AxiomReport:
     """gamma(t, u, v, X) = rho_tv(X) - rho_tu(X) >= 0 for t <= u <= v."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    count = 0
-    for (t, u, v) in _time_triples(model):
-        ku = model.depth_of(u)
-        for X in _sample_positions(model, ku, samples, rng):
-            gamma = rho_family(X, t, v).values - rho_family(X, t, u).values
-            node = int(np.argmin(gamma))
-            rows.append((float(gamma[node]), {
-                "x": X.values.tolist(), "t": t, "u": u, "v": v, "node": node,
-            }))
-            count += 1
-    return _worst(rows, "h_longevity", count, tol)
+    return _report("h_longevity", rho_family, model, None, samples, seed, tol)
+
+
+CHECKERS = {name: globals()[f"check_{name}"] for name in _SLACKS}
+SWEEPS = frozenset(name for name, (cases, _) in _SLACKS.items()
+                   if cases is _grid_triples)

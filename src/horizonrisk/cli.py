@@ -1,6 +1,6 @@
 """Batch front-end: run JSON-configured experiments and write CSV/JSON artifacts.
 
-    riskctl run <config.json> [--out DIR] [--seed N] [--jobs K]
+    riskctl run <config.json> [--out DIR] [--seed N]
     riskctl validate <config.json>
 
 A config holds one experiment: a model section (lattice or explicit tree),
@@ -13,8 +13,9 @@ written atomically); the optional wall-time column of convergence tables is
 left empty unless ``timing`` is enabled, precisely so that repeated runs
 stay byte-identical.
 
-Exit codes: 0 success, 2 config/schema violation (non-finite numbers and
-off-grid task times included), 3 numerical or solver error, 4 a required
+Exit codes: 0 success, 2 config/schema violation (non-finite numbers,
+integers beyond float range, off-grid task times and task times out of the
+order t <= u <= v included), 3 numerical or solver error, 4 a required
 axiom check failed.
 """
 
@@ -26,7 +27,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable
 
@@ -133,10 +133,7 @@ _POSITION = {
     "additionalProperties": False,
 }
 
-_AXIOM_NAMES = [
-    "cash_additive", "cash_subadditive", "monotone", "convex",
-    "quasi_convex", "normalized", "restriction", "h_longevity",
-]
+_AXIOM = {"enum": list(axioms_mod.CHECKERS)}
 
 _TASK = {
     "type": "object",
@@ -147,9 +144,8 @@ _TASK = {
         "u": {"type": "number"},
         "v": {"type": "number"},
         "position": _POSITION,
-        "checks": {"type": "array", "items": {"enum": _AXIOM_NAMES},
-                   "minItems": 1},
-        "required": {"type": "array", "items": {"enum": _AXIOM_NAMES}},
+        "checks": {"type": "array", "items": _AXIOM, "minItems": 1},
+        "required": {"type": "array", "items": _AXIOM},
         "samples": {"type": "integer", "minimum": 1},
         "resolution": {"type": "number", "exclusiveMinimum": 0},
         "grid": {"type": "array", "items": {"type": "integer", "minimum": 2},
@@ -405,15 +401,17 @@ def _write_json(path: Path, data: Any) -> None:
 # task runners
 # ---------------------------------------------------------------------------
 
+def _task_position(idx, task, model, seed) -> RandomVariable:
+    """The task's position at depth(u), drawn from the task's own stream."""
+    return _build_position(task.get("position", {"kind": "constant"}), model,
+                           model.depth_of(task["u"]),
+                           np.random.default_rng(seed + idx))
+
+
 def _task_evaluate(idx, task, cfg, model, out_dir, seed):
-    rng = np.random.default_rng(seed + idx)
-    t = task.get("t", 0.0)
-    u = task.get("u", model.horizon)
-    depth = model.depth_of(u)
-    X = _build_position(task.get("position", {"kind": "constant"}), model,
-                        depth, rng)
+    X = _task_position(idx, task, model, seed)
     rho = _build_rho_family(cfg["measure"], model)
-    value = rho(X, t, u)
+    value = rho(X, task["t"], task["u"])
     rows = [[i, value.values[i]] for i in range(len(value.values))]
     path = out_dir / f"task{idx:02d}_evaluate.csv"
     _write_csv(path, ["node", "value"], rows)
@@ -421,38 +419,21 @@ def _task_evaluate(idx, task, cfg, model, out_dir, seed):
             "root_value": _fmt(value.values[0])}
 
 
-_CHECKERS = {
-    "cash_additive": axioms_mod.check_cash_additive,
-    "cash_subadditive": axioms_mod.check_cash_subadditive,
-    "monotone": axioms_mod.check_monotone,
-    "convex": axioms_mod.check_convex,
-    "quasi_convex": axioms_mod.check_quasi_convex,
-}
-
-
 def _task_axioms(idx, task, cfg, model, out_dir, seed):
     rho_family = _build_rho_family(cfg["measure"], model)
-    t = task.get("t", 0.0)
-    u = task.get("u", model.horizon)
+    t, u = task["t"], task["u"]
     depth = model.depth_of(u)
     samples = task.get("samples", 12)
+    bound = lambda X: rho_family(X, t, u)
     reports = []
     for name in task["checks"]:
-        bound = lambda X, _t=t, _u=u: rho_family(X, _t, _u)
-        if name in _CHECKERS:
-            rep = _CHECKERS[name](bound, model, samples=samples, depth=depth,
-                                  seed=seed)
-        elif name == "normalized":
-            rep = axioms_mod.check_normalized(bound, model, depth=depth)
-        elif name == "restriction":
-            rep = axioms_mod.check_restriction(rho_family, model,
-                                               samples=max(2, samples // 3),
-                                               seed=seed)
+        check = axioms_mod.CHECKERS[name]
+        if name in axioms_mod.SWEEPS:
+            reports.append(check(rho_family, model,
+                                 samples=max(2, samples // 3), seed=seed))
         else:
-            rep = axioms_mod.check_h_longevity(rho_family, model,
-                                               samples=max(2, samples // 3),
-                                               seed=seed)
-        reports.append(rep)
+            reports.append(check(bound, model, samples=samples, depth=depth,
+                                 seed=seed))
     path = out_dir / f"task{idx:02d}_axioms.json"
     _write_json(path, [r.to_json_dict() for r in reports])
     required = set(task.get("required", []))
@@ -467,16 +448,12 @@ def _task_axioms(idx, task, cfg, model, out_dir, seed):
 def _task_duality(idx, task, cfg, model, out_dir, seed):
     if cfg["measure"]["kind"] != "shortfall":
         raise ConfigError("duality tasks need a shortfall measure")
-    rng = np.random.default_rng(seed + idx)
-    u = task.get("u", model.horizon)
-    depth = model.depth_of(u)
-    X = _build_position(task.get("position", {"kind": "constant"}), model,
-                        depth, rng)
+    X = _task_position(idx, task, model, seed)
     spec = _build_shortfall_spec(cfg["measure"])
-    grid = DualGrid.simplex(model.num_nodes(depth),
+    grid = DualGrid.simplex(model.num_nodes(X.depth),
                             task.get("resolution", 0.05))
-    report = dual_value(X, spec, grid, u=u)
-    static = static_shortfall(X, spec, u=u)
+    report = dual_value(X, spec, grid, u=task["u"])
+    static = static_shortfall(X, spec, u=task["u"])
     static_f = static if isinstance(static, float) else static.as_float()
     dual_f = (report.value if isinstance(report.value, float)
               else report.value.as_float())
@@ -508,7 +485,7 @@ def _task_convergence(idx, task, cfg, model, out_dir, seed):
     kind = driver_cfg["kind"]
     if kind == "linear":
         raise ConfigError("no closed-form reference for general linear drivers")
-    t = task.get("t", 0.0)
+    t = task["t"]
     timing = task.get("timing", False)
     rows = []
     for n_steps in task["grid"]:
@@ -540,13 +517,8 @@ def _task_convergence(idx, task, cfg, model, out_dir, seed):
 
 
 def _task_longevity(idx, task, cfg, model, out_dir, seed):
-    rng = np.random.default_rng(seed + idx)
-    t = task.get("t", 0.0)
-    u = task.get("u", model.horizon)
-    v = task.get("v", model.horizon)
-    depth = model.depth_of(u)
-    X = _build_position(task.get("position", {"kind": "constant"}), model,
-                        depth, rng)
+    t, u, v = task["t"], task["u"], task["v"]
+    X = _task_position(idx, task, model, seed)
     rho = _build_rho_family(cfg["measure"], model)
     gamma = rho(X, t, v) - rho(X, t, u)
     header = ["node", "gamma"]
@@ -578,10 +550,16 @@ _TASK_RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def _finite_number(literal: str) -> float:
-    value = float(literal)  # also parses NaN and +-Infinity
+    value = float(literal)  # also parses NaN, +-Infinity and 1e999 (to inf)
     if not np.isfinite(value):
-        raise ConfigError(f"config holds the non-finite number {literal}")
+        shown = literal if len(literal) <= 24 else literal[:20] + "..."
+        raise ConfigError(f"config holds {shown}, not a finite float")
     return value
+
+
+def _float_range_int(literal: str) -> int:
+    _finite_number(literal)  # digits beyond float range parse to inf
+    return int(literal)
 
 
 def load_config(path: str | Path) -> dict:
@@ -591,7 +569,8 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text, parse_constant=_finite_number,
-                         parse_float=_finite_number)
+                         parse_float=_finite_number,
+                         parse_int=_float_range_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if jsonschema is None:  # pragma: no cover
@@ -604,16 +583,24 @@ def load_config(path: str | Path) -> dict:
 
 
 def _build_experiment(cfg: dict, seed: int):
-    """Build the model and measure and put every task time on its grid."""
+    """Build the model and measure, and resolve every task's times for the
+    task runners: fill in the defaults t = 0 and u = v = horizon, put each
+    time on its grid and check the order t <= u <= v."""
     model = _build_model(cfg["model"], seed)
     _build_rho_family(cfg["measure"], model)
-    for task in cfg["tasks"]:
+    for i, task in enumerate(cfg["tasks"]):
+        task.setdefault("t", 0.0)
+        task.setdefault("u", model.horizon)
+        task.setdefault("v", model.horizon)
         grids = [model]
         if task["kind"] == "bsde-convergence":
             grids = [BrownianLattice(n, model.horizon) for n in task["grid"]]
         for grid in grids:
             for key in ("t", "u", "v"):
-                grid.depth_of(task.get(key, 0.0))  # TimeGridError if off-grid
+                grid.depth_of(task[key])  # TimeGridError if off-grid
+        if not task["t"] <= task["u"] <= task["v"]:
+            raise ConfigError(f"task {i} needs t <= u <= v, got t={task['t']}, "
+                              f"u={task['u']}, v={task['v']}")
     return model
 
 
@@ -626,6 +613,8 @@ def validate_config(path: str | Path) -> dict:
 
 def run_config(path: str | Path, out_dir: str | Path | None = None,
                seed: int | None = None, jobs: int = 1) -> int:
+    """Run every task of a config in order and return the exit code.
+    ``jobs`` is unused and kept only for callers that still pass it."""
     try:
         cfg = load_config(path)
         effective_seed = seed if seed is not None else cfg.get("seed", 0)
@@ -638,18 +627,10 @@ def run_config(path: str | Path, out_dir: str | Path | None = None,
         print(f"riskctl: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    def run_one(pair):
-        i, task = pair
-        return i, _TASK_RUNNERS[task["kind"]](i, task, cfg, model, target_dir,
-                                              effective_seed)
-
-    indexed = list(enumerate(cfg["tasks"]))
     try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run_one, indexed))
-        else:
-            results = [run_one(p) for p in indexed]
+        results = [_TASK_RUNNERS[task["kind"]](i, task, cfg, model, target_dir,
+                                               effective_seed)
+                   for i, task in enumerate(cfg["tasks"])]
     except ConfigError as exc:
         print(f"riskctl: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -658,7 +639,7 @@ def run_config(path: str | Path, out_dir: str | Path | None = None,
         return EXIT_NUMERICAL
 
     failed_required: list[str] = []
-    for i, res in sorted(results, key=lambda r: r[0]):
+    for i, res in enumerate(results):
         print(f"task {i} [{res['task']}] -> {', '.join(res['files'])}")
         for line in res.get("table", []):
             print(line)
@@ -684,7 +665,6 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("config")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--jobs", type=int, default=1)
     val_p = sub.add_parser("validate", help="validate a config without running")
     val_p.add_argument("config")
     args = parser.parse_args(argv)
@@ -696,8 +676,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_CONFIG
         print("config ok")
         return EXIT_OK
-    return run_config(args.config, out_dir=args.out, seed=args.seed,
-                      jobs=args.jobs)
+    return run_config(args.config, out_dir=args.out, seed=args.seed)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -563,13 +563,3 @@ class AdaptedProcess:
             horizon_depth = model.terminal_depth
         return cls(model, [np.full(model.num_nodes(k), float(value))
                            for k in range(horizon_depth + 1)])
-
-
-def conditional_expectation(X: RandomVariable, depth: int) -> RandomVariable:
-    """E[X | F_depth] as an exact weighted average over descendants."""
-    return X.condexp(depth)
-
-
-def change_measure(tree: ScenarioTree, density: RandomVariable) -> ScenarioTree:
-    """Equivalent-measure change on a tree; see :meth:`ScenarioTree.change_measure`."""
-    return tree.change_measure(density)

@@ -9,6 +9,7 @@ from horizonrisk import (AxiomReport, HorizonSchedule, LossSpec, QParams,
                          check_restriction, discounted_wrap, entropic,
                          expected_loss, h_entropic, h_var,
                          hq_entropic_losses, q_entropic_losses)
+from horizonrisk import axioms
 
 from conftest import random_tree
 
@@ -161,3 +162,11 @@ class TestReportMechanics:
         assert set(data) == {"axiom", "passed", "worst_slack", "samples",
                              "witness"}
         assert isinstance(report, AxiomReport)
+
+    def test_table_holds_the_public_checkers(self):
+        # riskctl dispatches through CHECKERS, so it must hold the very
+        # objects that the module exports under check_<name>
+        for name, check in axioms.CHECKERS.items():
+            assert getattr(axioms, f"check_{name}") is check
+        assert len(axioms.CHECKERS) == 8
+        assert axioms.SWEEPS == {"restriction", "h_longevity"}

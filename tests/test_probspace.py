@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from horizonrisk import (AdaptedProcess, BrownianLattice, DomainError,
                          RandomVariable, ScenarioTree, TimeGridError,
-                         TreeStructureError, change_measure,
-                         conditional_expectation)
+                         TreeStructureError)
 
 from conftest import random_rv, random_tree
 
@@ -59,7 +58,7 @@ class TestConditionalExpectation:
 
     def test_two_atom_hand_value(self, two_atom):
         X = RandomVariable(two_atom, 1, [2.0, 0.0])
-        assert conditional_expectation(X, 0).values[0] == pytest.approx(1.0)
+        assert X.condexp(0).values[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_tower_property(self, seed):
@@ -86,7 +85,7 @@ class TestConditionalExpectation:
         with pytest.raises(TimeGridError):
             X.condexp(2)
         with pytest.raises(TimeGridError):
-            conditional_expectation(X.condexp(0), 1)
+            X.condexp(0).condexp(1)
 
 
 def column_by_column_cond_matrix(model, from_depth, to_depth):
@@ -135,13 +134,13 @@ class TestConditionalLaw:
 class TestChangeMeasure:
     def test_identity_density(self, two_atom):
         dens = two_atom.constant(1.0, 1)
-        reweighted = change_measure(two_atom, dens)
+        reweighted = two_atom.change_measure(dens)
         np.testing.assert_allclose(reweighted.probs(1), two_atom.probs(1),
                                    atol=1e-14)
 
     def test_two_atom_reweighting(self, two_atom):
         dens = RandomVariable(two_atom, 1, [1.5, 0.5])
-        q = change_measure(two_atom, dens)
+        q = two_atom.change_measure(dens)
         np.testing.assert_allclose(q.probs(1), [0.75, 0.25], atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -152,7 +151,7 @@ class TestChangeMeasure:
         raw = rng.uniform(0.2, 2.0, n)
         raw /= np.dot(tree.probs(4), raw)
         dens = RandomVariable(tree, 4, raw)
-        q = change_measure(tree, dens)
+        q = tree.change_measure(dens)
         X = random_rv(tree, seed + 60)
         assert np.dot(q.probs(4), X.values) == pytest.approx(
             np.dot(tree.probs(4), raw * X.values), abs=1e-12)
@@ -163,21 +162,21 @@ class TestChangeMeasure:
         rng = np.random.default_rng(seed + 5)
         raw = rng.uniform(0.5, 1.5, tree.num_nodes(3))
         raw /= np.dot(tree.probs(3), raw)
-        q = change_measure(tree, RandomVariable(tree, 3, raw))
+        q = tree.change_measure(RandomVariable(tree, 3, raw))
         recip = 1.0 / raw
         recip /= np.dot(q.probs(3), recip)
-        back = change_measure(q, RandomVariable(q, 3, recip))
+        back = q.change_measure(RandomVariable(q, 3, recip))
         for k in range(1, 4):
             np.testing.assert_allclose(back.probs(k), tree.probs(k),
                                        atol=1e-10)
 
     def test_rejects_non_positive_density(self, two_atom):
         with pytest.raises(DomainError):
-            change_measure(two_atom, RandomVariable(two_atom, 1, [2.0, 0.0]))
+            two_atom.change_measure(RandomVariable(two_atom, 1, [2.0, 0.0]))
 
     def test_rejects_wrong_mean(self, two_atom):
         with pytest.raises(DomainError):
-            change_measure(two_atom, RandomVariable(two_atom, 1, [1.5, 0.6]))
+            two_atom.change_measure(RandomVariable(two_atom, 1, [1.5, 0.6]))
 
 
 class TestBrownianLattice:
