@@ -3,8 +3,9 @@
 Every shipped config in ``configs/`` and every extra config in
 ``tests/golden/configs/`` (larger nodewise shortfall and VaR runs, mixed
 sentinels, axiom suites in which each of the eight axioms is checked and
-five of them fail with a witness) is run through :func:`horizonrisk.cli.run_config`, and its
-artifacts are written to ``tests/golden/artifacts/<config stem>/``.
+five of them fail with a witness, 3-atom duals of a scaled-additive and an
+exponential aggregator) is run through :func:`horizonrisk.cli.run_config`,
+and its artifacts are written to ``tests/golden/artifacts/<config stem>/``.
 ``tests/test_golden.py`` compares fresh runs against these files, so a
 solver rewrite is checked against the artifacts of the code it replaces.
 Regenerate only when an artifact is meant to change, and record why.
