@@ -177,9 +177,6 @@ class BsdeSolution:
     Y: AdaptedProcess
     Z: AdaptedProcess
 
-    def value_at(self, t: float) -> RandomVariable:
-        return self.Y.at_depth(self.model.depth_of(t))
-
 
 def _implicit_step(driver, t: float, e_part: np.ndarray, z: np.ndarray,
                    dt: float) -> np.ndarray:

@@ -14,9 +14,9 @@ left empty unless ``timing`` is enabled, precisely so that repeated runs
 stay byte-identical.
 
 Exit codes: 0 success, 2 config/schema violation (non-finite numbers,
-integers beyond float range, off-grid task times and task times out of the
-order t <= u <= v included), 3 numerical or solver error, 4 a required
-axiom check failed.
+integers beyond float range, off-grid task times, task times out of the
+order t <= u <= v and required axioms missing from checks included), 3
+numerical or solver error, 4 a required axiom check failed.
 """
 
 from __future__ import annotations
@@ -585,7 +585,8 @@ def load_config(path: str | Path) -> dict:
 def _build_experiment(cfg: dict, seed: int):
     """Build the model and measure, and resolve every task's times for the
     task runners: fill in the defaults t = 0 and u = v = horizon, put each
-    time on its grid and check the order t <= u <= v."""
+    time on its grid and check the order t <= u <= v.  Every ``required``
+    axiom must also be one of the task's ``checks``."""
     model = _build_model(cfg["model"], seed)
     _build_rho_family(cfg["measure"], model)
     for i, task in enumerate(cfg["tasks"]):
@@ -601,6 +602,10 @@ def _build_experiment(cfg: dict, seed: int):
         if not task["t"] <= task["u"] <= task["v"]:
             raise ConfigError(f"task {i} needs t <= u <= v, got t={task['t']}, "
                               f"u={task['u']}, v={task['v']}")
+        unchecked = set(task.get("required", [])) - set(task.get("checks", []))
+        if unchecked:
+            raise ConfigError(f"task {i} requires axioms it does not check: "
+                              f"{', '.join(sorted(unchecked))}")
     return model
 
 

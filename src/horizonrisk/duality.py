@@ -9,16 +9,17 @@ For a generalized shortfall with acceptance family A^m, the dual data are
 together with the associated cash additive family
 rho_bar_m(X) = inf { k : k + X in A^m }.
 
-c_min is solved by a scalar Lagrangian dual: an outer bisection on the
-multiplier lambda >= 0 of sup_Y [ -E_Q[Y] + lambda (E_P U(f(Y, m)) - B) ],
-whose inner problem separates into per-atom 1-d concave maximizations
-(ternary search on a box [-G, G]).  Every evaluated dual value upper-bounds
-the primal, so the reported c_min is safe for the weak-duality inequality
-dual_value <= static_shortfall.  Unbounded primals are detected by growth of
-the value in the box size G (scalar API) and surface as the PLUS_INF
-sentinel; an infeasible acceptance set (target above the reachable utility)
-yields MINUS_INF.  All computations are static (t = 0), and spaces are
-capped at 6 atoms.
+c_min is solved by a scalar Lagrangian dual in the multiplier lambda >= 0
+of sup_Y [ -E_Q[Y] + lambda (E_P U(f(Y, m)) - B) ], whose inner problem
+separates into per-atom 1-d concave maximizations (golden-section search on
+a box [-G, G]).  Each round searches 17 log-spaced multipliers at once and
+keeps the sub-bracket where the level E_P U(f(y*, m)) first reaches B.  The
+reported c_min is the smallest dual value evaluated, an upper bound of the
+primal, so weak duality dual_value <= static_shortfall holds by
+construction.  Unbounded primals are detected by growth of the value in the
+box size G (scalar API) and surface as the PLUS_INF sentinel; an infeasible
+acceptance set (level below B at lambda = 1e12) yields MINUS_INF.  All
+computations are static (t = 0), and spaces are capped at 6 atoms.
 
 The independent oracle :func:`c_min_bruteforce` enumerates Y on a grid
 (starting at the declared step and refining locally) without any Lagrangian
@@ -45,8 +46,11 @@ __all__ = [
 
 _MAX_ATOMS = 6
 _BOX = 1000.0
-_TERN_ITERS = 78           # (2/3)^78 * 2G ~ 3e-11 bracket on y
-_LAMBDA_ITERS = 48         # log-bisection on lambda in [1e-12, 1e12]
+_GOLDEN_ITERS = 66         # 0.618^66 * 2G ~ 3e-11 bracket on y
+_LAMBDA_ITERS = 48         # bracket on log lambda: 2^-48 of [1e-12, 1e12]
+_K = 17                    # multipliers per round, odd so round 0 has 1.0
+_LOG_LAMBDA = (math.log(1e-12), math.log(1e12))
+_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _M_TOL = 1e-9
 _M_CAP = float(2 ** 20)
 _GROWTH_SLOPE = 1e-6
@@ -137,66 +141,59 @@ def _static_problem(spec: ShortfallSpec, model: FiltrationModel, t: float,
 # Lagrangian dual, vectorized across measure rows
 # ---------------------------------------------------------------------------
 
-def _ternary_max(objective, lo: float, hi: float, shape, iters: int):
+def _golden_max(objective, lo: float, hi: float, shape, iters: int):
+    """Elementwise argmax of a concave objective on [lo, hi] by golden-section
+    search: one new evaluation per iteration, each shrinking the bracket by
+    the factor 0.618."""
     a = np.full(shape, lo)
     b = np.full(shape, hi)
+    c = b - _GOLD * (b - a)
+    d = a + _GOLD * (b - a)
+    fc, fd = objective(np.stack((c, d)))
     for _ in range(iters):
-        third = (b - a) / 3.0
-        c = a + third
-        d = b - third
-        # one stacked evaluation for both probe points
-        fc, fd = objective(np.stack((c, d)))
-        left = fc > fd
-        b = np.where(left, d, b)
+        left = fc > fd          # the maximum lies in [a, d]; c moves to d
         a = np.where(left, a, c)
-    y = 0.5 * (a + b)
-    return y, objective(y)
-
-
-def _phi_eval(lam_col: np.ndarray, m_col: np.ndarray, Q: np.ndarray,
-              p: np.ndarray, uf, B: float, box: float, iters: int):
-    """Dual function value and constraint level at a multiplier vector.
-
-    Returns (phi (nQ,), level (nQ,)) where level = E_P U(f(y*, m)) with y*
-    the per-atom inner maximizer on [-box, box]."""
-
-    def objective(y):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return -Q * y + lam_col * p * uf(y, m_col)
-
-    y_star, h_star = _ternary_max(objective, -box, box, Q.shape, iters)
-    with np.errstate(over="ignore", invalid="ignore"):
-        level = np.sum(p * uf(y_star, m_col), axis=1)
-    phi = np.sum(h_star, axis=1) - lam_col[:, 0] * B
-    return phi, level
+        b = np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        step = _GOLD * (b - a)
+        new = np.where(left, b - step, a + step)
+        f_new = objective(new)
+        c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
+        d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
+    return 0.5 * (a + b)
 
 
 def _cmin_batch(m: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float,
-                box: float = _BOX, tern_iters: int = _TERN_ITERS,
+                box: float = _BOX, inner_iters: int = _GOLDEN_ITERS,
                 lam_iters: int = _LAMBDA_ITERS):
     """c_min(m_i, Q_i) for each row; returns (values, infeasible_mask).
 
-    Values are finite floats (upper bounds of the primal); rows whose
-    constraint cannot be met at any multiplier come back in the infeasible
-    mask (c_min = -inf, the supremum over an empty acceptance set)."""
-    m_col = np.asarray(m, dtype=float).reshape(-1, 1)
-    llo = np.full((Q.shape[0], 1), math.log(1e-12))
-    lhi = np.full((Q.shape[0], 1), math.log(1e12))
-    phi_lo, lev_lo = _phi_eval(np.exp(llo), m_col, Q, p, uf, B, box, tern_iters)
-    phi_hi, lev_hi = _phi_eval(np.exp(lhi), m_col, Q, p, uf, B, box, tern_iters)
-    infeasible = lev_hi < B
-    # rows already satisfied at lambda ~ 0 sit at the unconstrained corner
-    at_zero = lev_lo >= B
-    lhi = np.where(at_zero[:, None], llo, lhi)
-    for _ in range(lam_iters):
-        mid = 0.5 * (llo + lhi)
-        _, lev = _phi_eval(np.exp(mid), m_col, Q, p, uf, B, box, tern_iters)
-        take_hi = (lev >= B)[:, None]
-        lhi = np.where(take_hi, mid, lhi)
-        llo = np.where(take_hi, llo, mid)
-    phi_a, _ = _phi_eval(np.exp(llo), m_col, Q, p, uf, B, box, tern_iters)
-    phi_b, _ = _phi_eval(np.exp(lhi), m_col, Q, p, uf, B, box, tern_iters)
-    values = np.minimum(np.minimum(phi_a, phi_b), np.minimum(phi_lo, phi_hi))
+    Rounds of _K multipliers run until the log-multiplier bracket is as
+    narrow as ``lam_iters`` bisection steps leave it.  Values are finite
+    upper bounds of the primal; rows unmet at lambda = 1e12 come back in the
+    infeasible mask (c_min = -inf, the supremum over an empty set)."""
+    nq = Q.shape[0]
+    rows = np.arange(nq)
+    m_col = np.asarray(m, dtype=float).reshape(-1, 1, 1)
+    neg_q = -Q[:, None, :]
+    lo, hi = np.full(nq, _LOG_LAMBDA[0]), np.full(nq, _LOG_LAMBDA[1])
+    values = np.full(nq, np.inf)
+    for r in range(math.ceil(lam_iters / math.log2(_K - 1))):
+        grid = np.linspace(lo, hi, _K, axis=1)
+        lam = np.exp(grid)
+        lam_p = lam[:, :, None] * p
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_star = _golden_max(lambda y: neg_q * y + lam_p * uf(y, m_col),
+                                 -box, box, (nq, _K, len(p)), inner_iters)
+            u_star = uf(y_star, m_col)
+            phi = np.sum(neg_q * y_star + lam_p * u_star, axis=2) - lam * B
+        values = np.minimum(values, np.min(phi, axis=1))
+        reach = np.sum(p * u_star, axis=2) >= B
+        if r == 0:
+            infeasible = ~reach[:, -1]
+        # rows met at every multiplier (or at none) keep the first sub-bracket
+        j = np.clip(np.argmax(reach, axis=1), 1, _K - 1)
+        lo, hi = grid[rows, j - 1], grid[rows, j]
     return values, infeasible
 
 
@@ -345,10 +342,10 @@ def _risk_map_batch(x: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float,
     start = 1.0 + 2.0 * float(np.max(np.abs(x), initial=0.0))
 
     def predicate(m_vec, fine: bool):
-        tern = _TERN_ITERS if fine else 42
+        inner = _GOLDEN_ITERS if fine else 36
         lam = _LAMBDA_ITERS if fine else 30
         vals, infeasible = _cmin_batch(m_vec, Q, p, uf, B, box=box,
-                                       tern_iters=tern, lam_iters=lam)
+                                       inner_iters=inner, lam_iters=lam)
         out = vals >= x
         out[infeasible] = False
         return out

@@ -247,10 +247,6 @@ class ScenarioTree(FiltrationModel):
         return rows[..., self.parent_slot(depth + 1)] * self._branch_p[child_ids]
 
     # -- tree-specific operations -------------------------------------------
-    def node_ids(self, depth: int) -> np.ndarray:
-        self._check_depth(depth)
-        return self._slots[depth].copy()
-
     def parent_slot(self, depth: int) -> np.ndarray:
         """For each depth-k node, the slot of its parent at depth k-1."""
         if depth == 0:
@@ -421,11 +417,6 @@ class BrownianLattice(FiltrationModel):
     def brownian(self, depth: int) -> np.ndarray:
         self._check_depth(depth)
         return (2.0 * np.arange(depth + 1) - depth) * self._sqdt
-
-    def brownian_rv(self, depth: int | None = None) -> "RandomVariable":
-        if depth is None:
-            depth = self.terminal_depth
-        return RandomVariable(self, depth, self.brownian(depth))
 
     def tilted(self, shift: Callable[[float], float]) -> "BrownianLattice":
         """Lattice under the equivalent measure with per-step density factor

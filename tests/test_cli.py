@@ -116,6 +116,26 @@ class TestValidation:
         assert run_config(path, out_dir=tmp_path / "out") == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    def test_required_axiom_outside_checks_rejected(self, tmp_path):
+        # the tree and measure of the hq-entropic golden axiom suite, where
+        # cash_additive fails; unchecked, it used to pass silently
+        golden = Path(__file__).resolve().parent / "golden" / "configs"
+        cfg = json.loads(
+            (golden / "tree_hq_entropic_axioms.json").read_text())
+        cfg["tasks"] = [{"kind": "axioms", "checks": ["monotone"],
+                         "required": ["cash_additive"], "samples": 4}]
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert run_config(path, out_dir=tmp_path / "out") == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_required_axiom_on_a_task_without_checks_rejected(self, tmp_path):
+        cfg = base_config()
+        cfg["tasks"][0]["required"] = ["monotone"]
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert run_config(path, out_dir=tmp_path / "out") == EXIT_CONFIG
+
     def test_nan_is_never_printed_as_infinity(self):
         assert _fmt(float("nan")) == "nan"
         assert _fmt(float("-inf")) == "-inf"

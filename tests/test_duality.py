@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horizonrisk import (AggregatorFn, DualGrid, HorizonSchedule, QParams,
                          RandomVariable, RiskSentinel, ScenarioTree,
@@ -17,6 +19,38 @@ def linear_spec(B=0.0):
 
 def entropic_spec(B=0.0):
     return ShortfallSpec.classic(UtilityFn.exp_bounded(1.0), B)
+
+
+# the spec pools of acceptance criterion 7: weak duality, and c_min vs oracle
+CMIN_POOL = [entropic_spec(),
+             ShortfallSpec(UtilityFn.exp_bounded(0.8),
+                           AggregatorFn.scaled_additive(0.7),
+                           TargetSchedule.constant(0.1)),
+             ShortfallSpec(UtilityFn.linear(),
+                           AggregatorFn.exponential(0.5),
+                           TargetSchedule.constant(0.2))]
+DUAL_POOL = [linear_spec()] + CMIN_POOL
+
+
+@st.composite
+def atom_vectors(draw, n, low, high):
+    return np.array(draw(st.lists(st.floats(low, high), min_size=n,
+                                  max_size=n)))
+
+
+@st.composite
+def dual_instances(draw, pool):
+    """A random 2- or 3-atom tree, a spec of the pool and a vector of
+    positive weights on the atoms, normalized to a measure Q."""
+    n = draw(st.sampled_from([2, 3]))
+    p = draw(atom_vectors(n, 0.15, 1.0))
+    q = draw(atom_vectors(n, 0.15, 1.0))
+    tree = ScenarioTree.terminal_atoms(p / p.sum())
+    return tree, draw(st.sampled_from(pool)), q / q.sum()
+
+
+def as_float(value):
+    return value if isinstance(value, float) else value.as_float()
 
 
 @pytest.fixture
@@ -148,6 +182,29 @@ class TestDualValue:
         report = dual_value(X, entropic_spec(), grid)
         static = static_shortfall(X, entropic_spec())
         assert report.value <= static + 1e-8
+
+
+class TestDualProperties:
+    @given(case=dual_instances(DUAL_POOL), data=st.data())
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_weak_duality(self, case, data):
+        tree, spec, _ = case
+        n = tree.num_nodes(1)
+        X = RandomVariable(tree, 1, data.draw(atom_vectors(n, -2.0, 2.0)))
+        report = dual_value(X, spec, DualGrid.simplex(n, 0.25))
+        static = static_shortfall(X, spec)
+        assert as_float(report.value) <= as_float(static) + 1e-8
+
+    @given(case=dual_instances(CMIN_POOL), m=st.floats(-1.5, 1.5))
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_cmin_upper_bounds_the_oracle(self, case, m):
+        # every reported c_min is an evaluated dual value, so it bounds the
+        # primal supremum, which the feasible grid points of the oracle reach
+        tree, spec, Q = case
+        lag = c_min(m, Q, spec, tree)
+        oracle = c_min_bruteforce(m, Q, spec, tree)
+        if isinstance(lag, float) and isinstance(oracle, float):
+            assert lag >= oracle - 1e-9
 
 
 class TestRhoBar:
