@@ -111,16 +111,15 @@ class QuadraticQDriver:
 Driver = GenericLipschitzDriver | LinearDriver | QuadraticQDriver
 
 
-def lipschitz_slack(driver, rng: np.random.Generator, samples: int = 200,
-                    t_range: tuple[float, float] = (0.0, 1.0),
-                    box: float = 5.0) -> float:
-    """Worst violation of |g(t,y1,z1)-g(t,y2,z2)| <= C(|dy|+|dz|) on sampled
-    points; <= 0 means the declared constant held on the sample."""
+def lipschitz_slack(driver, rng: np.random.Generator) -> float:
+    """Worst violation of |g(t,y1,z1)-g(t,y2,z2)| <= C(|dy|+|dz|) on 200
+    points sampled with t in [0, 1] and y, z in [-5, 5]; <= 0 means the
+    declared constant held on the sample."""
     worst = -math.inf
     C = driver.lipschitz_constant
-    for _ in range(samples):
-        t = float(rng.uniform(*t_range))
-        y1, y2, z1, z2 = rng.uniform(-box, box, size=4)
+    for _ in range(200):
+        t = float(rng.uniform(0.0, 1.0))
+        y1, y2, z1, z2 = rng.uniform(-5.0, 5.0, size=4)
         lhs = abs(float(driver(t, y1, z1)) - float(driver(t, y2, z2)))
         worst = max(worst, lhs - C * (abs(y1 - y2) + abs(z1 - z2)))
     return worst
@@ -129,18 +128,15 @@ def lipschitz_slack(driver, rng: np.random.Generator, samples: int = 200,
 class DriverFamily:
     """Horizon-indexed drivers u -> g_u over grid horizons."""
 
-    def __init__(self, members: dict[float, Driver],
-                 increasing: bool | None = None):
+    def __init__(self, members: dict[float, Driver]):
         if not members:
             raise ConfigurationError("driver family needs at least one member")
         self._members = {float(u): g for u, g in members.items()}
-        self.increasing = increasing
 
     @classmethod
     def from_callable(cls, horizons: Sequence[float],
-                      builder: Callable[[float], Driver],
-                      increasing: bool | None = None) -> "DriverFamily":
-        return cls({u: builder(u) for u in horizons}, increasing=increasing)
+                      builder: Callable[[float], Driver]) -> "DriverFamily":
+        return cls({u: builder(u) for u in horizons})
 
     @property
     def horizons(self) -> tuple[float, ...]:
@@ -152,17 +148,17 @@ class DriverFamily:
                 return g
         raise TimeGridError(f"horizon {u} not in the family grid {self.horizons}")
 
-    def monotonicity_slack(self, rng: np.random.Generator, samples: int = 100,
-                           box: float = 3.0) -> float:
-        """Worst violation of g_u <= g_v (u <= v) over sampled (t, y, z);
-        <= 0 supports the declared increasing flag."""
+    def monotonicity_slack(self, rng: np.random.Generator) -> float:
+        """Worst violation of g_u <= g_v (u <= v) over 100 sampled (t, y, z)
+        per horizon pair, y and z in [-3, 3]; <= 0 supports a family
+        increasing in the horizon."""
         hs = self.horizons
         worst = -math.inf
         for u, v in zip(hs, hs[1:]):
             gu, gv = self.driver_at(u), self.driver_at(v)
-            for _ in range(samples):
+            for _ in range(100):
                 t = float(rng.uniform(0.0, u))
-                y, z = rng.uniform(-box, box, size=2)
+                y, z = rng.uniform(-3.0, 3.0, size=2)
                 worst = max(worst, float(gu(t, y, z)) - float(gv(t, y, z)))
         return worst
 

@@ -15,7 +15,8 @@ stay byte-identical.
 
 Exit codes: 0 success, 2 config/schema violation (non-finite numbers,
 integers beyond float range, off-grid task times, task times out of the
-order t <= u <= v and required axioms missing from checks included), 3
+order t <= u <= v, an axioms task without checks, a bsde-convergence task
+without grid and required axioms missing from checks included), 3
 numerical or solver error, 4 a required axiom check failed.
 """
 
@@ -543,6 +544,8 @@ _TASK_RUNNERS = {
     "bsde-convergence": _task_convergence,
     "longevity": _task_longevity,
 }
+# the one key each of these task kinds cannot run without
+_TASK_KEYS = {"axioms": "checks", "bsde-convergence": "grid"}
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +588,15 @@ def load_config(path: str | Path) -> dict:
 def _build_experiment(cfg: dict, seed: int):
     """Build the model and measure, and resolve every task's times for the
     task runners: fill in the defaults t = 0 and u = v = horizon, put each
-    time on its grid and check the order t <= u <= v.  Every ``required``
+    time on its grid and check the order t <= u <= v.  An axioms task needs
+    ``checks``, a bsde-convergence task ``grid``, and every ``required``
     axiom must also be one of the task's ``checks``."""
     model = _build_model(cfg["model"], seed)
     _build_rho_family(cfg["measure"], model)
     for i, task in enumerate(cfg["tasks"]):
+        needed = _TASK_KEYS.get(task["kind"])
+        if needed is not None and needed not in task:
+            raise ConfigError(f"task {i} ({task['kind']}) needs '{needed}'")
         task.setdefault("t", 0.0)
         task.setdefault("u", model.horizon)
         task.setdefault("v", model.horizon)

@@ -16,13 +16,18 @@ a box [-G, G]).  Each round searches 17 log-spaced multipliers at once and
 keeps the sub-bracket where the level E_P U(f(y*, m)) first reaches B.  The
 reported c_min is the smallest dual value evaluated, an upper bound of the
 primal, so weak duality dual_value <= static_shortfall holds by
-construction.  Unbounded primals are detected by growth of the value in the
-box size G (scalar API) and surface as the PLUS_INF sentinel; an infeasible
-acceptance set (level below B at lambda = 1e12) yields MINUS_INF.  All
-computations are static (t = 0), and spaces are capped at 6 atoms.
+construction.  An infeasible acceptance set (level below B at
+lambda = 1e12) yields MINUS_INF.  All computations are static (t = 0), and
+spaces are capped at 6 atoms.
+
+Box rules: :func:`c_min` solves the boxes G and 2G as two rows of one batch
+and reports PLUS_INF when the value grows with the box; :func:`_risk_map_batch`
+(behind :func:`risk_map_R` and :func:`dual_value`) reports R = MINUS_INF
+where one probe at box 2G and m = R - 1e-6 G is met, an R that drops with
+the box because c_min diverges.
 
 The independent oracle :func:`c_min_bruteforce` enumerates Y on a grid
-(starting at the declared step and refining locally) without any Lagrangian
+(starting at a coarse step and refining locally) without any Lagrangian
 ingredient, so the two routes stay independent.
 """
 
@@ -36,8 +41,8 @@ import numpy as np
 from .errors import (InternalConsistencyError, SpecificationError,
                      TimeGridError)
 from .probspace import FiltrationModel, RandomVariable
-from .shortfall import (ExtendedReal, RiskSentinel, ShortfallSpec, _single,
-                        _smallest_m)
+from .shortfall import (_BISECT_TOL, _BRACKET_CAP, ExtendedReal, RiskSentinel,
+                        ShortfallSpec, _single, _smallest_m)
 
 __all__ = [
     "DualGrid", "DualReport", "c_min", "c_min_bruteforce", "risk_map_R",
@@ -46,13 +51,13 @@ __all__ = [
 
 _MAX_ATOMS = 6
 _BOX = 1000.0
+_ORACLE_BOX = 20.0         # grid oracle: box [-20, 20]^n, and restarts
+_ORACLE_STARTS = 5
 _GOLDEN_ITERS = 66         # 0.618^66 * 2G ~ 3e-11 bracket on y
 _LAMBDA_ITERS = 48         # bracket on log lambda: 2^-48 of [1e-12, 1e12]
 _K = 17                    # multipliers per round, odd so round 0 has 1.0
 _LOG_LAMBDA = (math.log(1e-12), math.log(1e12))
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-_M_TOL = 1e-9
-_M_CAP = float(2 ** 20)
 _GROWTH_SLOPE = 1e-6
 
 
@@ -65,7 +70,6 @@ class DualGrid:
     """
 
     measures: np.ndarray
-    resolution: float = 0.0
 
     def __post_init__(self):
         rows = np.asarray(self.measures, dtype=float)
@@ -101,7 +105,7 @@ class DualGrid:
         for cuts in itertools.combinations(range(1, k), n_atoms - 1):
             parts = np.diff((0,) + cuts + (k,))
             rows.append(parts / k)
-        return cls(np.array(rows), resolution=resolution)
+        return cls(np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +168,9 @@ def _golden_max(objective, lo: float, hi: float, shape, iters: int):
 
 
 def _cmin_batch(m: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float,
-                box: float = _BOX, inner_iters: int = _GOLDEN_ITERS,
+                box=_BOX, inner_iters: int = _GOLDEN_ITERS,
                 lam_iters: int = _LAMBDA_ITERS):
-    """c_min(m_i, Q_i) for each row; returns (values, infeasible_mask).
+    """c_min(m_i, Q_i) on [-box_i, box_i]; returns (values, infeasible_mask).
 
     Rounds of _K multipliers run until the log-multiplier bracket is as
     narrow as ``lam_iters`` bisection steps leave it.  Values are finite
@@ -175,6 +179,7 @@ def _cmin_batch(m: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float,
     nq = Q.shape[0]
     rows = np.arange(nq)
     m_col = np.asarray(m, dtype=float).reshape(-1, 1, 1)
+    box = np.reshape(box, (-1, 1, 1))
     neg_q = -Q[:, None, :]
     lo, hi = np.full(nq, _LOG_LAMBDA[0]), np.full(nq, _LOG_LAMBDA[1])
     values = np.full(nq, np.inf)
@@ -202,8 +207,8 @@ def c_min(m: float, Q: np.ndarray, spec: ShortfallSpec,
           cross_check: bool = False) -> ExtendedReal:
     """Minimal penalty c_min(m, Q) = sup{ E_Q[-Y] : E_P[U(f(Y, m))] >= B }.
 
-    Solved by the Lagrangian dual with per-atom inner maximizations; the
-    computation runs at two box sizes and reports PLUS_INF when the value
+    Solved by the Lagrangian dual with per-atom inner maximizations at the
+    box sizes G and 2G, as two rows of one batch; PLUS_INF when the value
     grows with the box (unbounded transfer along a mismatched atom).  With
     ``cross_check`` the staged-grid oracle is run as well (n <= 3 atoms) and
     a disagreement beyond 5e-3 raises InternalConsistencyError."""
@@ -211,15 +216,13 @@ def c_min(m: float, Q: np.ndarray, spec: ShortfallSpec,
     p, uf, B = _static_problem(spec, model, t, u, require_concave=True)
     if Q.shape != p.shape:
         raise SpecificationError("Q must be a probability vector on the atoms")
-    v1, bad1 = _cmin_batch(np.array([m]), Q[None, :], p, uf, B, box=_BOX)
-    if bool(bad1[0]):
+    (v1, v2), (bad1, _) = _cmin_batch(np.array([m, m]), np.stack((Q, Q)), p,
+                                      uf, B, box=np.array([_BOX, 2.0 * _BOX]))
+    if bool(bad1):
         return RiskSentinel.MINUS_INF
-    v2, _ = _cmin_batch(np.array([m]), Q[None, :], p, uf, B, box=2.0 * _BOX)
-    result: ExtendedReal
-    if (v2[0] - v1[0]) / _BOX > _GROWTH_SLOPE:
+    result: ExtendedReal = float(v1)
+    if (v2 - v1) / _BOX > _GROWTH_SLOPE:
         result = RiskSentinel.PLUS_INF
-    else:
-        result = float(v1[0])
     if cross_check and len(p) <= 3:
         oracle = c_min_bruteforce(m, Q, spec, model, t=t, u=u)
         both_finite = isinstance(result, float) and isinstance(oracle, float)
@@ -237,16 +240,15 @@ def c_min(m: float, Q: np.ndarray, spec: ShortfallSpec,
 
 def c_min_bruteforce(m: float, Q: np.ndarray, spec: ShortfallSpec,
                      model: FiltrationModel, t: float = 0.0,
-                     u: float | None = None, box: float = 20.0,
-                     step: float = 0.05, refine_rounds: int = 4,
-                     n_starts: int = 5) -> ExtendedReal:
+                     u: float | None = None) -> ExtendedReal:
     """Enumeration oracle for c_min: maximize E_Q[-Y] over feasible grid
-    points Y in [-box, box]^n, then refine the grid locally.  Purely
-    constructive; shares nothing with the Lagrangian route.
+    points Y in [-20, 20]^n (step 0.05 on two atoms, 0.4 on three), then
+    refine the grid locally.  Purely constructive; shares nothing with the
+    Lagrangian route.
 
     The objective is often nearly flat along the binding constraint surface,
     so a single coarse incumbent can localize the wrong stretch of it; the
-    refinement therefore restarts from the ``n_starts`` best well-separated
+    refinement therefore restarts from the 5 best well-separated
     coarse candidates and keeps the overall winner.  An optimum pinned to
     the lower box edge signals an unbounded transfer and returns PLUS_INF
     (the value grows with the box)."""
@@ -255,17 +257,18 @@ def c_min_bruteforce(m: float, Q: np.ndarray, spec: ShortfallSpec,
     n = len(p)
     if n > 3:
         raise SpecificationError("the grid oracle is limited to 3 atoms")
-    first_step = step if n <= 2 else max(step, 0.4)
-    axes = [np.arange(-box, box + first_step / 2, first_step)] * n
-    starts = _grid_scan(axes, Q, p, uf, B, m, keep=4 * n_starts)
-    starts = _well_separated(starts, 2.0 * first_step)[:n_starts]
+    first_step = 0.05 if n <= 2 else 0.4
+    axes = [np.arange(-_ORACLE_BOX, _ORACLE_BOX + first_step / 2,
+                      first_step)] * n
+    starts = _grid_scan(axes, Q, p, uf, B, m, keep=4 * _ORACLE_STARTS)
+    starts = _well_separated(starts, 2.0 * first_step)[:_ORACLE_STARTS]
     if not starts:
         return RiskSentinel.MINUS_INF
     best, best_y = -math.inf, None
     for val, y0 in starts:
         cur_val, cur_y = val, y0
         cur_step = first_step
-        for _ in range(refine_rounds + (1 if n == 3 else 0)):
+        for _ in range(4 if n <= 2 else 5):
             new_step = cur_step / 8.0
             local = [
                 np.arange(c - 2.0 * cur_step,
@@ -278,7 +281,7 @@ def c_min_bruteforce(m: float, Q: np.ndarray, spec: ShortfallSpec,
             cur_step = new_step
         if cur_val > best:
             best, best_y = cur_val, cur_y
-    if np.min(best_y) <= -box + first_step:
+    if np.min(best_y) <= -_ORACLE_BOX + first_step:
         return RiskSentinel.PLUS_INF
     return float(best)
 
@@ -329,19 +332,19 @@ def _grid_scan(axes, Q, p, uf, B, m, keep=1):
 # left inverse R and the dual supremum
 # ---------------------------------------------------------------------------
 
-def _risk_map_batch(x: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float,
-                    box: float = _BOX):
+def _risk_map_batch(x: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float):
     """R(x_i, Q_i) rowwise by bisection over m on the monotone predicate
     c_min(m, Q) >= x.  Returns (values, plus_mask, minus_mask).
 
     Bracketing and the wide bisection phase run the Lagrangian at coarse
     inner precision; once brackets are below 1e-4 the full precision takes
     over (the coarse value error is second order at the smooth optima that
-    decide the supremum)."""
+    decide the supremum).  The minus mask also holds the rows met by one
+    fine probe at box 2G and m = R - 1e-6 G: their R drops with the box."""
     nq = len(x)
     start = 1.0 + 2.0 * float(np.max(np.abs(x), initial=0.0))
 
-    def predicate(m_vec, fine: bool):
+    def predicate(m_vec, fine: bool, box: float = _BOX):
         inner = _GOLDEN_ITERS if fine else 36
         lam = _LAMBDA_ITERS if fine else 30
         vals, infeasible = _cmin_batch(m_vec, Q, p, uf, B, box=box,
@@ -353,17 +356,17 @@ def _risk_map_batch(x: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float,
     hi = np.full(nq, start)
     ok_hi = predicate(hi, fine=False)
     for _ in range(25):
-        if np.all(ok_hi) or np.all(hi >= _M_CAP):
+        if np.all(ok_hi) or np.all(hi >= _BRACKET_CAP):
             break
-        hi = np.where(ok_hi, hi, np.minimum(hi * 2.0, _M_CAP * 2.0))
+        hi = np.where(ok_hi, hi, np.minimum(hi * 2.0, _BRACKET_CAP * 2.0))
         ok_hi = predicate(hi, fine=False) | ok_hi
     plus_mask = ~ok_hi  # constraint value never reaches x
     lo = np.full(nq, -start)
     ok_lo = predicate(lo, fine=False)
     for _ in range(25):
-        if not np.any(ok_lo) or np.all(lo <= -_M_CAP):
+        if not np.any(ok_lo) or np.all(lo <= -_BRACKET_CAP):
             break
-        lo = np.where(ok_lo, np.maximum(lo * 2.0, -_M_CAP * 2.0), lo)
+        lo = np.where(ok_lo, np.maximum(lo * 2.0, -_BRACKET_CAP * 2.0), lo)
         ok_lo = predicate(lo, fine=False) & ok_lo
     minus_mask = ok_lo & ~plus_mask  # met even at the cap: R = -inf
     active = ~(plus_mask | minus_mask)
@@ -371,13 +374,15 @@ def _risk_map_batch(x: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float,
         if not np.any(active):
             break
         width = float(np.max((hi - lo)[active]))
-        if width <= _M_TOL:
+        if width <= _BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
         ok = predicate(mid, fine=width <= 1e-4)
         hi = np.where(active & ok, mid, hi)
         lo = np.where(active & ~ok, mid, lo)
     values = 0.5 * (lo + hi)
+    shifted = values - _GROWTH_SLOPE * _BOX
+    minus_mask |= active & predicate(shifted, fine=True, box=2.0 * _BOX)
     return values, plus_mask, minus_mask
 
 
@@ -387,21 +392,13 @@ def risk_map_R(x: float, Q: np.ndarray, spec: ShortfallSpec,
     """Left inverse R(x, Q) = inf{ m : c_min(m, Q) >= x }; MINUS_INF when
     the constraint holds below every bracket -- x below inf_m c_min, which
     includes measures with c_min identically +inf -- and PLUS_INF when it is
-    never met.  The MINUS_INF classification is confirmed by re-running at a
-    doubled box: a genuinely divergent c_min drags R down with the box."""
+    never met.  An R that drops with the box (a divergent c_min) is
+    MINUS_INF too, by the rule of :func:`_risk_map_batch` that
+    :func:`dual_value` shares."""
     Q = np.asarray(Q, dtype=float)
     p, uf, B = _static_problem(spec, model, t, u, require_concave=True)
     x_arr = np.array([float(x)])
-    vals, plus, minus = _risk_map_batch(x_arr, Q[None, :], p, uf, B)
-    if bool(plus[0]):
-        return RiskSentinel.PLUS_INF
-    if bool(minus[0]):
-        return RiskSentinel.MINUS_INF
-    vals2, plus2, minus2 = _risk_map_batch(x_arr, Q[None, :], p, uf, B,
-                                           box=2.0 * _BOX)
-    if bool(minus2[0]) or float(vals[0] - vals2[0]) > _GROWTH_SLOPE * _BOX:
-        return RiskSentinel.MINUS_INF
-    return float(vals[0])
+    return _single(*_risk_map_batch(x_arr, Q[None, :], p, uf, B))
 
 
 @dataclass(frozen=True)
@@ -421,7 +418,7 @@ def dual_value(X: RandomVariable, spec: ShortfallSpec, grid: DualGrid,
     """Quasi-convex dual representation sup_Q R(E_Q[-X], Q) over the grid.
 
     Lower-bounds the static shortfall (weak duality); the gap closes as the
-    grid refines."""
+    grid refines; a row whose c_min diverges has R = -inf."""
     model = X.model
     if X.depth != model.terminal_depth:
         raise TimeGridError("dual evaluation expects a terminal-depth X")

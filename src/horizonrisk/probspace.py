@@ -546,11 +546,3 @@ class AdaptedProcess:
         if not 0 <= depth <= self.horizon_depth:
             raise TimeGridError(f"depth {depth} outside process horizon")
         return RandomVariable(self.model, depth, self.layers[depth].copy())
-
-    @classmethod
-    def constant(cls, model: FiltrationModel, value: float,
-                 horizon_depth: int | None = None) -> "AdaptedProcess":
-        if horizon_depth is None:
-            horizon_depth = model.terminal_depth
-        return cls(model, [np.full(model.num_nodes(k), float(value))
-                           for k in range(horizon_depth + 1)])

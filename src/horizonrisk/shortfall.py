@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -174,16 +174,15 @@ class TargetSchedule:
     """Deterministic target levels B_tu per (t, u) pair."""
 
     fn: Callable[[float, float], float]
-    constant_in_t: bool = False
 
     @classmethod
     def constant(cls, B: float) -> "TargetSchedule":
-        return cls(fn=lambda t, u: float(B), constant_in_t=True)
+        return cls(fn=lambda t, u: float(B))
 
     @classmethod
-    def from_function(cls, fn: Callable[[float, float], float],
-                      constant_in_t: bool = False) -> "TargetSchedule":
-        return cls(fn=fn, constant_in_t=constant_in_t)
+    def from_function(cls, fn: Callable[[float, float], float]
+                      ) -> "TargetSchedule":
+        return cls(fn=fn)
 
     def __call__(self, t: float, u: float) -> float:
         value = float(self.fn(t, u))
@@ -226,18 +225,16 @@ class ShortfallSpec:
         """Classical shortfall: additive aggregator and constant target."""
         return cls(utility, AggregatorFn.additive(), TargetSchedule.constant(B))
 
-    def concavity_slack(self, t: float, u: float,
-                        y_grid: np.ndarray | None = None,
-                        m_grid: np.ndarray | None = None) -> float:
-        """Largest second divided difference of y -> U(f(y, m)) over a grid;
-        <= ~0 supports the concavity-in-y assumption of the quasi-convexity
-        and duality statements."""
+    def concavity_slack(self, t: float, u: float) -> float:
+        """Largest second divided difference of y -> U(f(y, m)) over 50
+        points y in [-5, 5] and m in {-1, 0, 1}; <= ~0 supports the
+        concavity-in-y assumption of the quasi-convexity and duality
+        statements."""
         U = self.utility_at(u)
         f = self.aggregator_at(t, u)
-        ys = _GRID_1D if y_grid is None else np.asarray(y_grid, float)
-        ms = np.array([-1.0, 0.0, 1.0]) if m_grid is None else np.asarray(m_grid, float)
-        h = ys[1] - ys[0]
-        vals = U(f(ys[None, :], ms[:, None]))
+        ms = np.array([-1.0, 0.0, 1.0])
+        h = _GRID_1D[1] - _GRID_1D[0]
+        vals = U(f(_GRID_1D[None, :], ms[:, None]))
         second = vals[:, 2:] - 2.0 * vals[:, 1:-1] + vals[:, :-2]
         return float(np.max(second / (h * h)))
 
@@ -383,15 +380,13 @@ class CeEquivalenceReport:
 
 def ce_equivalence_check(utility: UtilityFn, aggregator: AggregatorFn,
                          target: float, utilde: UtilityFn,
-                         y_grid: Sequence[float] | None = None,
-                         m_grid: Sequence[float] | None = None,
                          tol: float = 1e-9) -> CeEquivalenceReport:
     """Test whether the generalized shortfall (U, f, B) coincides with the
     certainty equivalent generated by Utilde, via the pointwise identity
-    U(f(y, m)) - B = Utilde(y) - Utilde(-m) on a grid."""
-    ys = np.linspace(-3.0, 3.0, 25) if y_grid is None else np.asarray(y_grid, float)
-    ms = np.linspace(-3.0, 3.0, 25) if m_grid is None else np.asarray(m_grid, float)
-    yy, mm = np.meshgrid(ys, ms, indexing="ij")
+    U(f(y, m)) - B = Utilde(y) - Utilde(-m) on the 25 x 25 grid of
+    [-3, 3]^2."""
+    grid = np.linspace(-3.0, 3.0, 25)
+    yy, mm = np.meshgrid(grid, grid, indexing="ij")
     residual = np.abs(
         utility(aggregator(yy, mm)) - target - utilde(yy) + utilde(-mm)
     )

@@ -256,7 +256,6 @@ class TestDriverFamily:
         family = DriverFamily.from_callable(
             [0.5, 1.0],
             lambda u: LinearDriver.from_constants(nu=0.2, c=0.3 * u),
-            increasing=True,
         )
         assert family.monotonicity_slack(rng) <= 0.0
         for seed in range(5):

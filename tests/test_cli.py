@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,20 @@ class TestValidation:
         assert main(["validate", str(path)]) == EXIT_CONFIG
         assert run_config(path, out_dir=tmp_path / "out") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("overrides", [
+        {"tasks": [{"kind": "axioms"}]},
+        {"model": {"kind": "lattice", "steps": 8, "horizon": 1.0},
+         "measure": {"kind": "bsde", "driver": {"kind": "entropic"}},
+         "tasks": [{"kind": "bsde-convergence"}]},
+    ], ids=["axioms-without-checks", "convergence-without-grid"])
+    def test_task_without_its_key_rejected(self, tmp_path, overrides):
+        # both used to escape as a KeyError traceback with exit 1
+        path = write_config(tmp_path, base_config(**overrides))
+        out = tmp_path / "out"
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_nan_is_never_printed_as_infinity(self):
         assert _fmt(float("nan")) == "nan"
         assert _fmt(float("-inf")) == "-inf"
@@ -205,6 +220,31 @@ class TestRun:
                                                "values": [1.0, -1.0]}}])
         path = write_config(tmp_path, cfg)
         assert run_config(path, out_dir=tmp_path / "out") == EXIT_CONFIG
+
+    def test_duality_rows_of_divergent_measures_read_minus_inf(self,
+                                                               tmp_path):
+        # linear utility, additive aggregator: c_min(., Q) = +inf for every
+        # Q != P, so only the row Q = P has a finite R
+        cfg = base_config(
+            measure={"kind": "shortfall", "utility": {"kind": "linear"},
+                     "aggregator": {"kind": "additive"}, "target": 0.0},
+            tasks=[{"kind": "duality", "u": 1.0, "resolution": 0.05,
+                    "position": {"kind": "values", "values": [1.0, -2.0]}}],
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        header, *rows = (out / "task00_duality.csv").read_text().splitlines()
+        assert header == "q0,q1,eq_neg_x,r"
+        assert len(rows) == 19
+        for row in rows:
+            q0, _, _, r = row.split(",")
+            if q0 == "0.5":
+                assert math.isfinite(float(r))
+            else:
+                assert r == "-inf"
+        summary = json.loads((out / "task00_duality.json").read_text())
+        assert math.isfinite(float(summary["dual_value"]))
 
     def test_convergence_task_errors_decrease(self, tmp_path):
         cfg = base_config(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horizonrisk import (AggregatorFn, DualGrid, HorizonSchedule, QParams,
@@ -154,6 +154,17 @@ class TestDualValue:
         assert report.value == pytest.approx(0.0, abs=1e-5)
         np.testing.assert_allclose(report.best_q, [0.5, 0.5])
 
+    def test_divergent_rows_are_minus_infinity(self, uniform_two):
+        # linear utility, additive aggregator: c_min(., Q) = +inf for every
+        # Q != P, so R = -inf there and the supremum sits at Q = P
+        X = RandomVariable(uniform_two, 1, [1.0, -2.0])
+        grid = DualGrid.simplex(2, 0.05)
+        report = dual_value(X, linear_spec(), grid)
+        at_p = np.all(grid.measures == 0.5, axis=1)
+        assert np.all(np.isneginf(report.r_values[~at_p]))
+        assert report.r_values[at_p][0] == pytest.approx(0.5, abs=1e-8)
+        assert report.value == report.r_values[at_p][0]
+
     def test_entropic_gap_small_on_light_grid(self, uniform_two):
         X = RandomVariable(uniform_two, 1, [1.0, -1.0])
         grid = DualGrid.simplex(2, 0.05)
@@ -194,6 +205,18 @@ class TestDualProperties:
         report = dual_value(X, spec, DualGrid.simplex(n, 0.25))
         static = static_shortfall(X, spec)
         assert as_float(report.value) <= as_float(static) + 1e-8
+
+    @given(case=dual_instances(DUAL_POOL), x=st.floats(-2.0, 2.0))
+    @example(case=(ScenarioTree.terminal_atoms([0.5, 0.5]), linear_spec(),
+                   np.array([0.6, 0.4])), x=0.8)
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    def test_one_row_dual_matches_risk_map(self, case, x):
+        # dual_value and risk_map_R share one solver and one box rule, so a
+        # one-row grid gives R itself: the same sentinel or the same float
+        tree, spec, Q = case
+        report = dual_value(tree.constant(-x, 1), spec, DualGrid(Q[None, :]))
+        direct = risk_map_R(report.x_values[0], Q, spec, tree)
+        assert report.r_values[0] == as_float(direct)
 
     @given(case=dual_instances(CMIN_POOL), m=st.floats(-1.5, 1.5))
     @settings(max_examples=6, deadline=None, derandomize=True)
