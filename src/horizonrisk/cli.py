@@ -5,31 +5,39 @@
 
 A config holds one experiment: a model section (lattice or explicit tree),
 a measure section, a non-empty list of tasks (evaluate | axioms | duality |
-bsde-convergence | longevity) and optional output/seed settings.  Configs
-are schema-validated with unknown keys rejected, and every parameter domain
-is re-checked while the objects are built.  Outputs are deterministic given
-the seed (floats printed with 9 significant digits, '.' decimal, files
-written atomically); the optional wall-time column of convergence tables is
-left empty unless ``timing`` is enabled, precisely so that repeated runs
-stay byte-identical.
+bsde-convergence | longevity) and optional output/seed settings.
 
-Exit codes: 0 success, 2 config/schema violation (non-finite numbers,
-integers beyond float range, off-grid task times, task times out of the
-order t <= u <= v, an axioms task without checks, a bsde-convergence task
-without grid and required axioms missing from checks included), 3
-numerical or solver error, 4 a required axiom check failed.
+Each kinded section (model, measure, utility, aggregator, driver, position,
+task) is one table with a row per kind: the keys the kind requires, its
+optional keys with their defaults, and its builder, which is handed the
+section with those defaults filled in.  ``CONFIG_SCHEMA`` is derived from
+the tables: per section a ``kind`` enum, the union of the kinds' keys with
+unknown keys rejected, and each kind's required keys.  The schema is checked
+against its metaschema once per process, at the first :func:`load_config`,
+and every parameter domain is re-checked while the objects are built.
+Outputs are deterministic given the seed (floats printed with 9 significant
+digits, '.' decimal, files written atomically); the optional wall-time
+column of convergence tables is left empty unless ``timing`` is enabled,
+precisely so that repeated runs stay byte-identical.
+
+Exit codes: 0 success, 2 config/schema violation (a missing key that the
+section's kind requires, non-finite numbers, integers beyond float range,
+off-grid task times, task times out of the order t <= u <= v and required
+axioms missing from checks included), 3 numerical or solver error, or any
+other exception a task raises, 4 a required axiom check failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -64,156 +72,26 @@ class ConfigError(RiskLibError):
 
 
 # ---------------------------------------------------------------------------
-# schema
+# config tables: one row per kind (every parameter domain is re-checked by
+# the constructors the builders call)
 # ---------------------------------------------------------------------------
 
-_STEPFN = {
-    "type": "object",
-    "properties": {
-        "breakpoints": {"type": "array", "items": {"type": "number"},
-                        "minItems": 1},
-        "values": {"type": "array", "items": {"type": "number"},
-                   "minItems": 1},
-    },
-    "required": ["breakpoints", "values"],
-    "additionalProperties": False,
-}
-
-_UTILITY = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["linear", "exp_bounded", "neg_exponential"]},
-        "gamma": {"type": "number"},
-        "b": {"type": "number"},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_AGGREGATOR = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["additive", "scaled_additive", "exponential", "hq"]},
-        "beta": {"type": "number"},
-        "gamma": {"type": "number"},
-        "q": {"type": "number"},
-        "alpha": {"type": "number"},
-        "a": _STEPFN,
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_DRIVER = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["zero", "entropic", "linear", "quadratic_q"]},
-        "mu": _STEPFN,
-        "nu": _STEPFN,
-        "c": _STEPFN,
-        "q": {"type": "number"},
-        "a": _STEPFN,
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_POSITION = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["values", "constant", "two_valued", "uniform"]},
-        "values": {"type": "array", "items": {"type": "number"}},
-        "value": {"type": "number"},
-        "threshold": {"type": "number"},
-        "lo": {"type": "number"},
-        "hi": {"type": "number"},
-        "low": {"type": "number"},
-        "high": {"type": "number"},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_AXIOM = {"enum": list(axioms_mod.CHECKERS)}
-
-_TASK = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["evaluate", "axioms", "duality",
-                          "bsde-convergence", "longevity"]},
-        "t": {"type": "number"},
-        "u": {"type": "number"},
-        "v": {"type": "number"},
-        "position": _POSITION,
-        "checks": {"type": "array", "items": _AXIOM, "minItems": 1},
-        "required": {"type": "array", "items": _AXIOM},
-        "samples": {"type": "integer", "minimum": 1},
-        "resolution": {"type": "number", "exclusiveMinimum": 0},
-        "grid": {"type": "array", "items": {"type": "integer", "minimum": 2},
-                 "minItems": 1},
-        "payoff": _POSITION,
-        "timing": {"type": "boolean"},
-        "name": {"type": "string"},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "model": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["lattice", "tree", "random_tree"]},
-                "steps": {"type": "integer", "minimum": 1},
-                "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "times": {"type": "array", "items": {"type": "number"},
-                          "minItems": 2},
-                "nodes": {"type": "array"},
-                "depth": {"type": "integer", "minimum": 1},
-                "max_branching": {"type": "integer", "minimum": 2},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "measure": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["entropic", "h_entropic", "q_entropic",
-                                  "hq_entropic", "expected_loss", "bsde",
-                                  "shortfall", "certainty_equivalent",
-                                  "h_var"]},
-                "b": {"type": "number"},
-                "q": {"type": "number"},
-                "alpha": {"type": "number"},
-                "beta": {"type": "number"},
-                "a": _STEPFN,
-                "driver": _DRIVER,
-                "utility": _UTILITY,
-                "aggregator": _AGGREGATOR,
-                "target": {"type": "number"},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        "tasks": {"type": "array", "items": _TASK, "minItems": 1},
-        "output": {
-            "type": "object",
-            "properties": {"dir": {"type": "string"}},
-            "required": ["dir"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["model", "measure", "tasks"],
-    "additionalProperties": False,
-}
+class _Kind(NamedTuple):
+    """One kind of a config section: its builder, the keys it cannot be
+    built without, and its optional keys with their defaults."""
+    build: Callable
+    required: tuple[str, ...] = ()
+    optional: dict[str, Any] = {}
 
 
-# ---------------------------------------------------------------------------
-# builders (every parameter domain re-checked by the constructors they call)
-# ---------------------------------------------------------------------------
+def _with_defaults(table: dict[str, _Kind], cfg: dict) -> dict:
+    return {**table[cfg["kind"]].optional, **cfg}
+
+
+def _build(table: dict[str, _Kind], cfg: dict, *args):
+    """Build a section with the builder of its kind, defaults filled in."""
+    return table[cfg["kind"]].build(_with_defaults(table, cfg), *args)
+
 
 def _build_stepfn(cfg: dict) -> StepFunction:
     return StepFunction(tuple(cfg["breakpoints"]), tuple(cfg["values"]))
@@ -225,144 +103,160 @@ def _build_schedule(cfg: dict | None) -> HorizonSchedule:
     return HorizonSchedule(_build_stepfn(cfg))
 
 
-def _build_utility(cfg: dict) -> UtilityFn:
-    kind = cfg["kind"]
-    if kind == "linear":
-        return UtilityFn.linear()
-    if kind == "exp_bounded":
-        return UtilityFn.exp_bounded(cfg.get("gamma", 1.0))
-    return UtilityFn.neg_exponential(cfg.get("b", 1.0))
+_UTILITIES = {
+    "linear": _Kind(lambda c: UtilityFn.linear()),
+    "exp_bounded": _Kind(lambda c: UtilityFn.exp_bounded(c["gamma"]),
+                         optional={"gamma": 1.0}),
+    "neg_exponential": _Kind(lambda c: UtilityFn.neg_exponential(c["b"]),
+                             optional={"b": 1.0}),
+}
 
 
-def _build_aggregator(cfg: dict):
-    kind = cfg["kind"]
-    if kind == "additive":
-        return AggregatorFn.additive()
-    if kind == "scaled_additive":
-        return AggregatorFn.scaled_additive(cfg["beta"])
-    if kind == "exponential":
-        return AggregatorFn.exponential(cfg["gamma"])
-    # hq aggregators depend on (t, u); return a builder
-    qp = QParams(q=cfg["q"], alpha_q=cfg.get("alpha", 0.0))
-    beta = cfg.get("beta", 0.0)
-    schedule = _build_schedule(cfg.get("a"))
+def _hq_aggregator(c: dict):
+    """hq aggregators depend on (t, u): a builder of them."""
+    qp = QParams(q=c["q"], alpha_q=c["alpha"])
+    schedule = _build_schedule(c["a"])
 
     def builder(t: float, u: float) -> AggregatorFn:
-        return AggregatorFn.hq(qp, beta,
+        return AggregatorFn.hq(qp, c["beta"],
                                horizon_term=schedule.integral(t, u),
                                target=0.0)
 
     return builder
 
 
-def _build_model(cfg: dict, seed: int):
-    kind = cfg["kind"]
-    if kind == "lattice":
-        if "steps" not in cfg:
-            raise ConfigError("lattice model needs 'steps'")
-        return BrownianLattice(cfg["steps"], cfg.get("horizon", 1.0))
-    if kind == "tree":
-        if "times" not in cfg or "nodes" not in cfg:
-            raise ConfigError("tree model needs 'times' and 'nodes'")
-        return ScenarioTree.from_json_dict({"times": cfg["times"],
-                                            "nodes": cfg["nodes"]})
-    rng = np.random.default_rng(seed)
-    return ScenarioTree.random(rng, depth=cfg.get("depth", 3),
-                               max_branching=cfg.get("max_branching", 3))
+_AGGREGATORS = {
+    "additive": _Kind(lambda c: AggregatorFn.additive()),
+    "scaled_additive": _Kind(lambda c: AggregatorFn.scaled_additive(c["beta"]),
+                             ("beta",)),
+    "exponential": _Kind(lambda c: AggregatorFn.exponential(c["gamma"]),
+                         ("gamma",)),
+    "hq": _Kind(_hq_aggregator, ("q",), {"alpha": 0.0, "beta": 0.0, "a": None}),
+}
+
+_MODELS = {
+    "lattice": _Kind(lambda c, seed: BrownianLattice(c["steps"], c["horizon"]),
+                     ("steps",), {"horizon": 1.0}),
+    "tree": _Kind(lambda c, seed: ScenarioTree.from_json_dict(
+        {"times": c["times"], "nodes": c["nodes"]}), ("times", "nodes")),
+    "random_tree": _Kind(lambda c, seed: ScenarioTree.random(
+        np.random.default_rng(seed), depth=c["depth"],
+        max_branching=c["max_branching"]),
+        optional={"depth": 3, "max_branching": 3}),
+}
 
 
-def _build_driver(cfg: dict):
-    kind = cfg["kind"]
-    if kind == "zero":
-        return LinearDriver.from_constants()
-    if kind == "entropic":
-        return QuadraticQDriver.entropic()
-    if kind == "linear":
-        zero = StepFunction.constant(0.0)
-        return LinearDriver(
-            mu=_build_stepfn(cfg["mu"]) if "mu" in cfg else zero,
-            nu=_build_stepfn(cfg["nu"]) if "nu" in cfg else zero,
-            c=_build_stepfn(cfg["c"]) if "c" in cfg else zero,
-        )
-    if "q" not in cfg:
-        raise ConfigError("quadratic_q drivers need 'q'")
-    return QuadraticQDriver(q=cfg["q"], rate=_build_schedule(cfg.get("a")))
+def _linear_driver(c: dict) -> LinearDriver:
+    zero = StepFunction.constant(0.0)
+    mu, nu, rate = (zero if c[key] is None else _build_stepfn(c[key])
+                    for key in ("mu", "nu", "c"))
+    return LinearDriver(mu=mu, nu=nu, c=rate)
 
 
-def _build_shortfall_spec(cfg: dict) -> ShortfallSpec:
-    utility = _build_utility(cfg.get("utility", {"kind": "linear"}))
-    aggregator = _build_aggregator(cfg.get("aggregator", {"kind": "additive"}))
-    targets = TargetSchedule.constant(cfg.get("target", 0.0))
-    return ShortfallSpec(utility, aggregator, targets)
+_DRIVERS = {
+    "zero": _Kind(lambda c: LinearDriver.from_constants()),
+    "entropic": _Kind(lambda c: QuadraticQDriver.entropic()),
+    "linear": _Kind(_linear_driver, optional={"mu": None, "nu": None, "c": None}),
+    "quadratic_q": _Kind(lambda c: QuadraticQDriver(
+        q=c["q"], rate=_build_schedule(c["a"])), ("q",), {"a": None}),
+}
 
 
-def _build_rho_family(cfg: dict, model) -> Callable:
-    """Measure as a family rho(X, t, u) -> RandomVariable at depth(t)."""
-    kind = cfg["kind"]
-    if kind == "entropic":
-        b = cfg.get("b", 1.0)
-        return lambda X, t, u: entropic(X, t, b)
-    if kind == "h_entropic":
-        b = cfg.get("b", 1.0)
-        schedule = _build_schedule(cfg.get("a"))
-        return lambda X, t, u: h_entropic(X, t, u, b, schedule)
-    if kind == "q_entropic":
-        if "q" not in cfg:
-            raise ConfigError("q_entropic needs 'q'")
-        spec = LossSpec(beta=cfg.get("beta", 0.0),
-                        qparams=QParams(q=cfg["q"], alpha_q=cfg.get("alpha", 0.0)))
-        return lambda X, t, u: q_entropic_losses(X, t, spec)
-    if kind == "hq_entropic":
-        if "q" not in cfg:
-            raise ConfigError("hq_entropic needs 'q'")
-        spec = LossSpec(beta=cfg.get("beta", 0.0),
-                        qparams=QParams(q=cfg["q"], alpha_q=cfg.get("alpha", 0.0)))
-        schedule = _build_schedule(cfg.get("a"))
-        return lambda X, t, u: hq_entropic_losses(X, t, u, spec, schedule)
-    if kind == "expected_loss":
-        return lambda X, t, u: expected_loss(X, t)
-    if kind == "bsde":
-        if "driver" not in cfg:
-            raise ConfigError("bsde measures need a 'driver'")
-        if not isinstance(model, BrownianLattice):
-            raise ConfigError("bsde measures need a lattice model")
-        driver = _build_driver(cfg["driver"])
-        return lambda X, t, u: g_risk_measure(model, driver, X, t, u)
-    if kind == "shortfall":
-        spec = _build_shortfall_spec(cfg)
-        return lambda X, t, u: dynamic_shortfall(X, t, spec, u)
-    if kind == "certainty_equivalent":
-        if "utility" not in cfg:
-            raise ConfigError("certainty_equivalent needs a 'utility'")
-        utility = _build_utility(cfg["utility"])
-        return lambda X, t, u: certainty_equivalent(X, t, utility)
-    alpha = cfg.get("alpha", 0.05)
-    return lambda X, t, u: h_var(X, t, alpha)
+# measure builders: (section, model) -> family rho(X, t, u) -> RandomVariable
+# at depth(t)
+
+def _loss_spec(c: dict) -> LossSpec:
+    return LossSpec(beta=c["beta"],
+                    qparams=QParams(q=c["q"], alpha_q=c["alpha"]))
 
 
-def _build_position(cfg: dict, model, depth: int,
-                    rng: np.random.Generator) -> RandomVariable:
-    kind = cfg["kind"]
+def _h_entropic(c: dict, model) -> Callable:
+    schedule = _build_schedule(c["a"])
+    return lambda X, t, u: h_entropic(X, t, u, c["b"], schedule)
+
+
+def _q_entropic(c: dict, model) -> Callable:
+    spec = _loss_spec(c)
+    return lambda X, t, u: q_entropic_losses(X, t, spec)
+
+
+def _hq_entropic(c: dict, model) -> Callable:
+    spec = _loss_spec(c)
+    schedule = _build_schedule(c["a"])
+    return lambda X, t, u: hq_entropic_losses(X, t, u, spec, schedule)
+
+
+def _bsde(c: dict, model) -> Callable:
+    if not isinstance(model, BrownianLattice):
+        raise ConfigError("bsde measures need a lattice model")
+    driver = _build(_DRIVERS, c["driver"])
+    return lambda X, t, u: g_risk_measure(model, driver, X, t, u)
+
+
+def _shortfall_spec(c: dict) -> ShortfallSpec:
+    utility = _build(_UTILITIES, c["utility"])
+    aggregator = _build(_AGGREGATORS, c["aggregator"])
+    return ShortfallSpec(utility, aggregator,
+                         TargetSchedule.constant(c["target"]))
+
+
+def _shortfall(c: dict, model) -> Callable:
+    spec = _shortfall_spec(c)
+    return lambda X, t, u: dynamic_shortfall(X, t, spec, u)
+
+
+def _certainty_equivalent(c: dict, model) -> Callable:
+    utility = _build(_UTILITIES, c["utility"])
+    return lambda X, t, u: certainty_equivalent(X, t, utility)
+
+
+_LOSS_DEFAULTS = {"alpha": 0.0, "beta": 0.0}
+_MEASURES = {
+    "entropic": _Kind(lambda c, model: lambda X, t, u: entropic(X, t, c["b"]),
+                      optional={"b": 1.0}),
+    "h_entropic": _Kind(_h_entropic, optional={"b": 1.0, "a": None}),
+    "q_entropic": _Kind(_q_entropic, ("q",), _LOSS_DEFAULTS),
+    "hq_entropic": _Kind(_hq_entropic, ("q",), {**_LOSS_DEFAULTS, "a": None}),
+    "expected_loss": _Kind(lambda c, model:
+                           lambda X, t, u: expected_loss(X, t)),
+    "bsde": _Kind(_bsde, ("driver",)),
+    "shortfall": _Kind(_shortfall, optional={"utility": {"kind": "linear"},
+                                             "aggregator": {"kind": "additive"},
+                                             "target": 0.0}),
+    "certainty_equivalent": _Kind(_certainty_equivalent, ("utility",)),
+    "h_var": _Kind(lambda c, model: lambda X, t, u: h_var(X, t, c["alpha"]),
+                   optional={"alpha": 0.05}),
+}
+
+
+# position builders: (section, model, depth, rng) -> RandomVariable
+
+def _values_position(c: dict, model, depth: int, rng) -> RandomVariable:
     n = model.num_nodes(depth)
-    if kind == "values":
-        vals = cfg.get("values")
-        if vals is None or len(vals) != n:
-            raise ConfigError(
-                f"position needs exactly {n} values at depth {depth}"
-            )
-        return RandomVariable(model, depth, vals)
-    if kind == "constant":
-        return model.constant(cfg.get("value", 0.0), depth)
-    if kind == "two_valued":
-        if not isinstance(model, BrownianLattice):
-            raise ConfigError("two_valued positions need a lattice model")
-        theta = cfg.get("threshold", 0.0)
-        lo, hi = cfg.get("lo", -1.0), cfg.get("hi", 1.0)
-        b = model.brownian(depth)
-        return RandomVariable(model, depth, np.where(b >= theta, hi, lo))
-    return RandomVariable(
-        model, depth, rng.uniform(cfg.get("low", -3.0), cfg.get("high", 3.0), n)
-    )
+    if len(c["values"]) != n:
+        raise ConfigError(f"position needs exactly {n} values at depth {depth}")
+    return RandomVariable(model, depth, c["values"])
+
+
+def _two_valued_position(c: dict, model, depth: int, rng) -> RandomVariable:
+    if not isinstance(model, BrownianLattice):
+        raise ConfigError("two_valued positions need a lattice model")
+    b = model.brownian(depth)
+    return RandomVariable(model, depth,
+                          np.where(b >= c["threshold"], c["hi"], c["lo"]))
+
+
+_POSITIONS = {
+    "values": _Kind(_values_position, ("values",)),
+    "constant": _Kind(lambda c, model, depth, rng:
+                      model.constant(c["value"], depth),
+                      optional={"value": 0.0}),
+    "two_valued": _Kind(_two_valued_position,
+                        optional={"threshold": 0.0, "lo": -1.0, "hi": 1.0}),
+    "uniform": _Kind(lambda c, model, depth, rng: RandomVariable(
+        model, depth, rng.uniform(c["low"], c["high"], model.num_nodes(depth))),
+        optional={"low": -3.0, "high": 3.0}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +293,18 @@ def _write_json(path: Path, data: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# task runners
+# task runners: (task, index, config, model, out_dir, seed) -> result
 # ---------------------------------------------------------------------------
 
-def _task_position(idx, task, model, seed) -> RandomVariable:
+def _task_position(task, idx, model, seed) -> RandomVariable:
     """The task's position at depth(u), drawn from the task's own stream."""
-    return _build_position(task.get("position", {"kind": "constant"}), model,
-                           model.depth_of(task["u"]),
-                           np.random.default_rng(seed + idx))
+    return _build(_POSITIONS, task["position"], model,
+                  model.depth_of(task["u"]), np.random.default_rng(seed + idx))
 
 
-def _task_evaluate(idx, task, cfg, model, out_dir, seed):
-    X = _task_position(idx, task, model, seed)
-    rho = _build_rho_family(cfg["measure"], model)
+def _task_evaluate(task, idx, cfg, model, out_dir, seed):
+    X = _task_position(task, idx, model, seed)
+    rho = _build(_MEASURES, cfg["measure"], model)
     value = rho(X, task["t"], task["u"])
     rows = [[i, value.values[i]] for i in range(len(value.values))]
     path = out_dir / f"task{idx:02d}_evaluate.csv"
@@ -420,11 +313,11 @@ def _task_evaluate(idx, task, cfg, model, out_dir, seed):
             "root_value": _fmt(value.values[0])}
 
 
-def _task_axioms(idx, task, cfg, model, out_dir, seed):
-    rho_family = _build_rho_family(cfg["measure"], model)
+def _task_axioms(task, idx, cfg, model, out_dir, seed):
+    rho_family = _build(_MEASURES, cfg["measure"], model)
     t, u = task["t"], task["u"]
     depth = model.depth_of(u)
-    samples = task.get("samples", 12)
+    samples = task["samples"]
     bound = lambda X: rho_family(X, t, u)
     reports = []
     for name in task["checks"]:
@@ -437,7 +330,7 @@ def _task_axioms(idx, task, cfg, model, out_dir, seed):
                                  seed=seed))
     path = out_dir / f"task{idx:02d}_axioms.json"
     _write_json(path, [r.to_json_dict() for r in reports])
-    required = set(task.get("required", []))
+    required = set(task["required"])
     failed_required = [r.axiom for r in reports
                        if not r.passed and r.axiom in required]
     table = [f"  {r.axiom:<18} {'pass' if r.passed else 'FAIL':<5} "
@@ -446,13 +339,12 @@ def _task_axioms(idx, task, cfg, model, out_dir, seed):
             "failed_required": failed_required}
 
 
-def _task_duality(idx, task, cfg, model, out_dir, seed):
+def _task_duality(task, idx, cfg, model, out_dir, seed):
     if cfg["measure"]["kind"] != "shortfall":
         raise ConfigError("duality tasks need a shortfall measure")
-    X = _task_position(idx, task, model, seed)
-    spec = _build_shortfall_spec(cfg["measure"])
-    grid = DualGrid.simplex(model.num_nodes(X.depth),
-                            task.get("resolution", 0.05))
+    X = _task_position(task, idx, model, seed)
+    spec = _shortfall_spec(_with_defaults(_MEASURES, cfg["measure"]))
+    grid = DualGrid.simplex(model.num_nodes(X.depth), task["resolution"])
     report = dual_value(X, spec, grid, u=task["u"])
     static = static_shortfall(X, spec, u=task["u"])
     static_f = static if isinstance(static, float) else static.as_float()
@@ -478,23 +370,22 @@ def _task_duality(idx, task, cfg, model, out_dir, seed):
             "summary": summary}
 
 
-def _task_convergence(idx, task, cfg, model, out_dir, seed):
+def _task_convergence(task, idx, cfg, model, out_dir, seed):
     measure = cfg["measure"]
     if measure["kind"] != "bsde":
         raise ConfigError("bsde-convergence tasks need a bsde measure")
-    driver_cfg = measure["driver"]
+    driver_cfg = _with_defaults(_DRIVERS, measure["driver"])
     kind = driver_cfg["kind"]
     if kind == "linear":
         raise ConfigError("no closed-form reference for general linear drivers")
     t = task["t"]
-    timing = task.get("timing", False)
     rows = []
     for n_steps in task["grid"]:
         lattice = BrownianLattice(n_steps, model.horizon)
         rng = np.random.default_rng(seed + idx)
-        X = _build_position(task.get("payoff", {"kind": "constant"}),
-                            lattice, lattice.terminal_depth, rng)
-        driver = _build_driver(driver_cfg)
+        X = _build(_POSITIONS, task["payoff"], lattice, lattice.terminal_depth,
+                   rng)
+        driver = _build(_DRIVERS, driver_cfg)
         started = time.perf_counter()
         value = g_risk_measure(lattice, driver, X, t, lattice.horizon)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -504,29 +395,28 @@ def _task_convergence(idx, task, cfg, model, out_dir, seed):
             ref = expected_loss(X, t)
         else:
             ref = quadratic_transform_solve(
-                lattice, driver_cfg["q"],
-                _build_schedule(driver_cfg.get("a")),
+                lattice, driver_cfg["q"], _build_schedule(driver_cfg["a"]),
                 -X, t,
             )
         err = float(np.max(np.abs(value.values - ref.values)))
         rows.append([n_steps, value.values[0], err,
-                     _fmt(elapsed_ms) if timing else ""])
+                     _fmt(elapsed_ms) if task["timing"] else ""])
     path = out_dir / f"task{idx:02d}_convergence.csv"
     _write_csv(path, ["n_steps", "value", "abs_error", "runtime_ms"], rows)
     return {"task": "bsde-convergence", "files": [path.name],
             "errors": [_fmt(r[2]) for r in rows]}
 
 
-def _task_longevity(idx, task, cfg, model, out_dir, seed):
+def _task_longevity(task, idx, cfg, model, out_dir, seed):
     t, u, v = task["t"], task["u"], task["v"]
-    X = _task_position(idx, task, model, seed)
-    rho = _build_rho_family(cfg["measure"], model)
+    X = _task_position(task, idx, model, seed)
+    rho = _build(_MEASURES, cfg["measure"], model)
     gamma = rho(X, t, v) - rho(X, t, u)
     header = ["node", "gamma"]
     rows: list[list] = [[i, gamma.values[i]] for i in range(len(gamma.values))]
     measure = cfg["measure"]
     if measure["kind"] == "bsde" and measure["driver"]["kind"] in ("linear", "zero"):
-        driver = _build_driver(measure["driver"])
+        driver = _build(_DRIVERS, measure["driver"])
         _, formula = longevity_girsanov(model, driver, t, u, v, X)
         header.append("gamma_formula")
         for i, row in enumerate(rows):
@@ -537,15 +427,118 @@ def _task_longevity(idx, task, cfg, model, out_dir, seed):
             "min_gamma": _fmt(float(np.min(gamma.values)))}
 
 
-_TASK_RUNNERS = {
-    "evaluate": _task_evaluate,
-    "axioms": _task_axioms,
-    "duality": _task_duality,
-    "bsde-convergence": _task_convergence,
-    "longevity": _task_longevity,
+_CONSTANT = {"kind": "constant"}
+_TASKS = {
+    "evaluate": _Kind(_task_evaluate, optional={"position": _CONSTANT}),
+    "axioms": _Kind(_task_axioms, ("checks",), {"required": [], "samples": 12}),
+    "duality": _Kind(_task_duality, optional={"position": _CONSTANT,
+                                              "resolution": 0.05}),
+    "bsde-convergence": _Kind(_task_convergence, ("grid",),
+                              {"payoff": _CONSTANT, "timing": False}),
+    "longevity": _Kind(_task_longevity, optional={"position": _CONSTANT}),
 }
-# the one key each of these task kinds cannot run without
-_TASK_KEYS = {"axioms": "checks", "bsde-convergence": "grid"}
+
+
+# ---------------------------------------------------------------------------
+# schema, derived from the tables
+# ---------------------------------------------------------------------------
+
+_NUMBER = {"type": "number"}
+_STEPFN = {
+    "type": "object",
+    "properties": {
+        "breakpoints": {"type": "array", "items": _NUMBER, "minItems": 1},
+        "values": {"type": "array", "items": _NUMBER, "minItems": 1},
+    },
+    "required": ["breakpoints", "values"],
+    "additionalProperties": False,
+}
+_AXIOM = {"enum": list(axioms_mod.CHECKERS)}
+
+# the type of every key of a kinded section (a key means the same wherever
+# it occurs); the nested sections are added once they are derived
+_KEY_TYPES: dict[str, dict] = {
+    "steps": {"type": "integer", "minimum": 1},
+    "horizon": {"type": "number", "exclusiveMinimum": 0},
+    "times": {"type": "array", "items": _NUMBER, "minItems": 2},
+    "nodes": {"type": "array"},
+    "depth": {"type": "integer", "minimum": 1},
+    "max_branching": {"type": "integer", "minimum": 2},
+    **dict.fromkeys(("b", "q", "alpha", "beta", "gamma", "target", "value",
+                     "threshold", "lo", "hi", "low", "high", "t", "u", "v"),
+                    _NUMBER),
+    **dict.fromkeys(("a", "mu", "nu", "c"), _STEPFN),
+    "values": {"type": "array", "items": _NUMBER},
+    "checks": {"type": "array", "items": _AXIOM, "minItems": 1},
+    "required": {"type": "array", "items": _AXIOM},
+    "samples": {"type": "integer", "minimum": 1},
+    "resolution": {"type": "number", "exclusiveMinimum": 0},
+    "grid": {"type": "array", "items": {"type": "integer", "minimum": 2},
+             "minItems": 1},
+    "timing": {"type": "boolean"},
+    "name": {"type": "string"},
+}
+
+
+def _section(table: dict[str, _Kind], shared: tuple[str, ...] = ()) -> dict:
+    """The schema of a kinded section: its kinds, the union of their keys
+    and, for each kind, the keys it requires."""
+    keys = dict.fromkeys(shared)
+    for row in table.values():
+        keys.update(dict.fromkeys((*row.required, *row.optional)))
+    schema = {
+        "type": "object",
+        "properties": {"kind": {"enum": list(table)},
+                       **{key: _KEY_TYPES[key] for key in keys}},
+        "required": ["kind"],
+        "additionalProperties": False,
+    }
+    per_kind = [{"if": {"properties": {"kind": {"const": kind}},
+                        "required": ["kind"]},
+                 "then": {"required": list(row.required)}}
+                for kind, row in table.items() if row.required]
+    if per_kind:
+        schema["allOf"] = per_kind
+    return schema
+
+
+_KEY_TYPES.update(utility=_section(_UTILITIES),
+                  aggregator=_section(_AGGREGATORS),
+                  driver=_section(_DRIVERS),
+                  position=_section(_POSITIONS),
+                  payoff=_section(_POSITIONS))
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "model": _section(_MODELS),
+        "seed": {"type": "integer", "minimum": 0},
+        "measure": _section(_MEASURES),
+        # t, u and v, keys of every task kind, get their defaults from the
+        # model in _build_experiment
+        "tasks": {"type": "array",
+                  "items": _section(_TASKS, ("t", "u", "v", "name")),
+                  "minItems": 1},
+        "output": {
+            "type": "object",
+            "properties": {"dir": {"type": "string"}},
+            "required": ["dir"],
+            "additionalProperties": False,
+        },
+    },
+    "required": ["model", "measure", "tasks"],
+    "additionalProperties": False,
+}
+
+
+@functools.cache
+def _validator():
+    """The config validator, built and its schema checked against the
+    metaschema once per process (``jsonschema.validate`` does both on every
+    call), and not at import."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -578,25 +571,20 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if jsonschema is None:  # pragma: no cover
         raise ConfigError("jsonschema is required to validate configs")
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     return cfg
 
 
 def _build_experiment(cfg: dict, seed: int):
     """Build the model and measure, and resolve every task's times for the
     task runners: fill in the defaults t = 0 and u = v = horizon, put each
-    time on its grid and check the order t <= u <= v.  An axioms task needs
-    ``checks``, a bsde-convergence task ``grid``, and every ``required``
+    time on its grid and check the order t <= u <= v.  Every ``required``
     axiom must also be one of the task's ``checks``."""
-    model = _build_model(cfg["model"], seed)
-    _build_rho_family(cfg["measure"], model)
+    model = _build(_MODELS, cfg["model"], seed)
+    _build(_MEASURES, cfg["measure"], model)
     for i, task in enumerate(cfg["tasks"]):
-        needed = _TASK_KEYS.get(task["kind"])
-        if needed is not None and needed not in task:
-            raise ConfigError(f"task {i} ({task['kind']}) needs '{needed}'")
         task.setdefault("t", 0.0)
         task.setdefault("u", model.horizon)
         task.setdefault("v", model.horizon)
@@ -640,14 +628,19 @@ def run_config(path: str | Path, out_dir: str | Path | None = None,
         return EXIT_CONFIG
 
     try:
-        results = [_TASK_RUNNERS[task["kind"]](i, task, cfg, model, target_dir,
-                                               effective_seed)
+        results = [_build(_TASKS, task, i, cfg, model, target_dir,
+                          effective_seed)
                    for i, task in enumerate(cfg["tasks"])]
     except ConfigError as exc:
         print(f"riskctl: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RiskLibError as exc:
         print(f"riskctl: numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception as exc:  # a failed task is an outcome, not a crash
+        log.debug("task raised", exc_info=True)
+        print(f"riskctl: numerical error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
 
     failed_required: list[str] = []

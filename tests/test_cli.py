@@ -1,12 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from horizonrisk.cli import (EXIT_CONFIG, EXIT_NUMERICAL,
-                             EXIT_REQUIRED_AXIOM, EXIT_OK, _fmt, main,
-                             run_config, validate_config)
+from horizonrisk import cli
+from horizonrisk.cli import (CONFIG_SCHEMA, EXIT_CONFIG, EXIT_NUMERICAL,
+                             EXIT_REQUIRED_AXIOM, EXIT_OK, _fmt, load_config,
+                             main, run_config, validate_config)
+
+from golden.make_golden import golden_configs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -19,6 +26,9 @@ TWO_ATOM_MODEL = {
         {"id": 2, "depth": 1, "parent": 0, "p": 0.5},
     ],
 }
+
+
+LATTICE = {"kind": "lattice", "steps": 8, "horizon": 1.0}
 
 
 def write_config(tmp_path, blob, name="cfg.json"):
@@ -151,6 +161,56 @@ class TestValidation:
         assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("aggregator, key", [
+        ({"kind": "scaled_additive"}, "beta"),
+        ({"kind": "exponential"}, "gamma"),
+        ({"kind": "hq"}, "q"),
+    ], ids=["scaled_additive", "exponential", "hq"])
+    def test_aggregator_without_its_key_rejected(self, tmp_path, capsys,
+                                                 aggregator, key):
+        # these used to pass the schema and crash with a KeyError, exit 1
+        cfg = json.loads((CONFIGS / "duality_entropic.json").read_text())
+        cfg["measure"]["aggregator"] = aggregator
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"'{key}' is a required property" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"model": {"kind": "lattice", "horizon": 1.0}}, "steps"),
+        ({"model": {"kind": "tree", "times": [0.0, 1.0]}}, "nodes"),
+        ({"model": {"kind": "tree", "nodes": TWO_ATOM_MODEL["nodes"]}},
+         "times"),
+        ({"measure": {"kind": "q_entropic"}}, "q"),
+        ({"measure": {"kind": "hq_entropic", "beta": 0.1}}, "q"),
+        ({"model": LATTICE, "measure": {"kind": "bsde"}}, "driver"),
+        ({"model": LATTICE,
+          "measure": {"kind": "bsde", "driver": {"kind": "quadratic_q"}}},
+         "q"),
+        ({"measure": {"kind": "certainty_equivalent"}}, "utility"),
+        ({"tasks": [{"kind": "axioms", "samples": 4}]}, "checks"),
+        ({"model": LATTICE,
+          "measure": {"kind": "bsde", "driver": {"kind": "entropic"}},
+          "tasks": [{"kind": "bsde-convergence"}]}, "grid"),
+        ({"tasks": [{"kind": "evaluate", "position": {"kind": "values"}}]},
+         "values"),
+    ], ids=["lattice-steps", "tree-nodes", "tree-times", "q_entropic-q",
+            "hq_entropic-q", "bsde-driver", "quadratic_q-q",
+            "certainty_equivalent-utility", "axioms-checks",
+            "convergence-grid", "values-position-values"])
+    def test_kind_without_its_required_key_rejected(self, tmp_path, capsys,
+                                                    overrides, key):
+        path = write_config(tmp_path, base_config(**overrides))
+        out = tmp_path / "out"
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        message = f"riskctl: config error: config schema violation: " \
+                  f"'{key}' is a required property\n"
+        assert capsys.readouterr().err.count(message) == 2
+        assert not out.exists()
+
     def test_nan_is_never_printed_as_infinity(self):
         assert _fmt(float("nan")) == "nan"
         assert _fmt(float("-inf")) == "-inf"
@@ -213,6 +273,21 @@ class TestRun:
         )
         path = write_config(tmp_path, cfg)
         assert run_config(path, out_dir=tmp_path / "out") == EXIT_NUMERICAL
+
+    def test_unexpected_task_exception_exits_three(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def fail(*args):
+            raise ZeroDivisionError("division by zero")
+
+        evaluate = cli._TASKS["evaluate"]
+        monkeypatch.setitem(cli._TASKS, "evaluate",
+                            evaluate._replace(build=fail))
+        path = write_config(tmp_path, base_config())
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == \
+            EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == ("riskctl: numerical error: "
+                       "ZeroDivisionError: division by zero\n")
 
     def test_duality_task_needs_shortfall_measure(self, tmp_path):
         cfg = base_config(tasks=[{"kind": "duality", "u": 1.0,
@@ -367,3 +442,39 @@ class TestDeterminism:
         out = tmp_path / "out"
         assert run_config(path, out_dir=out) == EXIT_OK
         assert not list(out.glob("*.tmp"))
+
+
+class TestSchema:
+    def test_derived_schema_is_valid_for_its_draft(self):
+        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(
+            CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("config", golden_configs(), ids=lambda p: p.stem)
+    def test_shipped_and_golden_configs_validate(self, config):
+        validate_config(config)
+
+    def test_metaschema_check_runs_once_per_process(self, tmp_path,
+                                                    monkeypatch):
+        # jsonschema.validate checks the schema on every call, which used
+        # to cost most of a small run
+        cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+        check, calls = cls.check_schema, []
+        monkeypatch.setattr(cls, "check_schema",
+                            lambda *a, **kw: calls.append(1) or check(*a, **kw))
+        cli._validator.cache_clear()
+        path = write_config(tmp_path, base_config())
+        load_config(path)
+        load_config(path)
+        assert len(calls) == 1
+
+    def test_import_does_not_check_the_schema(self):
+        # the benchmark's set-up time includes importing the cli
+        code = ("import jsonschema.validators as v\n"
+                "cls = v.validator_for({})\n"
+                "check, calls = cls.check_schema, []\n"
+                "cls.check_schema = lambda *a: calls.append(1) or check(*a)\n"
+                "import horizonrisk.cli\n"
+                "assert not calls\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
