@@ -31,6 +31,13 @@ CMIN_POOL = [entropic_spec(),
                            TargetSchedule.constant(0.2))]
 DUAL_POOL = [linear_spec()] + CMIN_POOL
 
+# the CMIN_POOL specs as (spec, beta, gamma, B): U(f(y, m)) = 1 - exp(-gamma w)
+# with w = beta y + m, so c_min(m, Q) = (m + (H(Q|P) + log(1 - B)) / gamma)
+# / beta and R(x, Q) = beta x - (H(Q|P) + log(1 - B)) / gamma exactly
+TRANSLATION_POOL = [(CMIN_POOL[0], 1.0, 1.0, 0.0),
+                    (CMIN_POOL[1], 0.7, 0.8, 0.1),
+                    (CMIN_POOL[2], 0.5, 1.0, 0.2)]
+
 
 @st.composite
 def atom_vectors(draw, n, low, high):
@@ -49,8 +56,29 @@ def dual_instances(draw, pool):
     return tree, draw(st.sampled_from(pool)), q / q.sum()
 
 
+@st.composite
+def scaled_shortfall_cases(draw):
+    """A random tree, a position on its terminal nodes, a utility with a
+    feasible target and a scale beta of the scaled-additive aggregator."""
+    tree = random_tree(draw(st.integers(0, 2**16)),
+                       depth=draw(st.integers(1, 3)))
+    X = RandomVariable(tree, tree.terminal_depth, draw(
+        atom_vectors(tree.num_nodes(tree.terminal_depth), -2.0, 2.0)))
+    utility, B = draw(st.sampled_from([(UtilityFn.linear(), 0.3),
+                                       (UtilityFn.exp_bounded(0.8), 0.1),
+                                       (UtilityFn.neg_exponential(1.2), -1.0)]))
+    return X, utility, B, draw(st.floats(0.1, 1.0))
+
+
 def as_float(value):
     return value if isinstance(value, float) else value.as_float()
+
+
+def simplex_and_p(tree, resolution):
+    """The simplex grid on the terminal atoms with the reference P appended."""
+    p = tree.probs(1)
+    return p, DualGrid(np.vstack([DualGrid.simplex(len(p), resolution).measures,
+                                  p]))
 
 
 @pytest.fixture
@@ -217,6 +245,46 @@ class TestDualProperties:
         report = dual_value(tree.constant(-x, 1), spec, DualGrid(Q[None, :]))
         direct = risk_map_R(report.x_values[0], Q, spec, tree)
         assert report.r_values[0] == as_float(direct)
+
+    @pytest.mark.parametrize("spec, beta, gamma, B", TRANSLATION_POOL,
+                             ids=["entropic", "scaled_additive", "exponential"])
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    def test_translation_rows_match_the_relative_entropy_form(
+            self, spec, beta, gamma, B, data):
+        tree, _, _ = data.draw(dual_instances([spec]))
+        p, grid = simplex_and_p(tree, 0.25)
+        X = RandomVariable(tree, 1, data.draw(atom_vectors(len(p), -2.0, 2.0)))
+        report = dual_value(X, spec, grid)
+        Q = grid.measures
+        np.testing.assert_allclose(report.x_values, Q @ -X.values, atol=1e-12)
+        entropy = np.sum(Q * np.log(Q / p), axis=1)
+        exact = beta * report.x_values - (entropy + np.log(1.0 - B)) / gamma
+        assert np.all(np.isfinite(report.r_values))
+        np.testing.assert_allclose(report.r_values, exact, rtol=0, atol=2e-9)
+
+    @given(case=dual_instances([linear_spec()]), data=st.data())
+    @settings(max_examples=2, deadline=None, derandomize=True)
+    def test_linear_additive_rows_are_minus_inf_exactly_off_p(self, case,
+                                                              data):
+        tree, spec, _ = case
+        p, grid = simplex_and_p(tree, 0.25)
+        X = RandomVariable(tree, 1, data.draw(atom_vectors(len(p), -2.0, 2.0)))
+        report = dual_value(X, spec, grid)
+        at_p = np.all(np.isclose(grid.measures, p, rtol=0, atol=1e-12), axis=1)
+        assert np.all(np.isneginf(report.r_values[~at_p]))
+        np.testing.assert_allclose(report.r_values[at_p], p @ -X.values,
+                                   rtol=0, atol=2e-9)
+
+    @given(case=scaled_shortfall_cases())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_scaled_additive_is_the_classic_shortfall_of_beta_x(self, case):
+        X, utility, B, beta = case
+        scaled = static_shortfall(X, ShortfallSpec(
+            utility, AggregatorFn.scaled_additive(beta),
+            TargetSchedule.constant(B)))
+        classic = static_shortfall(beta * X, ShortfallSpec.classic(utility, B))
+        assert as_float(scaled) == pytest.approx(as_float(classic), abs=2e-9)
 
     @given(case=dual_instances(CMIN_POOL), m=st.floats(-1.5, 1.5))
     @settings(max_examples=6, deadline=None, derandomize=True)
