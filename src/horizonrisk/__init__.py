@@ -9,10 +9,9 @@ longevity).  The ``riskctl`` command runs batch experiments from JSON
 configs.
 """
 
-from .errors import (ConfigurationError, DomainError,
-                     InternalConsistencyError, RangeError, RiskLibError,
-                     SolverError, SpecificationError, TimeGridError,
-                     TreeStructureError)
+from .errors import (ConfigurationError, DomainError, RangeError,
+                     RiskLibError, SolverError, SpecificationError,
+                     TimeGridError, TreeStructureError)
 from .probspace import (AdaptedProcess, BrownianLattice, FiltrationModel,
                         RandomVariable, ScenarioTree)
 from .qcalculus import QParams, exp_q, exp_q_extended, ln_q, q_domain_floor

@@ -155,7 +155,7 @@ _SLACKS = {
 
 
 def _report(axiom: str, rho, model: FiltrationModel, depth: int | None,
-            samples: int, seed: int, tol: float) -> AxiomReport:
+            samples: int, seed: int) -> AxiomReport:
     """Run the axiom's row of the slack table and report its worst node
     (the first case attaining it) and the number of sampled positions."""
     cases, slack = _SLACKS[axiom]
@@ -168,70 +168,64 @@ def _report(axiom: str, rho, model: FiltrationModel, depth: int | None,
             node = int(np.argmin(per_node))
             rows.append((float(per_node[node]), {**witness, "node": node}))
     worst, witness = min(rows, key=lambda r: r[0])
-    passed = worst >= -tol
+    passed = worst >= -TOLERANCE
     return AxiomReport(axiom=axiom, passed=bool(passed), worst_slack=worst,
                        samples=positions, witness=None if passed else witness)
 
 
 def check_cash_subadditive(rho: _Rho, model: FiltrationModel,
                            samples: int = 20, depth: int | None = None,
-                           seed: int = 0, tol: float = TOLERANCE) -> AxiomReport:
+                           seed: int = 0) -> AxiomReport:
     """rho(X + m) >= rho(X) - m for cash amounts m >= 0."""
-    return _report("cash_subadditive", rho, model, depth, samples, seed, tol)
+    return _report("cash_subadditive", rho, model, depth, samples, seed)
 
 
 def check_cash_additive(rho: _Rho, model: FiltrationModel, samples: int = 20,
-                        depth: int | None = None, seed: int = 0,
-                        tol: float = TOLERANCE) -> AxiomReport:
+                        depth: int | None = None, seed: int = 0) -> AxiomReport:
     """rho(X + m) = rho(X) - m (translation invariance), checked as
-    -|rho(X+m) - rho(X) + m| >= -tol."""
-    return _report("cash_additive", rho, model, depth, samples, seed, tol)
+    -|rho(X+m) - rho(X) + m| >= -TOLERANCE."""
+    return _report("cash_additive", rho, model, depth, samples, seed)
 
 
 def check_monotone(rho: _Rho, model: FiltrationModel, samples: int = 20,
-                   depth: int | None = None, seed: int = 0,
-                   tol: float = TOLERANCE) -> AxiomReport:
+                   depth: int | None = None, seed: int = 0) -> AxiomReport:
     """X <= Y implies rho(X) >= rho(Y) (losses shrink as payoffs grow)."""
-    return _report("monotone", rho, model, depth, samples, seed, tol)
+    return _report("monotone", rho, model, depth, samples, seed)
 
 
 def check_convex(rho: _Rho, model: FiltrationModel, samples: int = 20,
-                 depth: int | None = None, seed: int = 0,
-                 tol: float = TOLERANCE) -> AxiomReport:
+                 depth: int | None = None, seed: int = 0) -> AxiomReport:
     """rho(l X + (1-l) Y) <= l rho(X) + (1-l) rho(Y) on sampled mixtures."""
-    return _report("convex", rho, model, depth, samples, seed, tol)
+    return _report("convex", rho, model, depth, samples, seed)
 
 
 def check_quasi_convex(rho: _Rho, model: FiltrationModel, samples: int = 20,
-                       depth: int | None = None, seed: int = 0,
-                       tol: float = TOLERANCE) -> AxiomReport:
+                       depth: int | None = None, seed: int = 0) -> AxiomReport:
     """rho(l X + (1-l) Y) <= max(rho(X), rho(Y)) on sampled mixtures."""
-    return _report("quasi_convex", rho, model, depth, samples, seed, tol)
+    return _report("quasi_convex", rho, model, depth, samples, seed)
 
 
 def check_normalized(rho: _Rho, model: FiltrationModel,
-                     depth: int | None = None, tol: float = TOLERANCE, *,
-                     samples: int = 1, seed: int = 0) -> AxiomReport:
+                     depth: int | None = None, *, samples: int = 1,
+                     seed: int = 0) -> AxiomReport:
     """rho(0) = 0.
 
     rho(0) is one deterministic case, so ``samples`` and ``seed`` are unused;
     they are accepted so that every point checker takes the same keywords.
     """
-    return _report("normalized", rho, model, depth, samples, seed, tol)
+    return _report("normalized", rho, model, depth, samples, seed)
 
 
 def check_restriction(rho_family: _RhoFamily, model: FiltrationModel,
-                      samples: int = 6, seed: int = 0,
-                      tol: float = TOLERANCE) -> AxiomReport:
+                      samples: int = 6, seed: int = 0) -> AxiomReport:
     """rho_tu(X) = rho_tv(X) for v >= u and F_u-measurable X."""
-    return _report("restriction", rho_family, model, None, samples, seed, tol)
+    return _report("restriction", rho_family, model, None, samples, seed)
 
 
 def check_h_longevity(rho_family: _RhoFamily, model: FiltrationModel,
-                      samples: int = 6, seed: int = 0,
-                      tol: float = TOLERANCE) -> AxiomReport:
+                      samples: int = 6, seed: int = 0) -> AxiomReport:
     """gamma(t, u, v, X) = rho_tv(X) - rho_tu(X) >= 0 for t <= u <= v."""
-    return _report("h_longevity", rho_family, model, None, samples, seed, tol)
+    return _report("h_longevity", rho_family, model, None, samples, seed)
 
 
 CHECKERS = {name: globals()[f"check_{name}"] for name in _SLACKS}

@@ -27,9 +27,8 @@ import numpy as np
 
 from .errors import (ConfigurationError, DomainError, SolverError,
                      TimeGridError)
-from .measures import HorizonSchedule, StepFunction
+from .measures import HorizonSchedule, StepFunction, _ln_q_mean
 from .probspace import AdaptedProcess, BrownianLattice, RandomVariable
-from .qcalculus import exp_q, ln_q
 
 __all__ = [
     "GenericLipschitzDriver", "LinearDriver", "QuadraticQDriver", "Driver",
@@ -304,10 +303,8 @@ def quadratic_transform_solve(lattice: BrownianLattice, q: float,
     kt = lattice.depth_of(t)
     if kt > terminal.depth:
         raise TimeGridError("t must not exceed the terminal depth")
-    u = lattice.times[terminal.depth]
-    shift = schedule.integral(t, u)
-    inner = terminal.apply(lambda v: exp_q(v + shift, q)).condexp(kt)
-    return inner.apply(lambda v: ln_q(v, q))
+    A = schedule.integral(t, lattice.times[terminal.depth])
+    return _ln_q_mean(terminal + A, kt, q)
 
 
 @dataclass(frozen=True)
@@ -317,14 +314,13 @@ class RestrictionReport:
 
 
 def restriction_check(lattice: BrownianLattice, driver, t: float, u: float,
-                      v: float, X: RandomVariable, tol: float = 1e-9
-                      ) -> RestrictionReport:
+                      v: float, X: RandomVariable) -> RestrictionReport:
     """Whether rho_tu(X) == rho_tv(X) nodewise for the F_u-measurable X;
     holds exactly (in the scheme too) iff g(., y, 0) vanishes."""
     rho_u = g_risk_measure(lattice, driver, X, t, u)
     rho_v = g_risk_measure(lattice, driver, X, t, v)
     gap = float(np.max(np.abs(rho_v.values - rho_u.values)))
-    return RestrictionReport(passed=bool(gap <= tol), max_gap=gap)
+    return RestrictionReport(passed=bool(gap <= 1e-9), max_gap=gap)
 
 
 def longevity_girsanov(lattice: BrownianLattice, driver: LinearDriver,

@@ -20,11 +20,11 @@ digits, '.' decimal, files written atomically); the optional wall-time
 column of convergence tables is left empty unless ``timing`` is enabled,
 precisely so that repeated runs stay byte-identical.
 
-Exit codes: 0 success, 2 config/schema violation (a missing key that the
-section's kind requires, non-finite numbers, integers beyond float range,
-off-grid task times, task times out of the order t <= u <= v and required
-axioms missing from checks included), 3 numerical or solver error, or any
-other exception a task raises, 4 a required axiom check failed.
+Exit codes: 0 success, 2 config/schema violation (a missing or malformed
+key, a non-finite number, off-grid or out-of-order task times, a position or
+measure that does not fit its task; ``validate`` and ``run`` find them
+alike, before any task runs), 3 numerical or solver error, or any other
+exception a task raises, 4 a required axiom check failed.
 """
 
 from __future__ import annotations
@@ -340,8 +340,6 @@ def _task_axioms(task, idx, cfg, model, out_dir, seed):
 
 
 def _task_duality(task, idx, cfg, model, out_dir, seed):
-    if cfg["measure"]["kind"] != "shortfall":
-        raise ConfigError("duality tasks need a shortfall measure")
     X = _task_position(task, idx, model, seed)
     spec = _shortfall_spec(_with_defaults(_MEASURES, cfg["measure"]))
     grid = DualGrid.simplex(model.num_nodes(X.depth), task["resolution"])
@@ -371,13 +369,8 @@ def _task_duality(task, idx, cfg, model, out_dir, seed):
 
 
 def _task_convergence(task, idx, cfg, model, out_dir, seed):
-    measure = cfg["measure"]
-    if measure["kind"] != "bsde":
-        raise ConfigError("bsde-convergence tasks need a bsde measure")
-    driver_cfg = _with_defaults(_DRIVERS, measure["driver"])
-    kind = driver_cfg["kind"]
-    if kind == "linear":
-        raise ConfigError("no closed-form reference for general linear drivers")
+    # the entropic driver is the quadratic one with q = 1 and zero rate
+    driver = _build(_DRIVERS, cfg["measure"]["driver"])
     t = task["t"]
     rows = []
     for n_steps in task["grid"]:
@@ -385,19 +378,14 @@ def _task_convergence(task, idx, cfg, model, out_dir, seed):
         rng = np.random.default_rng(seed + idx)
         X = _build(_POSITIONS, task["payoff"], lattice, lattice.terminal_depth,
                    rng)
-        driver = _build(_DRIVERS, driver_cfg)
         started = time.perf_counter()
         value = g_risk_measure(lattice, driver, X, t, lattice.horizon)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        if kind == "entropic":
-            ref = entropic(X, t, 1.0)
-        elif kind == "zero":
-            ref = expected_loss(X, t)
+        if isinstance(driver, QuadraticQDriver):
+            ref = quadratic_transform_solve(lattice, driver.q, driver.rate,
+                                            -X, t)
         else:
-            ref = quadratic_transform_solve(
-                lattice, driver_cfg["q"], _build_schedule(driver_cfg["a"]),
-                -X, t,
-            )
+            ref = expected_loss(X, t)
         err = float(np.max(np.abs(value.values - ref.values)))
         rows.append([n_steps, value.values[0], err,
                      _fmt(elapsed_ms) if task["timing"] else ""])
@@ -444,6 +432,7 @@ _TASKS = {
 # ---------------------------------------------------------------------------
 
 _NUMBER = {"type": "number"}
+_INDEX = {"type": "integer", "minimum": 0}
 _STEPFN = {
     "type": "object",
     "properties": {
@@ -461,7 +450,11 @@ _KEY_TYPES: dict[str, dict] = {
     "steps": {"type": "integer", "minimum": 1},
     "horizon": {"type": "number", "exclusiveMinimum": 0},
     "times": {"type": "array", "items": _NUMBER, "minItems": 2},
-    "nodes": {"type": "array"},
+    "nodes": {"type": "array", "minItems": 1, "items": {
+        "type": "object", "required": ["id", "depth", "parent", "p"],
+        "properties": {"id": _INDEX, "depth": _INDEX, "p": _NUMBER,
+                       "parent": {"type": ["integer", "null"]}},
+        "additionalProperties": False}},
     "depth": {"type": "integer", "minimum": 1},
     "max_branching": {"type": "integer", "minimum": 2},
     **dict.fromkeys(("b", "q", "alpha", "beta", "gamma", "target", "value",
@@ -578,12 +571,14 @@ def load_config(path: str | Path) -> dict:
 
 
 def _build_experiment(cfg: dict, seed: int):
-    """Build the model and measure, and resolve every task's times for the
-    task runners: fill in the defaults t = 0 and u = v = horizon, put each
-    time on its grid and check the order t <= u <= v.  Every ``required``
-    axiom must also be one of the task's ``checks``."""
+    """Build the model, the measure and each task's position (each payoff
+    on each grid lattice) as the task runners will, and resolve every task's
+    times: fill in the defaults t = 0 and u = v = horizon, put each time on
+    its grid and check the order t <= u <= v.  Every ``required`` axiom must
+    be checked, and the measure must fit the task."""
     model = _build(_MODELS, cfg["model"], seed)
-    _build(_MEASURES, cfg["measure"], model)
+    measure = cfg["measure"]
+    _build(_MEASURES, measure, model)
     for i, task in enumerate(cfg["tasks"]):
         task.setdefault("t", 0.0)
         task.setdefault("u", model.horizon)
@@ -601,11 +596,25 @@ def _build_experiment(cfg: dict, seed: int):
         if unchecked:
             raise ConfigError(f"task {i} requires axioms it does not check: "
                               f"{', '.join(sorted(unchecked))}")
+        if task["kind"] == "duality" and measure["kind"] != "shortfall":
+            raise ConfigError("duality tasks need a shortfall measure")
+        full = _with_defaults(_TASKS, task)
+        if task["kind"] == "bsde-convergence":
+            if measure["kind"] != "bsde":
+                raise ConfigError("bsde-convergence tasks need a bsde measure")
+            if measure["driver"]["kind"] == "linear":
+                raise ConfigError(
+                    "no closed-form reference for general linear drivers")
+            for grid in grids:
+                _build(_POSITIONS, full["payoff"], grid, grid.terminal_depth,
+                       np.random.default_rng(seed + i))
+        elif "position" in full:
+            _task_position(full, i, model, seed)
     return model
 
 
 def validate_config(path: str | Path) -> dict:
-    """Schema validation plus a dry build of the model, measure and task times."""
+    """Schema validation plus a dry build of the model, measure and tasks."""
     cfg = load_config(path)
     _build_experiment(cfg, cfg.get("seed", 0))
     return cfg
@@ -631,9 +640,6 @@ def run_config(path: str | Path, out_dir: str | Path | None = None,
         results = [_build(_TASKS, task, i, cfg, model, target_dir,
                           effective_seed)
                    for i, task in enumerate(cfg["tasks"])]
-    except ConfigError as exc:
-        print(f"riskctl: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except RiskLibError as exc:
         print(f"riskctl: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

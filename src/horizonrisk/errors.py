@@ -35,7 +35,3 @@ class SolverError(RiskLibError):
 
 class SpecificationError(RiskLibError):
     """A user-supplied specification violates a declared property."""
-
-
-class InternalConsistencyError(RiskLibError):
-    """Two redundant computation paths disagreed beyond tolerance."""

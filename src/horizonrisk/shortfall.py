@@ -21,8 +21,7 @@ the nodewise (dynamic) results surface them as +-inf markers in the value
 array.  Value-at-Risk is included through its shortfall representation with
 the right-continuous step utility; its conditional quantile is computed by
 exact atom enumeration, not bisection, since the constraint is
-discontinuous, and the step "utility" is flagged non-concave (no
-quasi-convexity claims attach to it).
+discontinuous.
 """
 
 from __future__ import annotations
@@ -179,11 +178,6 @@ class TargetSchedule:
     def constant(cls, B: float) -> "TargetSchedule":
         return cls(fn=lambda t, u: float(B))
 
-    @classmethod
-    def from_function(cls, fn: Callable[[float, float], float]
-                      ) -> "TargetSchedule":
-        return cls(fn=fn)
-
     def __call__(self, t: float, u: float) -> float:
         value = float(self.fn(t, u))
         if not math.isfinite(value):
@@ -244,18 +238,18 @@ class ShortfallSpec:
 # ---------------------------------------------------------------------------
 
 def _smallest_m(constraint: Callable[[np.ndarray], np.ndarray], target: float,
-                start: float, n: int, depth: int | None = None,
-                tol: float = _BISECT_TOL, cap: float = _BRACKET_CAP
+                start: float, n: int, depth: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least m_i with constraint(m)_i >= target for n non-decreasing
     constraints at once; ``constraint`` maps n cash amounts to n values.
 
     Each problem brackets by doubling from +-start; the plus (minus) mask
-    flags problems still unmet at +cap (already met at -cap).  A decrease
-    along a problem's bracketing probes raises SpecificationError, naming
-    ``node i at depth k`` when ``depth`` is given.  A problem stops moving
-    once its bracket is below ``tol``, so each value equals a bisection on
-    its problem alone.  Returns (values, plus, minus)."""
+    flags problems still unmet at +_BRACKET_CAP (already met at
+    -_BRACKET_CAP).  A decrease along a problem's bracketing probes raises
+    SpecificationError, naming ``node i at depth k`` when ``depth`` is
+    given.  A problem stops moving once its bracket is below _BISECT_TOL,
+    so each value equals a bisection on its problem alone.  Returns
+    (values, plus, minus)."""
 
     def bracket(edge, active, unmet):
         edge = np.full(n, edge)
@@ -265,7 +259,7 @@ def _smallest_m(constraint: Callable[[np.ndarray], np.ndarray], target: float,
             values = constraint(edge)
             probes.append((edge, values, active))
             active = active & unmet(values)
-            capped = capped | (active & (2.0 * np.abs(edge) > cap))
+            capped = capped | (active & (2.0 * np.abs(edge) > _BRACKET_CAP))
             active = active & ~capped
             edge = np.where(active, 2.0 * edge, edge)
         return edge, capped, probes
@@ -286,7 +280,7 @@ def _smallest_m(constraint: Callable[[np.ndarray], np.ndarray], target: float,
             f"{float(vs[j + 1, i])!r} at m={float(ms[j + 1, i])!r}"
         )
     lo = np.where(plus | minus, hi, lo)  # sentinel problems do not move
-    while (moving := hi - lo > tol).any():
+    while (moving := hi - lo > _BISECT_TOL).any():
         mid = 0.5 * (lo + hi)
         up = moving & (constraint(mid) >= target)
         np.copyto(hi, mid, where=up)
@@ -379,8 +373,8 @@ class CeEquivalenceReport:
 
 
 def ce_equivalence_check(utility: UtilityFn, aggregator: AggregatorFn,
-                         target: float, utilde: UtilityFn,
-                         tol: float = 1e-9) -> CeEquivalenceReport:
+                         target: float, utilde: UtilityFn
+                         ) -> CeEquivalenceReport:
     """Test whether the generalized shortfall (U, f, B) coincides with the
     certainty equivalent generated by Utilde, via the pointwise identity
     U(f(y, m)) - B = Utilde(y) - Utilde(-m) on the 25 x 25 grid of
@@ -393,7 +387,7 @@ def ce_equivalence_check(utility: UtilityFn, aggregator: AggregatorFn,
     idx = np.unravel_index(np.argmax(residual), residual.shape)
     worst = float(residual[idx])
     return CeEquivalenceReport(
-        equivalent=bool(worst < tol),
+        equivalent=bool(worst < 1e-9),
         max_residual=worst,
         argmax=(float(yy[idx]), float(mm[idx])),
     )

@@ -164,7 +164,7 @@ def test_criterion_6_shortfall_equivalences():
                     fn=lambda x: 1.0 - np.exp(np.minimum(-x + a0u, 700.0)),
                     name=f"h-entropic-{u}")
 
-            targets = TargetSchedule.from_function(
+            targets = TargetSchedule(
                 lambda t, u: 1.0 - math.exp(sched.integral(0.0, t)))
             h_spec = ShortfallSpec(utility, AggregatorFn.additive(), targets)
             for t in (0.0, 0.4):

@@ -1,0 +1,37 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) still fits the library.
+
+The tracer wraps the traced functions by name in every ``horizonrisk``
+namespace, and the traced methods from each class's own ``__dict__``.  A
+library change that deletes a traced function or moves a traced method into
+a base class makes ``Tracer.install`` fail; this test sees that without
+running the benchmark.
+"""
+
+import sys
+from pathlib import Path
+
+import horizonrisk as hr
+from horizonrisk import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import tracing  # noqa: E402
+
+
+def test_tracer_installs_counts_and_uninstalls():
+    dual_value = hr.dual_value
+    run_config = cli.run_config
+    utility_call = vars(hr.UtilityFn)["__call__"]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()  # raises if a traced name is missing
+        assert hr.dual_value is not dual_value
+        assert cli.run_config is not run_config
+        assert vars(hr.UtilityFn)["__call__"] is not utility_call
+        hr.exp_q(0.5, 0.5)
+        assert tracer.counts["qcalculus.calls"] == 1
+    finally:
+        tracer.uninstall()
+    assert hr.dual_value is dual_value
+    assert cli.run_config is run_config
+    assert vars(hr.UtilityFn)["__call__"] is utility_call

@@ -211,6 +211,54 @@ class TestValidation:
         assert capsys.readouterr().err.count(message) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda nodes: [1, 2],
+        lambda nodes: [],
+        lambda nodes: [nodes[0], {"id": 1, "depth": 1, "p": 0.5}, nodes[2]],
+        lambda nodes: [nodes[0], {**nodes[1], "id": "1"}, nodes[2]],
+        lambda nodes: [nodes[0], {**nodes[1], "p": "0.5"}, nodes[2]],
+        lambda nodes: [nodes[0], {**nodes[1], "label": "up"}, nodes[2]],
+    ], ids=["not-objects", "empty", "no-parent", "string-id", "string-p",
+            "unknown-key"])
+    def test_malformed_tree_nodes_rejected(self, tmp_path, edit):
+        # the first four used to crash the build with a traceback and exit 1;
+        # a string p and an unknown key used to run
+        cfg = json.loads((CONFIGS / "entropic_two_atom.json").read_text())
+        cfg["model"]["nodes"] = edit(cfg["model"]["nodes"])
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"tasks": [{"kind": "evaluate", "position": {
+            "kind": "values", "values": [1.0, -1.0, 0.5]}}]},
+         "position needs exactly 2 values at depth 1"),
+        ({"tasks": [{"kind": "evaluate",
+                     "position": {"kind": "two_valued"}}]},
+         "two_valued positions need a lattice model"),
+        ({"tasks": [{"kind": "duality"}]},
+         "duality tasks need a shortfall measure"),
+        ({"model": LATTICE, "tasks": [{"kind": "bsde-convergence",
+                                       "grid": [8]}]},
+         "bsde-convergence tasks need a bsde measure"),
+        ({"model": LATTICE,
+          "measure": {"kind": "bsde", "driver": {"kind": "linear"}},
+          "tasks": [{"kind": "bsde-convergence", "grid": [8]}]},
+         "no closed-form reference for general linear drivers"),
+    ], ids=["values-length", "two_valued-on-tree", "duality-measure",
+            "convergence-measure", "convergence-linear-driver"])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys,
+                                               overrides, message):
+        # validate used to print "config ok" for these
+        path = write_config(tmp_path, base_config(**overrides))
+        out = tmp_path / "out"
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count(message) == 2
+        assert not out.exists()
+
     def test_nan_is_never_printed_as_infinity(self):
         assert _fmt(float("nan")) == "nan"
         assert _fmt(float("-inf")) == "-inf"

@@ -138,10 +138,12 @@ class TestCmin:
                 rhs = c_min(m + h, Q, spec, uniform_two)
                 assert lhs <= rhs - h + 1e-6
 
-    def test_cross_check_mode_is_consistent(self, uniform_two):
-        v = c_min(0.4, np.array([0.35, 0.65]), entropic_spec(), uniform_two,
-                  cross_check=True)
-        assert isinstance(v, float)
+    def test_oracle_agreement_on_two_atoms(self, uniform_two):
+        Q = np.array([0.35, 0.65])
+        lag = c_min(0.4, Q, entropic_spec(), uniform_two)
+        oracle = c_min_bruteforce(0.4, Q, entropic_spec(), uniform_two)
+        assert isinstance(lag, float) and isinstance(oracle, float)
+        assert abs(lag - oracle) < 5e-3
 
     def test_infeasible_target_is_minus_infinity(self, uniform_two):
         spec = entropic_spec(B=2.0)  # unreachable: sup U = 1

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horizonrisk import (AggregatorFn, DomainError, HorizonSchedule,
-                         LossSpec, QParams, RandomVariable, RiskSentinel,
-                         ScenarioTree, ShortfallSpec, SpecificationError,
-                         StepFunction, TargetSchedule, UtilityFn,
-                         acceptance_member, ce_equivalence_check,
+from horizonrisk import (AggregatorFn, BrownianLattice, DomainError,
+                         HorizonSchedule, LossSpec, QParams, RandomVariable,
+                         RiskSentinel, ScenarioTree, ShortfallSpec,
+                         SpecificationError, StepFunction, TargetSchedule,
+                         UtilityFn, acceptance_member, ce_equivalence_check,
                          certainty_equivalent, dynamic_shortfall, entropic,
                          h_entropic, h_var, hq_entropic_losses,
-                         hq_shortfall_spec, static_shortfall)
+                         hq_shortfall_spec, quadratic_transform_solve,
+                         static_shortfall)
 
 from conftest import random_rv, random_tree
 
@@ -103,7 +104,7 @@ class TestDynamicShortfall:
                 name=f"h-entropic-u{u}",
             )
 
-        targets = TargetSchedule.from_function(
+        targets = TargetSchedule(
             lambda t, u: 1.0 - math.exp(sched.integral(0.0, t)))
         spec = ShortfallSpec(utility, AggregatorFn.additive(), targets)
         for t in (0.0, 0.4):
@@ -250,6 +251,32 @@ class TestHqShortfallSpec:
             dyn = dynamic_shortfall(X, t, spec, u=1.0)
             ref = hq_entropic_losses(X, t, 1.0, loss_spec, sched)
             np.testing.assert_allclose(dyn.values, ref.values, atol=1e-7)
+
+    @given(q=st.floats(min_value=0.5, max_value=0.95),
+           alpha=st.floats(min_value=-0.5, max_value=0.5),
+           beta=st.floats(min_value=0.0, max_value=1.0),
+           rate=st.floats(min_value=0.0, max_value=0.4),
+           n=st.sampled_from([8, 16, 32]), mid=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_lattice_routes_agree(self, q, alpha, beta, rate, n, mid, seed):
+        # closed form = generalized-log transform of the loss terminal
+        # = h-generalized shortfall, nodewise on a lattice
+        lat = BrownianLattice(n, 1.0)
+        qp = QParams(q=q, alpha_q=alpha)
+        sched = HorizonSchedule.constant(rate)
+        X = random_rv(lat, seed)
+        t = 0.5 if mid else 0.0
+        closed = hq_entropic_losses(X, t, 1.0, LossSpec(beta=beta, qparams=qp),
+                                    sched)
+        terminal = (X + beta).neg_part() + alpha
+        transform = quadratic_transform_solve(lat, q, sched, terminal, t)
+        np.testing.assert_allclose(transform.values, closed.values,
+                                   rtol=0, atol=1e-12)
+        shortfall = dynamic_shortfall(X, t, hq_shortfall_spec(qp, beta, sched),
+                                      u=1.0)
+        np.testing.assert_allclose(shortfall.values, closed.values,
+                                   rtol=0, atol=1e-7)
 
     def test_aggregate_minus_target_non_increasing_in_horizon(self):
         qp = QParams(q=0.5, alpha_q=0.1)
