@@ -6,11 +6,11 @@ The scheme is implicit in Y and explicit in Z on each backward step:
     Y_k = E[Y_{k+1} | F_k] + g(t_k, Y_k, Z_k) dt   (fixed-point in Y)
 
 The measure generated by a driver g is rho_tu(X) = Y_t for the terminal
-condition Y_u = -X.  When the evaluation horizon exceeds the depth at which
-X resolves, the solution segment beyond that depth stays measurable at the
-resolution depth and Z vanishes there, so that segment reduces to the
-per-node deterministic recursion Y_j = Y_{j+1} + g(t_j, Y_j, 0) dt; this is
-how horizon-longevity gaps are produced.
+condition Y_u = -X, from one backward recursion that runs from u down to
+depth(t) and stops there.  Beyond the depth at which X resolves, Y stays
+measurable at that depth and Z vanishes, so those steps reduce to the
+per-node recursion Y_j = Y_{j+1} + g(t_j, Y_j, 0) dt; this is how
+horizon-longevity gaps are produced.
 
 Quadratic q-type drivers additionally admit the exact generalized-log
 transform (:func:`quadratic_transform_solve`), so the direct backward scheme
@@ -208,6 +208,22 @@ def _precheck_contraction(lattice: BrownianLattice, driver) -> None:
             )
 
 
+def _backward(lattice: BrownianLattice, driver, y: np.ndarray,
+              resolved: int, top: int, stop: int):
+    """Yield (Y_k, Z_k) for k = top-1 down to stop, from Y = y at depth top
+    for a terminal resolved at depth ``resolved`` <= top: Z = 0 at depths
+    >= resolved, the lattice step (checked for contraction) below."""
+    zeros = np.zeros_like(y)
+    for k in range(top - 1, stop - 1, -1):
+        e_part, z = y, zeros
+        if k < resolved:
+            if k == resolved - 1:
+                _precheck_contraction(lattice, driver)
+            e_part, z = lattice.step_expectation(y, k), lattice.step_z(y, k)
+        y = _implicit_step(driver, lattice.times[k], e_part, z, lattice.dt(k))
+        yield y, z
+
+
 def solve_bsde(lattice: BrownianLattice, driver, terminal: RandomVariable
                ) -> BsdeSolution:
     """Solve the BSDE with generator ``driver`` and terminal condition
@@ -216,21 +232,13 @@ def solve_bsde(lattice: BrownianLattice, driver, terminal: RandomVariable
         raise ConfigurationError("terminal condition must live on the lattice")
     if terminal.depth < 1:
         raise ConfigurationError("terminal condition must sit at depth >= 1")
-    _precheck_contraction(lattice, driver)
     d = terminal.depth
-    y_layers: list[np.ndarray] = [None] * (d + 1)  # type: ignore[list-item]
-    z_layers: list[np.ndarray] = [None] * d        # type: ignore[list-item]
-    y_layers[d] = np.asarray(terminal.values, dtype=float).copy()
-    for k in range(d - 1, -1, -1):
-        e_part = lattice.step_expectation(y_layers[k + 1], k)
-        z = lattice.step_z(y_layers[k + 1], k)
-        y_layers[k] = _implicit_step(driver, lattice.times[k], e_part, z,
-                                     lattice.dt(k))
-        z_layers[k] = z
+    y = terminal.values.copy()
+    steps = list(_backward(lattice, driver, y, d, d, 0))[::-1]
     return BsdeSolution(
         model=lattice,
-        Y=AdaptedProcess(lattice, y_layers),
-        Z=AdaptedProcess(lattice, z_layers),
+        Y=AdaptedProcess(lattice, [Y for Y, _ in steps] + [y]),
+        Z=AdaptedProcess(lattice, [Z for _, Z in steps]),
     )
 
 
@@ -248,18 +256,6 @@ def one_step_residuals(solution: BsdeSolution, driver) -> np.ndarray:
     return out
 
 
-def _deterministic_tail(lattice: BrownianLattice, driver, values: np.ndarray,
-                        from_depth: int, to_depth: int) -> np.ndarray:
-    """Backward recursion Y_j = Y_{j+1} + g(t_j, Y_j, 0) dt on a segment
-    where the solution stays measurable before the segment starts (Z = 0)."""
-    vals = np.asarray(values, dtype=float).copy()
-    zeros = np.zeros_like(vals)
-    for j in range(from_depth - 1, to_depth - 1, -1):
-        vals = _implicit_step(driver, lattice.times[j], vals, zeros,
-                              lattice.dt(j))
-    return vals
-
-
 def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,
                    t: float, u: float) -> RandomVariable:
     """rho_tu(X): the Y-component at depth(t) of the BSDE with terminal -X
@@ -274,12 +270,10 @@ def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,
         )
     if kt > X.depth:
         raise TimeGridError("evaluation time t must not exceed depth(X)")
-    vals = _deterministic_tail(lattice, driver, -X.values, ku, X.depth)
-    if kt == X.depth:
-        return RandomVariable(lattice, X.depth, vals)
-    solution = solve_bsde(lattice, driver,
-                          RandomVariable(lattice, X.depth, vals))
-    return solution.Y.at_depth(kt)
+    y = -X.values
+    for y, _ in _backward(lattice, driver, y, X.depth, ku, kt):
+        pass
+    return RandomVariable(lattice, kt, y)
 
 
 def solve_family(lattice: BrownianLattice, family: DriverFamily,

@@ -53,7 +53,8 @@ from .duality import DualGrid, dual_value
 from .errors import RiskLibError
 from .measures import (HorizonSchedule, LossSpec, StepFunction, UtilityFn,
                        certainty_equivalent, entropic, expected_loss,
-                       h_entropic, hq_entropic_losses, q_entropic_losses)
+                       h_entropic, hq_entropic_losses, longevity_index,
+                       q_entropic_losses)
 from .probspace import BrownianLattice, RandomVariable, ScenarioTree
 from .qcalculus import QParams
 from .shortfall import (AggregatorFn, ShortfallSpec, TargetSchedule,
@@ -399,7 +400,7 @@ def _task_longevity(task, idx, cfg, model, out_dir, seed):
     t, u, v = task["t"], task["u"], task["v"]
     X = _task_position(task, idx, model, seed)
     rho = _build(_MEASURES, cfg["measure"], model)
-    gamma = rho(X, t, v) - rho(X, t, u)
+    gamma = longevity_index(rho, t, u, v, X)
     header = ["node", "gamma"]
     rows: list[list] = [[i, gamma.values[i]] for i in range(len(gamma.values))]
     measure = cfg["measure"]

@@ -449,6 +449,8 @@ class RandomVariable:
                 f"expected {model.num_nodes(depth)} values at depth {depth}, "
                 f"got shape {vals.shape}"
             )
+        if np.isnan(vals).any():
+            raise DomainError(f"NaN value at depth {depth}")
         self.model = model
         self.depth = depth
         self.values = vals

@@ -30,6 +30,12 @@ def test_tracer_installs_counts_and_uninstalls():
         assert vars(hr.UtilityFn)["__call__"] is not utility_call
         hr.exp_q(0.5, 0.5)
         assert tracer.counts["qcalculus.calls"] == 1
+        # g_risk_measure runs its own backward loop, not the traced
+        # solve_bsde; its driver calls must still be counted
+        lat = hr.BrownianLattice(4, 1.0)
+        X = hr.RandomVariable(lat, 4, lat.brownian(4))
+        hr.g_risk_measure(lat, hr.QuadraticQDriver.entropic(), X, 0.0, 1.0)
+        assert tracer.counts["bsde.driver.calls"] > 0
     finally:
         tracer.uninstall()
     assert hr.dual_value is dual_value

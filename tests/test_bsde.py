@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horizonrisk import (BrownianLattice, ConfigurationError, DomainError,
                          DriverFamily, GenericLipschitzDriver,
@@ -340,6 +342,36 @@ class TestInteriorEvaluationTimes:
         ref = entropic(X, 0.5, 1.0)
         assert rho.values.shape == ref.values.shape == (5,)
         assert np.max(np.abs(rho.values - ref.values)) < 2e-2
+
+
+class TestOneBackwardRecursion:
+    DRIVERS = (
+        QuadraticQDriver.entropic(),
+        QuadraticQDriver(0.5, HorizonSchedule.constant(0.3)),
+        LinearDriver.from_constants(mu=0.6, nu=0.2, c=0.1),
+        GenericLipschitzDriver(lambda t, y, z: 0.5 * np.sin(y) + np.abs(z),
+                               1.5),  # dt * C <= 0.75 for N >= 2
+    )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_stops_at_depth_t_and_composes(self, data):
+        n = data.draw(st.integers(2, 12))
+        dx = data.draw(st.integers(1, n))
+        kt = data.draw(st.integers(0, dx))
+        ku = data.draw(st.integers(dx, n))
+        driver = data.draw(st.sampled_from(self.DRIVERS))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        lat = BrownianLattice(n, 1.0)
+        X = RandomVariable(lat, dx, rng.uniform(-1.0, 1.0, lat.num_nodes(dx)))
+        t, s, u = lat.times[kt], lat.times[dx], lat.times[ku]
+        solution = solve_bsde(lat, driver, -X)
+        assert np.array_equal(g_risk_measure(lat, driver, X, t, s).values,
+                              solution.Y.at_depth(kt).values)
+        # flow property: evaluating the tail value at s from t is rho_tu
+        inner = g_risk_measure(lat, driver, X, s, u)
+        assert np.array_equal(g_risk_measure(lat, driver, X, t, u).values,
+                              g_risk_measure(lat, driver, -inner, t, s).values)
 
 
 class TestInterestRateDriverLongevity:

@@ -337,13 +337,6 @@ class TestRun:
         assert err == ("riskctl: numerical error: "
                        "ZeroDivisionError: division by zero\n")
 
-    def test_duality_task_needs_shortfall_measure(self, tmp_path):
-        cfg = base_config(tasks=[{"kind": "duality", "u": 1.0,
-                                  "position": {"kind": "values",
-                                               "values": [1.0, -1.0]}}])
-        path = write_config(tmp_path, cfg)
-        assert run_config(path, out_dir=tmp_path / "out") == EXIT_CONFIG
-
     def test_duality_rows_of_divergent_measures_read_minus_inf(self,
                                                                tmp_path):
         # linear utility, additive aggregator: c_min(., Q) = +inf for every
@@ -415,18 +408,6 @@ class TestRun:
         rows = (out / "task00_convergence.csv").read_text().splitlines()[1:]
         errs = [float(r.split(",")[2]) for r in rows]
         assert errs[-1] <= 1e-2  # N = 32 row
-
-    def test_linear_driver_has_no_reference(self, tmp_path):
-        cfg = base_config(
-            model={"kind": "lattice", "steps": 8, "horizon": 1.0},
-            measure={"kind": "bsde",
-                     "driver": {"kind": "linear",
-                                "c": {"breakpoints": [0.0],
-                                      "values": [0.1]}}},
-            tasks=[{"kind": "bsde-convergence", "grid": [8, 16]}],
-        )
-        path = write_config(tmp_path, cfg)
-        assert run_config(path, out_dir=tmp_path / "out") == EXIT_CONFIG
 
     def test_longevity_task_emits_formula_column_for_linear(self, tmp_path):
         cfg = base_config(

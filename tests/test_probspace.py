@@ -269,6 +269,14 @@ class TestRandomVariableArithmetic:
         with pytest.raises(TreeStructureError):
             RandomVariable(two_atom, 1, [1.0])
 
+    def test_nan_rejected_infinities_kept(self, two_atom):
+        # NaN is neither a value nor a sentinel; +-inf stay legal as the
+        # sentinel markers of dynamic_shortfall
+        with pytest.raises(DomainError):
+            RandomVariable(two_atom, 1, [np.nan, 1.0])
+        X = RandomVariable(two_atom, 1, [np.inf, -np.inf])
+        assert np.array_equal(X.values, [np.inf, -np.inf])
+
 
 class TestAdaptedProcess:
     def test_restriction_is_valid_random_variable(self):
