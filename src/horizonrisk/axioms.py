@@ -16,6 +16,8 @@ witness when the axiom fails.  Conventions:
   bumps X + B with B i.i.d. uniform on [0, 2]; mixtures l X + (1-l) Y with
   l from {0.25, 0.5, 0.75}; and F_u-measurable positions at every grid
   triple t <= u < v.  Normalization is the degenerate one-case row rho(0);
+* a sweep evaluates each distinct rho_tu(X) once: it does not depend on v,
+  and the constant and spike positions recur for every v > u;
 * slacks are signed so that >= 0 means the axiom held; the uniform pass
   tolerance is 1e-8, and reports carry the worst slack so borderline
   numerical failures are distinguishable from structural ones;
@@ -133,11 +135,16 @@ def _zero(rho, model, depth, samples, seed):
 
 
 def _grid_triples(rho_family, model, depth, samples, seed):
-    """(rho_tv(X), rho_tu(X)) for F_u-measurable X at every grid triple."""
+    """(rho_tv(X), rho_tu(X)) for F_u-measurable X at every grid triple,
+    with rho_tu(X) kept per (X, t, u)."""
     rng = np.random.default_rng(seed)
+    rho_tu = {}
     for t, u, v in _time_triples(model):
         for X in _sample_positions(model, model.depth_of(u), samples, rng):
-            yield [((rho_family(X, t, v).values, rho_family(X, t, u).values),
+            rv, key = rho_family(X, t, v).values, (X.values.tobytes(), t, u)
+            if key not in rho_tu:
+                rho_tu[key] = rho_family(X, t, u).values
+            yield [((rv, rho_tu[key]),
                     {"x": X.values.tolist(), "t": t, "u": u, "v": v})]
 
 

@@ -3,7 +3,10 @@
 The scheme is implicit in Y and explicit in Z on each backward step:
 
     Z_k = E[Y_{k+1} dB_k | F_k] / dt          (exact on the lattice)
-    Y_k = E[Y_{k+1} | F_k] + g(t_k, Y_k, Z_k) dt   (fixed-point in Y)
+    Y_k = E[Y_{k+1} | F_k] + g(t_k, Y_k, Z_k) dt   (implicit in Y)
+
+The root y* is exact for linear and q-quadratic drivers and a fixed point
+for a generic one; the reported Y_k = E[Y_{k+1} | F_k] + g(t_k, y*, Z_k) dt.
 
 The measure generated by a driver g is rho_tu(X) = Y_t for the terminal
 condition Y_u = -X, from one backward recursion that runs from u down to
@@ -27,7 +30,8 @@ import numpy as np
 
 from .errors import (ConfigurationError, DomainError, SolverError,
                      TimeGridError)
-from .measures import HorizonSchedule, StepFunction, _ln_q_mean
+from .measures import (HorizonSchedule, StepFunction, _ln_q_mean,
+                       longevity_index)
 from .probspace import AdaptedProcess, BrownianLattice, RandomVariable
 
 __all__ = [
@@ -40,7 +44,6 @@ __all__ = [
 
 _FP_MAX_ITER = 100
 _FP_TOL = 1e-13
-_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -95,16 +98,16 @@ class QuadraticQDriver:
     def entropic(cls) -> "QuadraticQDriver":
         return cls(q=1.0)
 
-    def __call__(self, t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        z = np.asarray(z, dtype=float)
-        denom = 1.0 + (1.0 - self.q) * y
+    def _denominator(self, y: np.ndarray) -> np.ndarray:
+        denom = 1.0 + (1.0 - self.q) * np.asarray(y, dtype=float)
         if np.any(denom <= 0.0):
-            raise DomainError(
-                f"quadratic driver outside its domain: 1 + (1-q) y reached "
-                f"{float(np.min(denom))!r}"
-            )
-        return 0.5 * self.q * z * z / denom + self.rate(t)
+            raise DomainError("quadratic driver outside its domain: 1 + "
+                              f"(1-q) y reached {float(np.min(denom))!r}")
+        return denom
+
+    def __call__(self, t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        return 0.5 * self.q * z * z / self._denominator(y) + self.rate(t)
 
 
 Driver = GenericLipschitzDriver | LinearDriver | QuadraticQDriver
@@ -175,7 +178,23 @@ class BsdeSolution:
 
 def _implicit_step(driver, t: float, e_part: np.ndarray, z: np.ndarray,
                    dt: float) -> np.ndarray:
-    """Solve y = e_part + g(t, y, z) dt per node by fixed-point iteration."""
+    """e_part + g(t, y*, z) dt at the per-node root y* of y = e_part + g dt:
+    exact, with one driver evaluation, for the linear and q-quadratic
+    drivers (w = 1 + (1-q) y* solves a quadratic); a fixed point otherwise."""
+    if isinstance(driver, LinearDriver):
+        mu_dt = driver.mu(t) * dt
+        if mu_dt >= 1.0:  # only a Z = 0 tail step gets here unchecked
+            raise ConfigurationError(f"dt * mu = {mu_dt:.3f} >= 1: implicit "
+                                     "linear step ill-posed")
+        y = (e_part + (driver.nu(t) * z + driver.c(t)) * dt) / (1.0 - mu_dt)
+        return e_part + driver(t, y, z) * dt
+    if isinstance(driver, QuadraticQDriver):
+        y, r = e_part, 1.0 - driver.q
+        if r > 0.0:
+            b = driver._denominator(e_part) + r * driver.rate(t) * dt
+            w = 0.5 * (b + np.sqrt(b * b + 2.0 * r * driver.q * dt * z * z))
+            y = (w - 1.0) / r
+        return e_part + driver(t, y, z) * dt
     y = e_part + np.asarray(driver(t, e_part, z), dtype=float) * dt
     for _ in range(_FP_MAX_ITER):
         y_new = e_part + np.asarray(driver(t, y, z), dtype=float) * dt
@@ -192,20 +211,18 @@ def _implicit_step(driver, t: float, e_part: np.ndarray, z: np.ndarray,
 
 
 def _precheck_contraction(lattice: BrownianLattice, driver) -> None:
-    max_dt = max(lattice.dt(k) for k in range(lattice.n_steps))
     if isinstance(driver, GenericLipschitzDriver):
-        if max_dt * driver.lipschitz_constant >= 1.0:
-            raise ConfigurationError(
-                f"dt * C = {max_dt * driver.lipschitz_constant:.3f} >= 1: "
-                "the implicit step is not a contraction; refine the lattice"
-            )
+        name, bound = "C", driver.lipschitz_constant
+        why = "the implicit step is not a contraction"
     elif isinstance(driver, LinearDriver):
-        mu_max = max(abs(v) for v in driver.mu.values)
-        if max_dt * mu_max >= 1.0:
-            raise ConfigurationError(
-                f"dt * |mu| = {max_dt * mu_max:.3f} >= 1: implicit linear "
-                "step ill-posed; refine the lattice"
-            )
+        name, bound = "|mu|", max(abs(v) for v in driver.mu.values)
+        why = "implicit linear step ill-posed"
+    else:
+        return
+    max_dt = max(lattice.dt(k) for k in range(lattice.n_steps))
+    if max_dt * bound >= 1.0:
+        raise ConfigurationError(f"dt * {name} = {max_dt * bound:.3f} >= 1: "
+                                 f"{why}; refine the lattice")
 
 
 def _backward(lattice: BrownianLattice, driver, y: np.ndarray,
@@ -324,7 +341,7 @@ def longevity_girsanov(lattice: BrownianLattice, driver: LinearDriver,
 
     Returns ``(gamma_direct, gamma_formula)`` at depth(t):
 
-    * direct: rho_tv(X) - rho_tu(X) from two backward solves;
+    * direct: :func:`longevity_index` of the driver's g-expectation;
     * formula: the premium-measure representation
       E_Q[ exp(int_t^v mu) * int_u^v g(s, -X, 0) ds | F_t ] where Q tilts the
       lattice by the discrete Girsanov density built from nu (per-step
@@ -340,21 +357,12 @@ def longevity_girsanov(lattice: BrownianLattice, driver: LinearDriver,
             "the Girsanov longevity formula is implemented for linear "
             "drivers only"
         )
-    if not (t <= u <= v):
-        raise TimeGridError(f"need t <= u <= v, got {t}, {u}, {v}")
-    kt = lattice.depth_of(t)
-    ku = lattice.depth_of(u)
-    lattice.depth_of(v)
-    if X.depth != ku:
-        raise TimeGridError("X must be measurable exactly at depth(u)")
-
-    direct = g_risk_measure(lattice, driver, X, t, v) \
-        - g_risk_measure(lattice, driver, X, t, u)
+    direct = longevity_index(
+        lambda Y, s, h: g_risk_measure(lattice, driver, Y, s, h), t, u, v, X)
+    kt, ku = lattice.depth_of(t), X.depth
 
     # integrand int_u^v g(s, -X, 0) ds = -X * int_u^v mu + int_u^v c
-    m_uv = driver.mu.integral(u, v)
-    c_uv = driver.c.integral(u, v)
-    integrand = -m_uv * X.values + c_uv
+    integrand = -driver.mu.integral(u, v) * X.values + driver.c.integral(u, v)
     weight = math.exp(driver.mu.integral(t, v))
     tilted = lattice.tilted(driver.nu)
     formula_vals = weight * tilted.cond_expectation(integrand, ku, kt)

@@ -399,17 +399,17 @@ def _task_convergence(task, idx, cfg, model, out_dir, seed):
 def _task_longevity(task, idx, cfg, model, out_dir, seed):
     t, u, v = task["t"], task["u"], task["v"]
     X = _task_position(task, idx, model, seed)
-    rho = _build(_MEASURES, cfg["measure"], model)
-    gamma = longevity_index(rho, t, u, v, X)
-    header = ["node", "gamma"]
-    rows: list[list] = [[i, gamma.values[i]] for i in range(len(gamma.values))]
     measure = cfg["measure"]
+    header = ["node", "gamma"]
     if measure["kind"] == "bsde" and measure["driver"]["kind"] in ("linear", "zero"):
         driver = _build(_DRIVERS, measure["driver"])
-        _, formula = longevity_girsanov(model, driver, t, u, v, X)
+        columns = longevity_girsanov(model, driver, t, u, v, X)
         header.append("gamma_formula")
-        for i, row in enumerate(rows):
-            row.append(formula.values[i])
+    else:
+        rho = _build(_MEASURES, measure, model)
+        columns = (longevity_index(rho, t, u, v, X),)
+    gamma = columns[0]
+    rows = [[i, *r] for i, r in enumerate(zip(*[c.values for c in columns]))]
     path = out_dir / f"task{idx:02d}_longevity.csv"
     _write_csv(path, header, rows)
     return {"task": "longevity", "files": [path.name],

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from horizonrisk import (AxiomReport, HorizonSchedule, LossSpec, QParams,
-                         RandomVariable, UtilityFn, certainty_equivalent,
+from horizonrisk import (AxiomReport, BrownianLattice, HorizonSchedule,
+                         LossSpec, QParams, QuadraticQDriver, RandomVariable,
+                         UtilityFn, certainty_equivalent,
                          check_cash_additive, check_cash_subadditive,
                          check_convex, check_h_longevity, check_monotone,
                          check_normalized, check_quasi_convex,
                          check_restriction, discounted_wrap, entropic,
-                         expected_loss, h_entropic, h_var,
+                         expected_loss, g_risk_measure, h_entropic, h_var,
                          hq_entropic_losses, q_entropic_losses)
 from horizonrisk import axioms
 
@@ -170,3 +171,62 @@ class TestReportMechanics:
             assert getattr(axioms, f"check_{name}") is check
         assert len(axioms.CHECKERS) == 8
         assert axioms.SWEEPS == {"restriction", "h_longevity"}
+
+
+def _unmemoized_sweep(axiom, rho_family, model, samples, seed):
+    """The time sweep with two rho calls per grid triple and position, as
+    the sweep ran before it kept rho_tu(X) per (X, t, u); also returns the
+    distinct (X, t, u) it evaluated and the number of cases."""
+    slack = {"restriction": lambda rv, ru: -np.abs(rv - ru),
+             "h_longevity": lambda rv, ru: rv - ru}[axiom]
+    rng = np.random.default_rng(seed)
+    rows, distinct = [], set()
+    for t, u, v in axioms._time_triples(model):
+        for X in axioms._sample_positions(model, model.depth_of(u), samples,
+                                          rng):
+            per_node = slack(rho_family(X, t, v).values,
+                             rho_family(X, t, u).values)
+            node = int(np.argmin(per_node))
+            rows.append((float(per_node[node]),
+                         {"x": X.values.tolist(), "t": t, "u": u, "v": v,
+                          "node": node}))
+            distinct.add((X.values.tobytes(), t, u))
+    worst, witness = min(rows, key=lambda r: r[0])
+    passed = worst >= -axioms.TOLERANCE
+    report = AxiomReport(axiom, bool(passed), worst, len(rows),
+                         None if passed else witness)
+    return report, distinct, len(rows)
+
+
+class TestSweepMemo:
+    """The sweep evaluates each distinct rho_tu(X) once; its reports are
+    those of the plain two-calls-per-case loop."""
+
+    LATTICE = BrownianLattice(5, 1.0)
+    Q_DRIVER = QuadraticQDriver(0.8, HorizonSchedule.constant(0.3))
+
+    def q_bsde(self, X, t, u):
+        return g_risk_measure(self.LATTICE, self.Q_DRIVER, X, t, u)
+
+    @pytest.mark.parametrize("axiom", sorted(axioms.SWEEPS))
+    @pytest.mark.parametrize("case", ["q_bsde_lattice", "hq_tree"])
+    def test_reports_equal_the_unmemoized_loop(self, axiom, case, tree):
+        if case == "q_bsde_lattice":
+            family, model, samples = self.q_bsde, self.LATTICE, 2
+        else:  # 9 samples: three random positions after the six fixed ones
+            family, model, samples = (
+                lambda X, t, u: hq_entropic_losses(X, t, u, HQ_SPEC,
+                                                   SCHEDULE),
+                tree, 9)
+        calls = []
+
+        def counted(X, t, u):
+            calls.append((t, u))
+            return family(X, t, u)
+
+        report = axioms.CHECKERS[axiom](counted, model, samples=samples,
+                                        seed=3)
+        reference, distinct, cases = _unmemoized_sweep(axiom, family, model,
+                                                       samples, 3)
+        assert report == reference
+        assert len(calls) == cases + len(distinct) < 2 * cases

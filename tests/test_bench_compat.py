@@ -36,6 +36,10 @@ def test_tracer_installs_counts_and_uninstalls():
         X = hr.RandomVariable(lat, 4, lat.brownian(4))
         hr.g_risk_measure(lat, hr.QuadraticQDriver.entropic(), X, 0.0, 1.0)
         assert tracer.counts["bsde.driver.calls"] > 0
+        # the exact implicit step evaluates a q < 1 driver once per step
+        before = tracer.counts["bsde.driver.calls"]
+        hr.g_risk_measure(lat, hr.QuadraticQDriver(0.5), X, 0.0, 1.0)
+        assert tracer.counts["bsde.driver.calls"] - before == 4
     finally:
         tracer.uninstall()
     assert hr.dual_value is dual_value

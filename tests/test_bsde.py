@@ -11,6 +11,7 @@ from horizonrisk import (BrownianLattice, ConfigurationError, DomainError,
                          lipschitz_slack, longevity_girsanov,
                          one_step_residuals, quadratic_transform_solve,
                          restriction_check, solve_bsde, solve_family)
+from horizonrisk.bsde import _implicit_step
 
 
 def sign_payoff(lattice, scale=0.75, threshold=0.1, depth=None):
@@ -389,3 +390,40 @@ class TestInterestRateDriverLongevity:
             gamma = g_risk_measure(lat, driver, X, 0.0, 1.0) \
                 - g_risk_measure(lat, driver, X, 0.0, 0.5)
             assert np.all(gamma.values >= -1e-9)
+
+
+class TestExactImplicitStep:
+    """The closed-form implicit step of the linear and q-quadratic drivers:
+    a root of y = e + g(t, y, z) dt, one evaluated step from it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_residual_shortcut_and_domain(self, data):
+        n = data.draw(st.integers(1, 6))
+        e = np.array(data.draw(st.lists(st.floats(-10.0, 10.0),
+                                        min_size=n, max_size=n)))
+        z = np.array(data.draw(st.lists(st.floats(-5.0, 5.0),
+                                        min_size=n, max_size=n)))
+        t = data.draw(st.floats(0.0, 1.0))
+        dt = data.draw(st.floats(1e-4, 1.0))
+        if data.draw(st.booleans()):
+            q = data.draw(st.one_of(
+                st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+            rate = HorizonSchedule.constant(data.draw(st.floats(0.0, 2.0)))
+            driver, shortcut = QuadraticQDriver(q, rate), q == 1.0
+            if np.any(1.0 + (1.0 - q) * e <= 0.0):
+                with pytest.raises(DomainError):
+                    _implicit_step(driver, t, e, z, dt)
+                return
+        else:
+            mu = data.draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
+                           .filter(lambda m: m * dt < 1.0))
+            driver = LinearDriver.from_constants(
+                mu, data.draw(st.floats(-2.0, 2.0)),
+                data.draw(st.floats(-2.0, 2.0)))
+            shortcut = mu == 0.0
+        y = _implicit_step(driver, t, e, z, dt)
+        residual = np.abs(y - e - driver(t, y, z) * dt)
+        assert np.all(residual <= 1e-12 * (1.0 + np.abs(y)))
+        if shortcut:
+            assert np.array_equal(y, e + driver(t, e, z) * dt)
