@@ -10,10 +10,11 @@ for a generic one; the reported Y_k = E[Y_{k+1} | F_k] + g(t_k, y*, Z_k) dt.
 
 The measure generated by a driver g is rho_tu(X) = Y_t for the terminal
 condition Y_u = -X, from one backward recursion that runs from u down to
-depth(t) and stops there.  Beyond the depth at which X resolves, Y stays
-measurable at that depth and Z vanishes, so those steps reduce to the
-per-node recursion Y_j = Y_{j+1} + g(t_j, Y_j, 0) dt; this is how
-horizon-longevity gaps are produced.
+depth(t) and stops there; every entry point checks X, t and u against the
+horizon contract of :meth:`FiltrationModel.horizon_depths`.  Beyond the
+depth at which X resolves, Y stays measurable there and Z vanishes, so those
+steps reduce to the per-node recursion Y_j = Y_{j+1} + g(t_j, Y_j, 0) dt;
+this is how horizon-longevity gaps are produced.
 
 Quadratic q-type drivers additionally admit the exact generalized-log
 transform (:func:`quadratic_transform_solve`), so the direct backward scheme
@@ -245,8 +246,7 @@ def solve_bsde(lattice: BrownianLattice, driver, terminal: RandomVariable
                ) -> BsdeSolution:
     """Solve the BSDE with generator ``driver`` and terminal condition
     ``terminal`` (= Y at its depth) backward to depth 0."""
-    if terminal.model is not lattice:
-        raise ConfigurationError("terminal condition must live on the lattice")
+    lattice.horizon_depths(terminal, 0.0)
     if terminal.depth < 1:
         raise ConfigurationError("terminal condition must sit at depth >= 1")
     d = terminal.depth
@@ -277,16 +277,7 @@ def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,
                    t: float, u: float) -> RandomVariable:
     """rho_tu(X): the Y-component at depth(t) of the BSDE with terminal -X
     at horizon u.  u may exceed the depth at which X resolves."""
-    kt = lattice.depth_of(t)
-    ku = lattice.depth_of(u)
-    if X.model is not lattice:
-        raise ConfigurationError("X must live on the lattice")
-    if ku < X.depth:
-        raise TimeGridError(
-            f"horizon u={u} is before the position's resolution depth"
-        )
-    if kt > X.depth:
-        raise TimeGridError("evaluation time t must not exceed depth(X)")
+    kt, ku = lattice.horizon_depths(X, t, u)
     y = -X.values
     for y, _ in _backward(lattice, driver, y, X.depth, ku, kt):
         pass
@@ -311,10 +302,8 @@ def quadratic_transform_solve(lattice: BrownianLattice, q: float,
 
     with u the grid time of the terminal depth.  Cross-validates the direct
     backward scheme for :class:`QuadraticQDriver`."""
-    kt = lattice.depth_of(t)
-    if kt > terminal.depth:
-        raise TimeGridError("t must not exceed the terminal depth")
-    A = schedule.integral(t, lattice.times[terminal.depth])
+    kt, ku = lattice.horizon_depths(terminal, t)
+    A = schedule.integral(t, lattice.times[ku])
     return _ln_q_mean(terminal + A, kt, q)
 
 

@@ -407,6 +407,7 @@ def dual_value(X: RandomVariable, spec: ShortfallSpec, grid: DualGrid,
     model = X.model
     if X.depth != model.terminal_depth:
         raise TimeGridError("dual evaluation expects a terminal-depth X")
+    model.horizon_depths(X, t, u)
     p, uf, B = _static_problem(spec, model, t, u, require_concave=True)
     Q = grid.measures
     if grid.n_atoms != len(p):
@@ -433,8 +434,8 @@ def rho_bar(m: float, X: RandomVariable, spec: ShortfallSpec,
     """Cash additive member rho_bar_m(X) = inf{ k : k + X in A^m } of the
     family associated with the quasi-convex measure; decreasing in m, with
     rho_bar_{m+d}(X) <= rho_bar_m(X) - d under cash subadditivity."""
-    model = X.model
-    p, uf, B = _static_problem(spec, model, t, u, depth=X.depth,
+    X.model.horizon_depths(X, t, u)
+    p, uf, B = _static_problem(spec, X.model, t, u, depth=X.depth,
                                atom_cap=False)
     xvals = X.values[None, :]
 

@@ -5,9 +5,10 @@ Evaluation conventions shared by every measure here:
 * a position ``X`` is a :class:`~horizonrisk.probspace.RandomVariable` at
   some depth; the result is the nodewise value at depth(t), realizing the
   conditional formulation on the finite model;
-* ``t`` and ``u`` are grid times with t <= u; ``u`` may exceed the time of
-  X's depth, in which case X is treated as an early-resolved (F-measurable)
-  position evaluated at the longer horizon u -- the mechanism behind the
+* ``t`` and ``u`` are grid times with depth(t) <= depth(X) <= depth(u), the
+  contract that :meth:`FiltrationModel.horizon_depths` alone checks; ``u``
+  defaults to the time of X's depth, and a longer ``u`` evaluates X as an
+  early-resolved position at that horizon -- the mechanism behind the
   horizon-longevity index gamma(t, u, v, X) = rho_tv(X) - rho_tu(X).
 """
 
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, RangeError, SpecificationError, TimeGridError
-from .probspace import AdaptedProcess, FiltrationModel, RandomVariable
+from .probspace import AdaptedProcess, RandomVariable
 from .qcalculus import QParams, exp_q, ln_q
 
 __all__ = [
@@ -219,28 +220,18 @@ class UtilityFn:
 # measures
 # ---------------------------------------------------------------------------
 
-def _depth_at(model: FiltrationModel, t: float, X: RandomVariable) -> int:
-    k = model.depth_of(t)
-    if k > X.depth:
-        raise TimeGridError(
-            f"evaluation time {t} (depth {k}) is after the position's depth "
-            f"{X.depth}"
-        )
-    return k
-
-
 def entropic(X: RandomVariable, t: float, b: float = 1.0) -> RandomVariable:
     """Entropic risk measure (1/b) ln E[exp(-b X) | F_t]; cash additive."""
     if b <= 0.0:
         raise DomainError("risk aversion b must be > 0")
-    k = _depth_at(X.model, t, X)
+    k, _ = X.model.horizon_depths(X, t)
     ex = X.apply(lambda v: np.exp(np.minimum(-b * v, 700.0))).condexp(k)
     return ex.apply(lambda v: np.log(v) / b)
 
 
 def expected_loss(X: RandomVariable, t: float) -> RandomVariable:
     """E[-X | F_t]; the linear, cash additive baseline measure."""
-    return (-X).condexp(X.model.depth_of(t))
+    return (-X).condexp(X.model.horizon_depths(X, t)[0])
 
 
 def h_entropic(X: RandomVariable, t: float, u: float, b: float,
@@ -249,8 +240,8 @@ def h_entropic(X: RandomVariable, t: float, u: float, b: float,
     premium A(t,u).  The deterministic rate factors out of the conditional
     exponential, so the two terms separate for every b; with a == 0 this is
     the plain entropic measure."""
-    base = entropic(X, t, b)
-    return base + schedule.integral(t, u)
+    X.model.horizon_depths(X, t, u)
+    return entropic(X, t, b) + schedule.integral(t, u)
 
 
 def _ln_q_mean(T: RandomVariable, k: int, q: float) -> RandomVariable:
@@ -260,11 +251,13 @@ def _ln_q_mean(T: RandomVariable, k: int, q: float) -> RandomVariable:
     return inner.apply(lambda v: ln_q(v, q))
 
 
-def _losses_measure(X: RandomVariable, t: float, spec: LossSpec,
-                    horizon_term: float) -> RandomVariable:
-    """ln_q E[exp_q((X+beta)^- + alpha_q + horizon_term) | F_t]."""
-    k = _depth_at(X.model, t, X)
-    loss = (X + spec.beta).neg_part() + (spec.qparams.alpha_q + horizon_term)
+def _losses_measure(X: RandomVariable, t: float, u: float | None,
+                    spec: LossSpec, schedule: HorizonSchedule | None = None
+                    ) -> RandomVariable:
+    """ln_q E[exp_q((X+beta)^- + alpha_q + A(t,u)) | F_t]; A = 0 if no rate."""
+    k, _ = X.model.horizon_depths(X, t, u)
+    A = 0.0 if schedule is None else schedule.integral(t, u)
+    loss = (X + spec.beta).neg_part() + (spec.qparams.alpha_q + A)
     return _ln_q_mean(loss, k, spec.qparams.q)
 
 
@@ -275,7 +268,7 @@ def q_entropic_losses(X: RandomVariable, t: float, spec: LossSpec) -> RandomVari
     exceed the severity buffer; alpha_q >= 1/(q-1) guarantees the exp_q
     domain.  Values are >= alpha_q, non-increasing in X and constant on
     {X >= -beta}."""
-    return _losses_measure(X, t, spec, 0.0)
+    return _losses_measure(X, t, None, spec)
 
 
 def hq_entropic_losses(X: RandomVariable, t: float, u: float, spec: LossSpec,
@@ -285,7 +278,7 @@ def hq_entropic_losses(X: RandomVariable, t: float, u: float, spec: LossSpec,
 
     Cash non-additive, and non-decreasing in the horizon u because the rate
     is non-negative; with a == 0 it reduces to the q-entropic measure."""
-    return _losses_measure(X, t, spec, schedule.integral(t, u))
+    return _losses_measure(X, t, u, spec, schedule)
 
 
 @dataclass(frozen=True)
@@ -320,7 +313,7 @@ def monotone_in_q_check(X: RandomVariable, t: float, q_grid: Sequence[float],
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise SpecificationError("q grid must be strictly increasing")
 
-    k = X.model.depth_of(t)
+    k, _ = X.model.horizon_depths(X, t)
     rows = []
     for q, a in zip(qs, al):
         spec = LossSpec(beta=beta, qparams=QParams(q=q, alpha_q=a))
@@ -350,7 +343,7 @@ def certainty_equivalent(X: RandomVariable, t: float, utility: UtilityFn
                          ) -> RandomVariable:
     """Fully-dynamic certainty equivalent -U^{-1}(E[U(X) | F_t]) for a
     strictly increasing utility with inverse."""
-    k = _depth_at(X.model, t, X)
+    k, _ = X.model.horizon_depths(X, t)
     inner = X.apply(utility.fn).condexp(k)
     return RandomVariable(X.model, k, -utility.inverse_apply(inner.values))
 
@@ -363,8 +356,7 @@ def discounted_wrap(phi: Callable[[RandomVariable, float], RandomVariable],
 
     ``discount`` is an adapted process (its depth(u) layer is used) or a
     random variable at depth(u)."""
-    model = X.model
-    ku = model.depth_of(u)
+    _, ku = X.model.horizon_depths(X, t, u)
     if ku != X.depth:
         raise TimeGridError("X must be measurable exactly at the horizon u")
     if isinstance(discount, AdaptedProcess):
@@ -382,10 +374,8 @@ def longevity_index(rho: Callable[[RandomVariable, float, float], RandomVariable
                     t: float, u: float, v: float, X: RandomVariable
                     ) -> RandomVariable:
     """Horizon-longevity correction gamma(t,u,v,X) = rho_tv(X) - rho_tu(X)
-    for an F_u-measurable X and grid times t <= u <= v."""
-    if not (t <= u <= v):
-        raise TimeGridError(f"need t <= u <= v, got {t}, {u}, {v}")
-    X.model.depth_of(v)
+    for X exactly at depth(u); the contract on (t, v) orders t <= u <= v."""
+    X.model.horizon_depths(X, t, v)
     if X.model.depth_of(u) != X.depth:
         raise TimeGridError("X must be measurable exactly at depth(u)")
     return rho(X, t, v) - rho(X, t, u)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -71,11 +72,26 @@ class FiltrationModel:
         return self.n_steps
 
     def depth_of(self, t: float) -> int:
-        """Map a grid time to its depth index (tolerance 1e-9)."""
-        for k, tk in enumerate(self.times):
-            if abs(tk - t) <= 1e-9:
+        """Map a grid time to its depth index: the first within 1e-9."""
+        lo = bisect_left(self.times, t - 2e-9)
+        for k in range(lo, bisect_right(self.times, t + 2e-9, lo)):
+            if abs(self.times[k] - t) <= 1e-9:
                 return k
         raise TimeGridError(f"time {t} is not on the grid {self.times}")
+
+    def horizon_depths(self, X: "RandomVariable", t: float,
+                       u: float | None = None) -> tuple[int, int]:
+        """Depths (kt, ku) of rho_tu(X) under the one horizon contract: X on
+        this model, t and u grid times, depth(t) <= depth(X) <= depth(u); u
+        defaults to the time of depth(X)."""
+        if X.model is not self:
+            raise TreeStructureError("the position lives on another model")
+        kt = self.depth_of(t)
+        ku = X.depth if u is None else self.depth_of(u)
+        if not kt <= X.depth <= ku:
+            raise TimeGridError(f"need depth(t) <= depth(X) <= depth(u), got "
+                                f"{kt}, {X.depth}, {ku} for t={t}, u={u}")
+        return kt, ku
 
     def dt(self, k: int) -> float:
         return self.times[k + 1] - self.times[k]

@@ -18,10 +18,12 @@ all depth-t nodes at once, each probe averaging U(f(X, m_i)) against the
 rows of the conditional law ``model.cond_matrix``.  Sentinels are enumerated
 values, never floating-point infinities, inside all solver arithmetic; only
 the nodewise (dynamic) results surface them as +-inf markers in the value
-array.  Value-at-Risk is included through its shortfall representation with
-the right-continuous step utility; its conditional quantile is computed by
-exact atom enumeration, not bisection, since the constraint is
-discontinuous.
+array.  Times obey the horizon contract that
+:meth:`FiltrationModel.horizon_depths` checks: depth(t) <= depth(X) <=
+depth(u), u defaulting to the time of depth(X).  Value-at-Risk is included
+through its shortfall representation with the right-continuous step utility;
+its conditional quantile is computed by exact atom enumeration, not
+bisection, since the constraint is discontinuous.
 """
 
 from __future__ import annotations
@@ -324,6 +326,7 @@ def static_shortfall(X: RandomVariable, spec: ShortfallSpec,
     """Generalized shortfall inf{m : E[U_u(f_u(X, m))] >= B_tu} at t = 0."""
     if t != 0.0:
         raise TimeGridError("the static shortfall is evaluated at t = 0")
+    X.model.horizon_depths(X, t, u)
     level, B, start = _problem(X, spec, t, u, X.model.probs(X.depth)[None, :])
     return _single(*_smallest_m(level, B, start, 1))
 
@@ -334,10 +337,8 @@ def dynamic_shortfall(X: RandomVariable, t: float, spec: ShortfallSpec,
     the conditional subtree distributions of all depth-t nodes at once.
     Sentinel outcomes surface as +-inf markers in the returned values."""
     model = X.model
-    kt = model.depth_of(t)
-    if u is not None and model.depth_of(u) < X.depth:
-        raise TimeGridError("horizon u must not precede the depth of X")
-    cond = model.cond_matrix(kt, X.depth)  # TimeGridError if t > depth(X)
+    kt, _ = model.horizon_depths(X, t, u)
+    cond = model.cond_matrix(kt, X.depth)
     level, B, start = _problem(X, spec, t, u, cond)
     values, plus, minus = _smallest_m(level, B, start, len(cond), depth=kt)
     values[plus] = math.inf
@@ -355,7 +356,7 @@ def h_var(X: RandomVariable, t: float, alpha_u: float) -> RandomVariable:
     if not 0.0 < alpha_u < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
     model = X.model
-    kt = model.depth_of(t)
+    kt, _ = model.horizon_depths(X, t)
     cond = model.cond_matrix(kt, X.depth)
     # P(X >= x | node) accumulates over the outcomes in decreasing order
     order = np.argsort(-X.values, kind="stable")
@@ -416,7 +417,7 @@ def acceptance_member(Y: RandomVariable, m, spec: ShortfallSpec, t: float,
     """Nodewise indicator (0/1 values) of E[U_u(f_u(Y, m)) | F_t] >= B_tu,
     i.e. membership of Y in the acceptance set at cash level m."""
     model = Y.model
-    kt = model.depth_of(t)
+    kt, _ = model.horizon_depths(Y, t, u)
     cond = model.cond_matrix(kt, Y.depth)
     m_nodes = np.asarray(m, dtype=float)
     if m_nodes.ndim and m_nodes.shape != (len(cond),):

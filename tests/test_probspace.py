@@ -6,8 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horizonrisk import (AdaptedProcess, BrownianLattice, DomainError,
-                         RandomVariable, ScenarioTree, TimeGridError,
-                         TreeStructureError)
+                         DriverFamily, DualGrid, HorizonSchedule, LinearDriver,
+                         LossSpec, QParams, QuadraticQDriver, RandomVariable,
+                         ScenarioTree, ShortfallSpec, TimeGridError,
+                         TreeStructureError, UtilityFn, acceptance_member,
+                         discounted_wrap, dual_value, dynamic_shortfall,
+                         entropic, g_risk_measure, h_entropic,
+                         hq_entropic_losses, hq_shortfall_spec,
+                         longevity_girsanov, quadratic_transform_solve,
+                         restriction_check, rho_bar, solve_bsde,
+                         solve_family, static_shortfall)
 
 from conftest import random_rv, random_tree
 
@@ -310,3 +318,136 @@ class TestDeepTreeInvariants:
         for k in range(7):
             assert np.all(bigger.condexp(k).values
                           >= X.condexp(k).values - 1e-12)
+
+
+def first_grid_match(times, t):
+    """The linear-scan reference rule of depth_of: the first grid time
+    within 1e-9 of t, or None."""
+    return next((k for k, tk in enumerate(times) if abs(tk - t) <= 1e-9), None)
+
+
+# a terminal of the 4-step lattice handed to routes of an 8-step lattice
+LAT8 = BrownianLattice(8, 1.0)
+FOREIGN = RandomVariable(BrownianLattice(4, 1.0), 4, [1.0, 0.5, 0.0, -0.5, -1.0])
+Q_DRIVER = QuadraticQDriver(0.5, HorizonSchedule.constant(0.2))
+
+
+class TestHorizonContract:
+    def test_depth_of_keeps_the_first_match_rule(self):
+        chain = [(k, k, None if k == 0 else k - 1, 1.0) for k in range(5)]
+        models = [ScenarioTree([0.0, 1e-10, 5e-10, 1.2e-9, 1.0], chain),
+                  BrownianLattice(512, 1.0), BrownianLattice(7, 3e6)]
+        for model in models:
+            ts = model.times
+            probes = [tk + d for tk in ts for d in
+                      (0.0, 1e-9, -1e-9, 1.5e-9, -1.5e-9, 3e-9, -3e-9)]
+            for t in probes + [-1.0, ts[-1] + 1.0, np.nan, np.inf]:
+                want = first_grid_match(ts, t)
+                if want is None:
+                    with pytest.raises(TimeGridError):
+                        model.depth_of(t)
+                else:
+                    assert model.depth_of(t) == want
+
+    def test_depths_and_default_horizon(self):
+        lat = BrownianLattice(4, 1.0)
+        X = lat.constant(1.0, 2)
+        assert lat.horizon_depths(X, 0.25) == (1, 2)
+        assert lat.horizon_depths(X, 0.5, 1.0) == (2, 4)
+        for t, u in [(0.75, None), (0.0, 0.25), (0.37, 1.0), (0.0, 0.37)]:
+            with pytest.raises(TimeGridError):
+                lat.horizon_depths(X, t, u)
+
+    @pytest.mark.parametrize("route", [
+        lambda X: LAT8.horizon_depths(X, 0.0),
+        lambda X: LAT8.constant(0.0, 4) + X,
+        lambda X: solve_bsde(LAT8, Q_DRIVER, X),
+        lambda X: g_risk_measure(LAT8, Q_DRIVER, X, 0.0, 1.0),
+        lambda X: solve_family(LAT8, DriverFamily({1.0: Q_DRIVER}), X, 0.0, 1.0),
+        lambda X: restriction_check(LAT8, Q_DRIVER, 0.0, 0.5, 1.0, X),
+        lambda X: longevity_girsanov(LAT8, LinearDriver.from_constants(c=0.1),
+                                     0.0, 1.0, 1.0, X),
+        lambda X: quadratic_transform_solve(LAT8, 0.5, Q_DRIVER.rate, X, 0.5),
+        lambda X: discounted_wrap(lambda Y, t: entropic(Y, t),
+                                  LAT8.constant(1.0, 4), X, 0.0, 1.0),
+    ], ids=["horizon_depths", "arithmetic", "solve_bsde", "g_risk_measure",
+            "solve_family", "restriction_check", "longevity_girsanov",
+            "quadratic_transform_solve", "discounted_wrap"])
+    def test_foreign_position_rejected(self, route):
+        with pytest.raises(TreeStructureError):
+            route(FOREIGN)
+
+    def test_quadratic_transform_on_its_own_lattice(self):
+        own = quadratic_transform_solve(FOREIGN.model, 0.5, Q_DRIVER.rate,
+                                        FOREIGN, 0.5)
+        np.testing.assert_allclose(own.values, [0.624, 0.130, -0.361],
+                                   atol=1e-3)
+
+    @pytest.mark.parametrize("u", [0.25, 0.37])
+    def test_horizon_before_or_off_the_grid_rejected(self, u):
+        lat = BrownianLattice(4, 1.0)
+        X = RandomVariable(lat, 2, [0.5, -0.2, -1.0])
+        loss = LossSpec(0.1, QParams(q=0.5, alpha_q=0.2))
+        schedule = HorizonSchedule.constant(0.3)
+        spec = hq_shortfall_spec(loss.qparams, 0.1, schedule)
+        coin = ScenarioTree.terminal_atoms([0.5, 0.5], (0.0, 0.5))
+        Y = RandomVariable(coin, 1, [1.0, -1.0])
+        classic = ShortfallSpec.classic(UtilityFn.exp_bounded(1.0), 0.0)
+        for route in (lambda: h_entropic(X, 0.0, u, 1.0, schedule),
+                      lambda: hq_entropic_losses(X, 0.0, u, loss, schedule),
+                      lambda: static_shortfall(X, spec, u=u),
+                      lambda: acceptance_member(X, 0.0, spec, 0.0, u),
+                      lambda: dual_value(Y, classic, DualGrid.simplex(2, 0.5),
+                                         u=u),
+                      lambda: rho_bar(0.0, Y, classic, u=u)):
+            with pytest.raises(TimeGridError):
+                route()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_routes_agree_on_which_calls_are_valid(self, data):
+        """The hq-entropic measure on losses by its closed form, the
+        q-quadratic BSDE and the h-generalized shortfall either all return or
+        all raise TimeGridError; valid calls agree in value where the routes
+        are exact.  The static shortfall joins the routes at t = 0."""
+        n = data.draw(st.integers(2, 12))
+        lat = BrownianLattice(n, 1.0)
+        dx = data.draw(st.integers(0, n))
+        times = st.sampled_from(lat.times + (0.37,))
+        t, u = data.draw(times), data.draw(times)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        X = RandomVariable(lat, dx, rng.uniform(-1.0, 1.0, dx + 1))
+        loss = LossSpec(data.draw(st.floats(0.0, 1.0)),
+                        QParams(q=data.draw(st.floats(0.3, 1.0)),
+                                alpha_q=data.draw(st.floats(0.0, 0.5))))
+        schedule = HorizonSchedule.constant(data.draw(st.floats(0.0, 0.4)))
+        spec = hq_shortfall_spec(loss.qparams, loss.beta, schedule)
+        losses = -((X + loss.beta).neg_part() + loss.qparams.alpha_q)
+        driver = QuadraticQDriver(loss.qparams.q, schedule)
+        routes = {
+            "h_entropic": lambda: h_entropic(X, t, u, 1.0, schedule),
+            "closed_form": lambda: hq_entropic_losses(X, t, u, loss, schedule),
+            "bsde": lambda: g_risk_measure(lat, driver, losses, t, u),
+            "dynamic": lambda: dynamic_shortfall(X, t, spec, u),
+            "acceptance": lambda: acceptance_member(X, 0.0, spec, t, u),
+        }
+        if t == 0.0:
+            routes["static"] = lambda: static_shortfall(X, spec, u=u)
+        outcomes = {}
+        for name, route in routes.items():
+            try:
+                outcomes[name] = route()
+            except TimeGridError:
+                outcomes[name] = None
+        valid = {name: out is not None for name, out in outcomes.items()}
+        assert len(set(valid.values())) == 1, valid
+        if not valid["closed_form"]:
+            return
+        closed = outcomes["closed_form"].values
+        np.testing.assert_allclose(outcomes["dynamic"].values, closed,
+                                   rtol=0.0, atol=1e-7)
+        if "static" in outcomes:
+            assert outcomes["static"] == pytest.approx(closed[0], abs=1e-7)
+        for shift, member in ((1e-6, 1.0), (-1e-6, 0.0)):
+            accepted = acceptance_member(X, closed + shift, spec, t, u)
+            assert np.all(accepted.values == member)
