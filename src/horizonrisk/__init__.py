@@ -22,8 +22,7 @@ from .measures import (HorizonSchedule, LossSpec, QMonotonicityReport,
                        monotone_in_q_check, q_entropic_losses)
 from .bsde import (BsdeSolution, Driver, DriverFamily,
                    GenericLipschitzDriver, LinearDriver, QuadraticQDriver,
-                   RestrictionReport, g_risk_measure, lipschitz_slack,
-                   longevity_girsanov, one_step_residuals,
+                   g_risk_measure, longevity_girsanov,
                    quadratic_transform_solve, restriction_check, solve_bsde,
                    solve_family)
 from .shortfall import (AggregatorFn, CeEquivalenceReport, ExtendedReal,

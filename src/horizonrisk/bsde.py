@@ -16,16 +16,17 @@ depth at which X resolves, Y stays measurable there and Z vanishes, so those
 steps reduce to the per-node recursion Y_j = Y_{j+1} + g(t_j, Y_j, 0) dt;
 this is how horizon-longevity gaps are produced.
 
-Quadratic q-type drivers additionally admit the exact generalized-log
-transform (:func:`quadratic_transform_solve`), so the direct backward scheme
-can be validated against a closed form instead of trusted.
+Quadratic q-type drivers with q = 1 or a zero rate additionally admit the
+exact generalized-log transform (:func:`quadratic_transform_solve`), so the
+direct backward scheme can be validated against a closed form instead of
+trusted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,8 +40,7 @@ __all__ = [
     "GenericLipschitzDriver", "LinearDriver", "QuadraticQDriver", "Driver",
     "DriverFamily", "BsdeSolution", "solve_bsde", "g_risk_measure",
     "solve_family", "quadratic_transform_solve", "longevity_girsanov",
-    "restriction_check", "RestrictionReport", "lipschitz_slack",
-    "one_step_residuals",
+    "restriction_check",
 ]
 
 _FP_MAX_ITER = 100
@@ -114,20 +114,6 @@ class QuadraticQDriver:
 Driver = GenericLipschitzDriver | LinearDriver | QuadraticQDriver
 
 
-def lipschitz_slack(driver, rng: np.random.Generator) -> float:
-    """Worst violation of |g(t,y1,z1)-g(t,y2,z2)| <= C(|dy|+|dz|) on 200
-    points sampled with t in [0, 1] and y, z in [-5, 5]; <= 0 means the
-    declared constant held on the sample."""
-    worst = -math.inf
-    C = driver.lipschitz_constant
-    for _ in range(200):
-        t = float(rng.uniform(0.0, 1.0))
-        y1, y2, z1, z2 = rng.uniform(-5.0, 5.0, size=4)
-        lhs = abs(float(driver(t, y1, z1)) - float(driver(t, y2, z2)))
-        worst = max(worst, lhs - C * (abs(y1 - y2) + abs(z1 - z2)))
-    return worst
-
-
 class DriverFamily:
     """Horizon-indexed drivers u -> g_u over grid horizons."""
 
@@ -135,11 +121,6 @@ class DriverFamily:
         if not members:
             raise ConfigurationError("driver family needs at least one member")
         self._members = {float(u): g for u, g in members.items()}
-
-    @classmethod
-    def from_callable(cls, horizons: Sequence[float],
-                      builder: Callable[[float], Driver]) -> "DriverFamily":
-        return cls({u: builder(u) for u in horizons})
 
     @property
     def horizons(self) -> tuple[float, ...]:
@@ -150,21 +131,6 @@ class DriverFamily:
             if abs(h - u) <= 1e-9:
                 return g
         raise TimeGridError(f"horizon {u} not in the family grid {self.horizons}")
-
-    def monotonicity_slack(self, rng: np.random.Generator) -> float:
-        """Worst violation of g_u <= g_v (u <= v) over 100 sampled (t, y, z)
-        per horizon pair, y and z in [-3, 3]; <= 0 supports a family
-        increasing in the horizon."""
-        hs = self.horizons
-        worst = -math.inf
-        for u, v in zip(hs, hs[1:]):
-            gu, gv = self.driver_at(u), self.driver_at(v)
-            for _ in range(100):
-                t = float(rng.uniform(0.0, u))
-                y, z = rng.uniform(-3.0, 3.0, size=2)
-                worst = max(worst, float(gu(t, y, z)) - float(gv(t, y, z)))
-        return worst
-
 
 @dataclass(frozen=True)
 class BsdeSolution:
@@ -259,20 +225,6 @@ def solve_bsde(lattice: BrownianLattice, driver, terminal: RandomVariable
     )
 
 
-def one_step_residuals(solution: BsdeSolution, driver) -> np.ndarray:
-    """Max per-depth scheme residual |Y_k - E[Y_{k+1}|F_k] - g dt|."""
-    lat = solution.model
-    out = np.zeros(solution.Y.horizon_depth)
-    for k in range(solution.Y.horizon_depth):
-        y_next = solution.Y.layers[k + 1]
-        y = solution.Y.layers[k]
-        z = solution.Z.layers[k]
-        res = y - lat.step_expectation(y_next, k) \
-            - np.asarray(driver(lat.times[k], y, z), float) * lat.dt(k)
-        out[k] = float(np.max(np.abs(res)))
-    return out
-
-
 def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,
                    t: float, u: float) -> RandomVariable:
     """rho_tu(X): the Y-component at depth(t) of the BSDE with terminal -X
@@ -295,32 +247,42 @@ def quadratic_transform_solve(lattice: BrownianLattice, q: float,
                               schedule: HorizonSchedule,
                               terminal: RandomVariable,
                               t: float = 0.0) -> RandomVariable:
-    """Exact solution of the quadratic q-driver BSDE via the generalized-log
-    martingale transform:
+    """The generalized-log martingale transform
 
         Y_t = ln_q E[exp_q(terminal + A(t, u)) | F_t],
 
-    with u the grid time of the terminal depth.  Cross-validates the direct
-    backward scheme for :class:`QuadraticQDriver`."""
+    with u the grid time of the terminal depth.  It is the exact solution
+    of the :class:`QuadraticQDriver` BSDE only for q = 1 or a zero rate,
+    where it cross-validates the direct backward scheme.  For q < 1 it
+    solves the BSDE whose rate term is a(t) E_t[exp_q(.)^q] / E_t[exp_q(.)]^q
+    instead, at most a(t) by Jensen, so the q-driver BSDE lies above it."""
     kt, ku = lattice.horizon_depths(terminal, t)
     A = schedule.integral(t, lattice.times[ku])
     return _ln_q_mean(terminal + A, kt, q)
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
-    passed: bool
-    max_gap: float
-
-
 def restriction_check(lattice: BrownianLattice, driver, t: float, u: float,
-                      v: float, X: RandomVariable) -> RestrictionReport:
-    """Whether rho_tu(X) == rho_tv(X) nodewise for the F_u-measurable X;
-    holds exactly (in the scheme too) iff g(., y, 0) vanishes."""
+                      v: float, X: RandomVariable) -> float:
+    """Largest nodewise gap |rho_tv(X) - rho_tu(X)| for the F_u-measurable
+    X; restriction holds, exactly and in the scheme too, iff g(., y, 0)
+    vanishes."""
     rho_u = g_risk_measure(lattice, driver, X, t, u)
     rho_v = g_risk_measure(lattice, driver, X, t, v)
-    gap = float(np.max(np.abs(rho_v.values - rho_u.values)))
-    return RestrictionReport(passed=bool(gap <= 1e-9), max_gap=gap)
+    return float(np.max(np.abs(rho_v.values - rho_u.values)))
+
+
+def _discounted_integral(mu: StepFunction, c: StepFunction, u: float,
+                         v: float) -> float:
+    """int_u^v exp(int_u^r mu) c(r) dr, exact piece by piece on the merged
+    breakpoints of mu and c."""
+    cuts = sorted({u, v}.union(b for b in mu.breakpoints + c.breakpoints
+                               if u < b < v))
+    total = growth = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        m, h = mu(a), b - a
+        total += math.exp(growth) * c(a) * (math.expm1(m * h) / m if m else h)
+        growth += m * h
+    return total
 
 
 def longevity_girsanov(lattice: BrownianLattice, driver: LinearDriver,
@@ -331,16 +293,20 @@ def longevity_girsanov(lattice: BrownianLattice, driver: LinearDriver,
     Returns ``(gamma_direct, gamma_formula)`` at depth(t):
 
     * direct: :func:`longevity_index` of the driver's g-expectation;
-    * formula: the premium-measure representation
-      E_Q[ exp(int_t^v mu) * int_u^v g(s, -X, 0) ds | F_t ] where Q tilts the
-      lattice by the discrete Girsanov density built from nu (per-step
-      factors exp(nu dB - nu^2 dt / 2), each normalized to conditional
-      mean one, which keeps the lattice recombining and the total density
-      mean exactly one).
+    * formula: the difference of the exact linear-BSDE solutions at the
+      horizons v and u (El Karoui, Peng & Quenez, *Math. Finance* 7, 1997),
+
+          exp(int_t^u mu) E_Q[ -X (exp(int_u^v mu) - 1)
+                               + int_u^v exp(int_u^r mu) c(r) dr | F_t ],
+
+      where Q tilts the lattice by the discrete Girsanov density built from
+      nu (per-step factors exp(nu dB - nu^2 dt / 2), each normalized to
+      conditional mean one, which keeps the lattice recombining and the
+      total density mean exactly one).
 
     For a linear driver the y- and z-difference quotients are the exact
-    coefficients mu and nu, and exp(int mu) is deterministic, so it factors
-    out of the conditional expectation."""
+    coefficients mu and nu, and the mu and c terms are deterministic, so
+    they factor out of the conditional expectation."""
     if not isinstance(driver, LinearDriver):
         raise ConfigurationError(
             "the Girsanov longevity formula is implemented for linear "
@@ -350,9 +316,10 @@ def longevity_girsanov(lattice: BrownianLattice, driver: LinearDriver,
         lambda Y, s, h: g_risk_measure(lattice, driver, Y, s, h), t, u, v, X)
     kt, ku = lattice.depth_of(t), X.depth
 
-    # integrand int_u^v g(s, -X, 0) ds = -X * int_u^v mu + int_u^v c
-    integrand = -driver.mu.integral(u, v) * X.values + driver.c.integral(u, v)
-    weight = math.exp(driver.mu.integral(t, v))
+    mu, c = driver.mu, driver.c
+    integrand = (-math.expm1(mu.integral(u, v)) * X.values
+                 + _discounted_integral(mu, c, u, v))
+    weight = math.exp(mu.integral(t, u))
     tilted = lattice.tilted(driver.nu)
     formula_vals = weight * tilted.cond_expectation(integrand, ku, kt)
     return direct, RandomVariable(lattice, kt, formula_vals)

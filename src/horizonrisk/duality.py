@@ -17,8 +17,9 @@ keeps the sub-bracket where the level E_P U(f(y*, m)) first reaches B.  The
 reported c_min is the smallest dual value evaluated, an upper bound of the
 primal, so weak duality dual_value <= static_shortfall holds by
 construction.  An infeasible acceptance set (level below B at
-lambda = 1e12) yields MINUS_INF.  All computations are static (t = 0), and
-spaces are capped at 6 atoms.
+lambda = 1e12) yields MINUS_INF.  All computations are static: they take
+their problem from :func:`shortfall._static_problem`, which requires
+depth(t) = 0, and the Lagrangian routes are capped at 6 atoms.
 
 Box rules: :func:`c_min` solves the boxes G and 2G as two rows of one batch
 and reports PLUS_INF when the value grows with the box; :func:`_risk_map_batch`
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import SpecificationError, TimeGridError
 from .probspace import FiltrationModel, RandomVariable
 from .shortfall import (_BISECT_TOL, _BRACKET_CAP, ExtendedReal, RiskSentinel,
-                        ShortfallSpec, _single, _smallest_m)
+                        ShortfallSpec, _single, _smallest_m, _static_problem)
 
 __all__ = [
     "DualGrid", "DualReport", "c_min", "c_min_bruteforce", "risk_map_R",
@@ -111,33 +112,21 @@ class DualGrid:
 # problem data extraction
 # ---------------------------------------------------------------------------
 
-def _static_problem(spec: ShortfallSpec, model: FiltrationModel, t: float,
-                    u: float | None, depth: int | None = None,
-                    atom_cap: bool = True, require_concave: bool = False):
-    if t != 0.0:
-        raise TimeGridError("dual computations are static (t = 0)")
-    if depth is None:
-        depth = model.terminal_depth
-    if atom_cap and model.num_nodes(depth) > _MAX_ATOMS:
+def _dual_problem(spec: ShortfallSpec, model: FiltrationModel, t: float,
+                  u: float | None):
+    """The static problem on the terminal atoms where the Lagrangian dual
+    applies: at most _MAX_ATOMS atoms and U(f(y, m)) concave in y."""
+    problem = _static_problem(spec, model, model.terminal_depth, t, u)
+    if model.num_nodes(model.terminal_depth) > _MAX_ATOMS:
         raise SpecificationError(
             f"dual computations are capped at {_MAX_ATOMS} atoms"
         )
-    if u is None:
-        u = model.times[depth]
-    if require_concave and spec.concavity_slack(t, u) > 1e-9:
+    if spec.concavity_slack(t, model.horizon if u is None else u) > 1e-9:
         raise SpecificationError(
             "unsupported: U(f(y, m)) is not concave in y, so the Lagrangian "
             "dual of c_min does not apply"
         )
-    U = spec.utility_at(u)
-    f = spec.aggregator_at(t, u)
-    B = spec.target_at(t, u)
-    p = model.probs(depth)
-
-    def uf(y, m):
-        return U(f(y, m))
-
-    return p, uf, B
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +200,7 @@ def c_min(m: float, Q: np.ndarray, spec: ShortfallSpec,
     grows with the box (unbounded transfer along a mismatched atom).  The
     independent check is :func:`c_min_bruteforce`, run from outside."""
     Q = np.asarray(Q, dtype=float)
-    p, uf, B = _static_problem(spec, model, t, u, require_concave=True)
+    p, uf, B = _dual_problem(spec, model, t, u)
     if Q.shape != p.shape:
         raise SpecificationError("Q must be a probability vector on the atoms")
     (v1, v2), (bad1, _) = _cmin_batch(np.array([m, m]), np.stack((Q, Q)), p,
@@ -238,7 +227,7 @@ def c_min_bruteforce(m: float, Q: np.ndarray, spec: ShortfallSpec,
     the lower box edge signals an unbounded transfer and returns PLUS_INF
     (the value grows with the box)."""
     Q = np.asarray(Q, dtype=float)
-    p, uf, B = _static_problem(spec, model, t, u)
+    p, uf, B = _static_problem(spec, model, model.terminal_depth, t, u)
     n = len(p)
     if n > 3:
         raise SpecificationError("the grid oracle is limited to 3 atoms")
@@ -381,7 +370,7 @@ def risk_map_R(x: float, Q: np.ndarray, spec: ShortfallSpec,
     MINUS_INF too, by the rule of :func:`_risk_map_batch` that
     :func:`dual_value` shares."""
     Q = np.asarray(Q, dtype=float)
-    p, uf, B = _static_problem(spec, model, t, u, require_concave=True)
+    p, uf, B = _dual_problem(spec, model, t, u)
     x_arr = np.array([float(x)])
     return _single(*_risk_map_batch(x_arr, Q[None, :], p, uf, B))
 
@@ -407,8 +396,7 @@ def dual_value(X: RandomVariable, spec: ShortfallSpec, grid: DualGrid,
     model = X.model
     if X.depth != model.terminal_depth:
         raise TimeGridError("dual evaluation expects a terminal-depth X")
-    model.horizon_depths(X, t, u)
-    p, uf, B = _static_problem(spec, model, t, u, require_concave=True)
+    p, uf, B = _dual_problem(spec, model, t, u)
     Q = grid.measures
     if grid.n_atoms != len(p):
         raise SpecificationError("grid atom count does not match the model")
@@ -434,9 +422,7 @@ def rho_bar(m: float, X: RandomVariable, spec: ShortfallSpec,
     """Cash additive member rho_bar_m(X) = inf{ k : k + X in A^m } of the
     family associated with the quasi-convex measure; decreasing in m, with
     rho_bar_{m+d}(X) <= rho_bar_m(X) - d under cash subadditivity."""
-    X.model.horizon_depths(X, t, u)
-    p, uf, B = _static_problem(spec, X.model, t, u, depth=X.depth,
-                               atom_cap=False)
+    p, uf, B = _static_problem(spec, X.model, X.depth, t, u)
     xvals = X.values[None, :]
 
     def constraint(k: np.ndarray) -> np.ndarray:

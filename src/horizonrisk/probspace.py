@@ -4,9 +4,9 @@ node-indexed random variables and adapted processes.
 Two model families share one interface:
 
 * :class:`ScenarioTree` -- a general finite tree with explicit nodes, one
-  parent per node and positive branch probabilities.  Supports JSON
-  round-trips and measure changes.  Intended for small hand-built or
-  randomly generated examples (depth <= 6).
+  parent per node and positive branch probabilities; ``to_json_dict`` and
+  ``from_json_dict`` map it to and from its JSON schema.  Intended for
+  small hand-built or randomly generated examples (depth <= 6).
 * :class:`BrownianLattice` -- a recombining binomial lattice discretizing a
   one-dimensional Brownian motion, stored compactly (k+1 states at depth k)
   so that fine grids (N = 64 and beyond) stay cheap.
@@ -22,7 +22,6 @@ layer per depth up to a horizon.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Sequence
@@ -32,7 +31,6 @@ import numpy as np
 from .errors import DomainError, TimeGridError, TreeStructureError
 
 _PROB_TOL = 1e-12
-_DENSITY_MEAN_TOL = 1e-10
 
 
 def _check_times(times: Sequence[float]) -> tuple[float, ...]:
@@ -86,11 +84,17 @@ class FiltrationModel:
         defaults to the time of depth(X)."""
         if X.model is not self:
             raise TreeStructureError("the position lives on another model")
+        return self._depths(X.depth, t, u)
+
+    def _depths(self, depth: int, t: float,
+                u: float | None) -> tuple[int, int]:
+        """The time rule of :meth:`horizon_depths` for a position at
+        ``depth`` on this model."""
         kt = self.depth_of(t)
-        ku = X.depth if u is None else self.depth_of(u)
-        if not kt <= X.depth <= ku:
+        ku = depth if u is None else self.depth_of(u)
+        if not kt <= depth <= ku:
             raise TimeGridError(f"need depth(t) <= depth(X) <= depth(u), got "
-                                f"{kt}, {X.depth}, {ku} for t={t}, u={u}")
+                                f"{kt}, {depth}, {ku} for t={t}, u={u}")
         return kt, ku
 
     def dt(self, k: int) -> float:
@@ -289,9 +293,6 @@ class ScenarioTree(FiltrationModel):
             })
         return {"times": list(self.times), "nodes": nodes}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScenarioTree":
         nodes = [
@@ -299,10 +300,6 @@ class ScenarioTree(FiltrationModel):
             for nd in data["nodes"]
         ]
         return cls(data["times"], nodes)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioTree":
-        return cls.from_json_dict(json.loads(text))
 
     @classmethod
     def terminal_atoms(cls, probabilities: Sequence[float],
@@ -337,36 +334,6 @@ class ScenarioTree(FiltrationModel):
             frontier = new_frontier
         return cls(times, nodes)
 
-    def change_measure(self, density: "RandomVariable") -> "ScenarioTree":
-        """Reweight branch probabilities with a positive terminal density of
-        mean one, realizing an equivalent measure dQ/dP on the tree.
-
-        The terminal cumulative probabilities of the returned tree equal
-        P(omega) * density(omega); the node layout is unchanged.
-        """
-        if density.model is not self:
-            raise TreeStructureError("density must live on this tree")
-        if density.depth != self.terminal_depth:
-            raise TreeStructureError("density must be terminal-depth measurable")
-        dens = np.asarray(density.values, dtype=float)
-        if np.any(dens <= 0.0):
-            raise DomainError("density must be strictly positive")
-        mean = float(np.dot(self.probs(self.terminal_depth), dens))
-        if abs(mean - 1.0) > _DENSITY_MEAN_TOL:
-            raise DomainError(f"density mean {mean!r} differs from 1 beyond 1e-10")
-        n = len(self._depth)
-        new_cum = np.zeros(n)
-        term_ids = self._slots[self.terminal_depth]
-        new_cum[term_ids] = self.probs(self.terminal_depth) * dens / mean
-        for k in range(self.terminal_depth, 0, -1):
-            ids = self._slots[k]
-            np.add.at(new_cum, self._parent[ids], new_cum[ids])
-        nodes: list[tuple[int, int, int | None, float]] = [(0, 0, None, 1.0)]
-        for i in range(1, n):
-            p = new_cum[i] / new_cum[self._parent[i]]
-            nodes.append((i, int(self._depth[i]), int(self._parent[i]), float(p)))
-        return ScenarioTree(self.times, nodes)
-
 
 class BrownianLattice(FiltrationModel):
     """Recombining binomial discretization of a 1-d Brownian motion.
@@ -385,8 +352,7 @@ class BrownianLattice(FiltrationModel):
         if horizon <= 0:
             raise TimeGridError("horizon must be positive")
         self.times = tuple(horizon * k / n_steps for k in range(n_steps + 1))
-        self._dt = horizon / n_steps
-        self._sqdt = math.sqrt(self._dt)
+        self._sqdt = math.sqrt(horizon / n_steps)
         if up_probs is None:
             self._up = np.full(n_steps, 0.5)
         else:
@@ -395,14 +361,6 @@ class BrownianLattice(FiltrationModel):
                 raise TreeStructureError("up_probs must have one entry per step")
             if np.any(self._up <= 0.0) or np.any(self._up >= 1.0):
                 raise TreeStructureError("up probabilities must lie in (0, 1)")
-
-    @property
-    def step_dt(self) -> float:
-        return self._dt
-
-    @property
-    def sqrt_dt(self) -> float:
-        return self._sqdt
 
     def num_nodes(self, depth: int) -> int:
         self._check_depth(depth)

@@ -20,10 +20,13 @@ values, never floating-point infinities, inside all solver arithmetic; only
 the nodewise (dynamic) results surface them as +-inf markers in the value
 array.  Times obey the horizon contract that
 :meth:`FiltrationModel.horizon_depths` checks: depth(t) <= depth(X) <=
-depth(u), u defaulting to the time of depth(X).  Value-at-Risk is included
-through its shortfall representation with the right-continuous step utility;
-its conditional quantile is computed by exact atom enumeration, not
-bisection, since the constraint is discontinuous.
+depth(u), u defaulting to the time of depth(X).  The static problems, the
+static shortfall here and the dual quantities of :mod:`.duality`, add
+depth(t) = 0 and are built in one place, :func:`_static_problem`.
+Value-at-Risk is included through its shortfall representation with the
+right-continuous step utility; its conditional quantile is computed by
+exact atom enumeration, not bisection, since the constraint is
+discontinuous.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, SpecificationError, TimeGridError
 from .measures import HorizonSchedule, UtilityFn
-from .probspace import RandomVariable
+from .probspace import FiltrationModel, RandomVariable
 from .qcalculus import QParams, exp_q, exp_q_extended
 
 __all__ = [
@@ -321,13 +324,28 @@ def _problem(X: RandomVariable, spec: ShortfallSpec, t: float,
             B, _bracket_start(X, U, B))
 
 
+def _static_problem(spec: ShortfallSpec, model: FiltrationModel, depth: int,
+                    t: float, u: float | None):
+    """(p, uf, B_tu) of the static problem for a position at ``depth``: the
+    atom probabilities, uf(y, m) = U_u(f_tu(y, m)) and the target.  t and u
+    obey the horizon contract, and the static rule depth(t) = 0 holds; u,
+    passed to the spec as given, defaults to the time of ``depth``."""
+    kt, _ = model._depths(depth, t, u)
+    if kt != 0:
+        raise TimeGridError(f"the static problem needs depth(t) = 0, got "
+                            f"{kt} for t={t}")
+    if u is None:
+        u = model.times[depth]
+    U, f = spec.utility_at(u), spec.aggregator_at(t, u)
+    return model.probs(depth), lambda y, m: U(f(y, m)), spec.target_at(t, u)
+
+
 def static_shortfall(X: RandomVariable, spec: ShortfallSpec,
                      u: float | None = None, t: float = 0.0) -> ExtendedReal:
-    """Generalized shortfall inf{m : E[U_u(f_u(X, m))] >= B_tu} at t = 0."""
-    if t != 0.0:
-        raise TimeGridError("the static shortfall is evaluated at t = 0")
-    X.model.horizon_depths(X, t, u)
-    level, B, start = _problem(X, spec, t, u, X.model.probs(X.depth)[None, :])
+    """Generalized shortfall inf{m : E[U_u(f_u(X, m))] >= B_tu} at a t of
+    depth 0."""
+    p, _, _ = _static_problem(spec, X.model, X.depth, t, u)
+    level, B, start = _problem(X, spec, t, u, p[None, :])
     return _single(*_smallest_m(level, B, start, 1))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from horizonrisk import (AdaptedProcess, BrownianLattice, DomainError,
                          LossSpec, QParams, QuadraticQDriver, RandomVariable,
                          ScenarioTree, ShortfallSpec, TimeGridError,
                          TreeStructureError, UtilityFn, acceptance_member,
-                         discounted_wrap, dual_value, dynamic_shortfall,
-                         entropic, g_risk_measure, h_entropic,
-                         hq_entropic_losses, hq_shortfall_spec,
+                         c_min, c_min_bruteforce, discounted_wrap, dual_value,
+                         dynamic_shortfall, entropic, g_risk_measure,
+                         h_entropic, hq_entropic_losses, hq_shortfall_spec,
                          longevity_girsanov, quadratic_transform_solve,
-                         restriction_check, rho_bar, solve_bsde,
+                         restriction_check, rho_bar, risk_map_R, solve_bsde,
                          solve_family, static_shortfall)
 
 from conftest import random_rv, random_tree
@@ -139,58 +140,10 @@ class TestConditionalLaw:
             BrownianLattice(4, 1.0).cond_matrix(3, 1)
 
 
-class TestChangeMeasure:
-    def test_identity_density(self, two_atom):
-        dens = two_atom.constant(1.0, 1)
-        reweighted = two_atom.change_measure(dens)
-        np.testing.assert_allclose(reweighted.probs(1), two_atom.probs(1),
-                                   atol=1e-14)
-
-    def test_two_atom_reweighting(self, two_atom):
-        dens = RandomVariable(two_atom, 1, [1.5, 0.5])
-        q = two_atom.change_measure(dens)
-        np.testing.assert_allclose(q.probs(1), [0.75, 0.25], atol=1e-14)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_reweighted_expectation_identity(self, seed):
-        tree = random_tree(seed, depth=4)
-        rng = np.random.default_rng(seed + 50)
-        n = tree.num_nodes(4)
-        raw = rng.uniform(0.2, 2.0, n)
-        raw /= np.dot(tree.probs(4), raw)
-        dens = RandomVariable(tree, 4, raw)
-        q = tree.change_measure(dens)
-        X = random_rv(tree, seed + 60)
-        assert np.dot(q.probs(4), X.values) == pytest.approx(
-            np.dot(tree.probs(4), raw * X.values), abs=1e-12)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_reciprocal_density_round_trip(self, seed):
-        tree = random_tree(seed, depth=3)
-        rng = np.random.default_rng(seed + 5)
-        raw = rng.uniform(0.5, 1.5, tree.num_nodes(3))
-        raw /= np.dot(tree.probs(3), raw)
-        q = tree.change_measure(RandomVariable(tree, 3, raw))
-        recip = 1.0 / raw
-        recip /= np.dot(q.probs(3), recip)
-        back = q.change_measure(RandomVariable(q, 3, recip))
-        for k in range(1, 4):
-            np.testing.assert_allclose(back.probs(k), tree.probs(k),
-                                       atol=1e-10)
-
-    def test_rejects_non_positive_density(self, two_atom):
-        with pytest.raises(DomainError):
-            two_atom.change_measure(RandomVariable(two_atom, 1, [2.0, 0.0]))
-
-    def test_rejects_wrong_mean(self, two_atom):
-        with pytest.raises(DomainError):
-            two_atom.change_measure(RandomVariable(two_atom, 1, [1.5, 0.6]))
-
-
 class TestBrownianLattice:
     def test_increment_moments_exact(self):
         lat = BrownianLattice(16, 2.0)
-        dt = lat.step_dt
+        dt = lat.dt(0)
         for k in (0, 5, 15):
             b_next = lat.brownian(k + 1)
             b_here = lat.brownian(k)
@@ -206,14 +159,14 @@ class TestBrownianLattice:
             b = lat.brownian(k)
             w = lat.probs(k)
             assert np.dot(w, b) == pytest.approx(0.0, abs=1e-14)
-            assert np.dot(w, b ** 2) == pytest.approx(k * lat.step_dt,
+            assert np.dot(w, b ** 2) == pytest.approx(k * lat.dt(0),
                                                       abs=1e-12)
 
     def test_step_z_is_discrete_gradient(self):
         lat = BrownianLattice(8, 1.0)
         vals = lat.brownian(3) ** 2
         z = lat.step_z(vals, 2)
-        manual = (vals[1:] - vals[:-1]) / (2.0 * lat.sqrt_dt)
+        manual = (vals[1:] - vals[:-1]) / (2.0 * math.sqrt(lat.dt(2)))
         np.testing.assert_allclose(z, manual, atol=1e-13)
 
     def test_lifting_is_rejected(self):
@@ -239,17 +192,11 @@ class TestJsonRoundTrip:
         data = tree.to_json_dict()
         assert set(data) == {"times", "nodes"}
         assert set(data["nodes"][0]) == {"id", "depth", "parent", "p"}
-        clone = ScenarioTree.from_json(tree.to_json())
+        clone = ScenarioTree.from_json_dict(json.loads(json.dumps(data)))
         assert clone.times == tree.times
         for k in range(4):
             np.testing.assert_allclose(clone.probs(k), tree.probs(k),
                                        atol=0.0)
-
-    def test_round_trip_through_text(self, two_atom):
-        text = two_atom.to_json()
-        parsed = json.loads(text)
-        clone = ScenarioTree.from_json_dict(parsed)
-        np.testing.assert_allclose(clone.probs(1), [0.5, 0.5])
 
 
 class TestRandomVariableArithmetic:
@@ -332,6 +279,25 @@ FOREIGN = RandomVariable(BrownianLattice(4, 1.0), 4, [1.0, 0.5, 0.0, -0.5, -1.0]
 Q_DRIVER = QuadraticQDriver(0.5, HorizonSchedule.constant(0.2))
 
 
+# the dual routes' coin resolves at 0.5, after a sure first step to 0.25
+COIN = ScenarioTree([0.0, 0.25, 0.5], [(0, 0, None, 1.0), (1, 1, 0, 1.0),
+                                       (2, 2, 1, 0.5), (3, 2, 1, 0.5)])
+COIN_Y = RandomVariable(COIN, 2, [1.0, -1.0])
+CLASSIC = ShortfallSpec.classic(UtilityFn.exp_bounded(1.0), 0.0)
+HALF = np.array([0.5, 0.5])
+# the static problems as functions of (t, u)
+STATIC_ROUTES = {
+    "static_shortfall": lambda t, u: static_shortfall(COIN_Y, CLASSIC, u, t),
+    "c_min": lambda t, u: c_min(0.2, HALF, CLASSIC, COIN, t, u),
+    "c_min_bruteforce": lambda t, u: c_min_bruteforce(0.2, HALF, CLASSIC,
+                                                      COIN, t, u),
+    "risk_map_R": lambda t, u: risk_map_R(-0.1, HALF, CLASSIC, COIN, t, u),
+    "dual_value": lambda t, u: dual_value(
+        COIN_Y, CLASSIC, DualGrid.simplex(2, 0.5), t, u).value,
+    "rho_bar": lambda t, u: rho_bar(0.2, COIN_Y, CLASSIC, t, u),
+}
+
+
 class TestHorizonContract:
     def test_depth_of_keeps_the_first_match_rule(self):
         chain = [(k, k, None if k == 0 else k - 1, 1.0) for k in range(5)]
@@ -383,25 +349,30 @@ class TestHorizonContract:
         np.testing.assert_allclose(own.values, [0.624, 0.130, -0.361],
                                    atol=1e-3)
 
-    @pytest.mark.parametrize("u", [0.25, 0.37])
+    @pytest.mark.parametrize("u", [0.25, 0.37, 5.0])
     def test_horizon_before_or_off_the_grid_rejected(self, u):
+        """u before depth(X), off the grid and beyond the horizon."""
         lat = BrownianLattice(4, 1.0)
         X = RandomVariable(lat, 2, [0.5, -0.2, -1.0])
         loss = LossSpec(0.1, QParams(q=0.5, alpha_q=0.2))
         schedule = HorizonSchedule.constant(0.3)
         spec = hq_shortfall_spec(loss.qparams, 0.1, schedule)
-        coin = ScenarioTree.terminal_atoms([0.5, 0.5], (0.0, 0.5))
-        Y = RandomVariable(coin, 1, [1.0, -1.0])
-        classic = ShortfallSpec.classic(UtilityFn.exp_bounded(1.0), 0.0)
-        for route in (lambda: h_entropic(X, 0.0, u, 1.0, schedule),
-                      lambda: hq_entropic_losses(X, 0.0, u, loss, schedule),
-                      lambda: static_shortfall(X, spec, u=u),
-                      lambda: acceptance_member(X, 0.0, spec, 0.0, u),
-                      lambda: dual_value(Y, classic, DualGrid.simplex(2, 0.5),
-                                         u=u),
-                      lambda: rho_bar(0.0, Y, classic, u=u)):
+        routes = [lambda: h_entropic(X, 0.0, u, 1.0, schedule),
+                  lambda: hq_entropic_losses(X, 0.0, u, loss, schedule),
+                  lambda: static_shortfall(X, spec, u=u),
+                  lambda: acceptance_member(X, 0.0, spec, 0.0, u)]
+        for route in routes + [lambda r=r: r(0.0, u)
+                               for r in STATIC_ROUTES.values()]:
             with pytest.raises(TimeGridError):
                 route()
+
+    @pytest.mark.parametrize("route", STATIC_ROUTES.values(),
+                             ids=STATIC_ROUTES.keys())
+    def test_static_rule_is_depth_zero(self, route):
+        """The static problems take any t of depth 0 and no other."""
+        assert route(1e-12, None) == route(0.0, None)
+        with pytest.raises(TimeGridError):
+            route(0.25, None)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(st.data())

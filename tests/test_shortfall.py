@@ -278,6 +278,26 @@ class TestHqShortfallSpec:
         np.testing.assert_allclose(shortfall.values, closed.values,
                                    rtol=0, atol=1e-7)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_tree_routes_agree(self, data):
+        """The closed form and the h-generalized shortfall agree at every
+        depth(t) on random depth-3 trees, for any X depth and horizon u."""
+        tree = random_tree(data.draw(st.integers(0, 2**16)), depth=3)
+        dx = data.draw(st.integers(1, 3))
+        u = tree.times[data.draw(st.integers(dx, 3))]
+        X = random_rv(tree, data.draw(st.integers(0, 2**16)), depth=dx)
+        qp = QParams(q=data.draw(st.floats(0.3, 1.0)),
+                     alpha_q=data.draw(st.floats(0.0, 0.5)))
+        beta = data.draw(st.floats(0.0, 1.0))
+        sched = HorizonSchedule.constant(data.draw(st.floats(0.0, 0.4)))
+        spec = hq_shortfall_spec(qp, beta, sched)
+        for t in tree.times[:dx + 1]:
+            closed = hq_entropic_losses(X, t, u, LossSpec(beta, qp), sched)
+            shortfall = dynamic_shortfall(X, t, spec, u)
+            np.testing.assert_allclose(shortfall.values, closed.values,
+                                       rtol=0, atol=1e-7)
+
     def test_aggregate_minus_target_non_increasing_in_horizon(self):
         qp = QParams(q=0.5, alpha_q=0.1)
         sched = HorizonSchedule.constant(0.3)
