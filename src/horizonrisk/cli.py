@@ -55,10 +55,12 @@ from .measures import (HorizonSchedule, LossSpec, StepFunction, UtilityFn,
                        certainty_equivalent, entropic, expected_loss,
                        h_entropic, hq_entropic_losses, longevity_index,
                        q_entropic_losses)
-from .probspace import BrownianLattice, RandomVariable, ScenarioTree
+from .probspace import (BrownianLattice, FiltrationModel, RandomVariable,
+                        ScenarioTree)
 from .qcalculus import QParams
 from .shortfall import (AggregatorFn, ShortfallSpec, TargetSchedule,
-                        dynamic_shortfall, h_var, static_shortfall)
+                        dynamic_shortfall, h_var, hq_shortfall_spec,
+                        static_shortfall)
 
 log = logging.getLogger("riskctl")
 
@@ -113,26 +115,17 @@ _UTILITIES = {
 }
 
 
-def _hq_aggregator(c: dict):
-    """hq aggregators depend on (t, u): a builder of them."""
-    qp = QParams(q=c["q"], alpha_q=c["alpha"])
-    schedule = _build_schedule(c["a"])
-
-    def builder(t: float, u: float) -> AggregatorFn:
-        return AggregatorFn.hq(qp, c["beta"],
-                               horizon_term=schedule.integral(t, u),
-                               target=0.0)
-
-    return builder
-
-
 _AGGREGATORS = {
     "additive": _Kind(lambda c: AggregatorFn.additive()),
     "scaled_additive": _Kind(lambda c: AggregatorFn.scaled_additive(c["beta"]),
                              ("beta",)),
     "exponential": _Kind(lambda c: AggregatorFn.exponential(c["gamma"]),
                          ("gamma",)),
-    "hq": _Kind(_hq_aggregator, ("q",), {"alpha": 0.0, "beta": 0.0, "a": None}),
+    # hq aggregators depend on (t, u): the builder of them, with target 0
+    "hq": _Kind(lambda c: hq_shortfall_spec(
+        QParams(q=c["q"], alpha_q=c["alpha"]), c["beta"],
+        _build_schedule(c["a"])).aggregator_at,
+        ("q",), {"alpha": 0.0, "beta": 0.0, "a": None}),
 }
 
 _MODELS = {
@@ -294,8 +287,15 @@ def _write_json(path: Path, data: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# task runners: (task, index, config, model, out_dir, seed) -> result
+# task runners: (task, index, config, experiment, out_dir, seed) -> result
 # ---------------------------------------------------------------------------
+
+class _Experiment(NamedTuple):
+    """A built config: model, measure rho(X, t, u) and each task's input."""
+    model: FiltrationModel
+    rho: Callable
+    inputs: list
+
 
 def _task_position(task, idx, model, seed) -> RandomVariable:
     """The task's position at depth(u), drawn from the task's own stream."""
@@ -303,10 +303,8 @@ def _task_position(task, idx, model, seed) -> RandomVariable:
                   model.depth_of(task["u"]), np.random.default_rng(seed + idx))
 
 
-def _task_evaluate(task, idx, cfg, model, out_dir, seed):
-    X = _task_position(task, idx, model, seed)
-    rho = _build(_MEASURES, cfg["measure"], model)
-    value = rho(X, task["t"], task["u"])
+def _task_evaluate(task, idx, cfg, exp, out_dir, seed):
+    value = exp.rho(exp.inputs[idx], task["t"], task["u"])
     rows = [[i, value.values[i]] for i in range(len(value.values))]
     path = out_dir / f"task{idx:02d}_evaluate.csv"
     _write_csv(path, ["node", "value"], rows)
@@ -314,21 +312,20 @@ def _task_evaluate(task, idx, cfg, model, out_dir, seed):
             "root_value": _fmt(value.values[0])}
 
 
-def _task_axioms(task, idx, cfg, model, out_dir, seed):
-    rho_family = _build(_MEASURES, cfg["measure"], model)
+def _task_axioms(task, idx, cfg, exp, out_dir, seed):
     t, u = task["t"], task["u"]
-    depth = model.depth_of(u)
+    depth = exp.model.depth_of(u)
     samples = task["samples"]
-    bound = lambda X: rho_family(X, t, u)
+    bound = lambda X: exp.rho(X, t, u)
     reports = []
     for name in task["checks"]:
         check = axioms_mod.CHECKERS[name]
         if name in axioms_mod.SWEEPS:
-            reports.append(check(rho_family, model,
+            reports.append(check(exp.rho, exp.model,
                                  samples=max(2, samples // 3), seed=seed))
         else:
-            reports.append(check(bound, model, samples=samples, depth=depth,
-                                 seed=seed))
+            reports.append(check(bound, exp.model, samples=samples,
+                                 depth=depth, seed=seed))
     path = out_dir / f"task{idx:02d}_axioms.json"
     _write_json(path, [r.to_json_dict() for r in reports])
     required = set(task["required"])
@@ -340,10 +337,10 @@ def _task_axioms(task, idx, cfg, model, out_dir, seed):
             "failed_required": failed_required}
 
 
-def _task_duality(task, idx, cfg, model, out_dir, seed):
-    X = _task_position(task, idx, model, seed)
+def _task_duality(task, idx, cfg, exp, out_dir, seed):
+    X = exp.inputs[idx]
     spec = _shortfall_spec(_with_defaults(_MEASURES, cfg["measure"]))
-    grid = DualGrid.simplex(model.num_nodes(X.depth), task["resolution"])
+    grid = DualGrid.simplex(X.model.num_nodes(X.depth), task["resolution"])
     report = dual_value(X, spec, grid, u=task["u"])
     static = static_shortfall(X, spec, u=task["u"])
     static_f = static if isinstance(static, float) else static.as_float()
@@ -369,16 +366,12 @@ def _task_duality(task, idx, cfg, model, out_dir, seed):
             "summary": summary}
 
 
-def _task_convergence(task, idx, cfg, model, out_dir, seed):
+def _task_convergence(task, idx, cfg, exp, out_dir, seed):
     # the entropic driver is the quadratic one with q = 1 and zero rate
     driver = _build(_DRIVERS, cfg["measure"]["driver"])
     t = task["t"]
     rows = []
-    for n_steps in task["grid"]:
-        lattice = BrownianLattice(n_steps, model.horizon)
-        rng = np.random.default_rng(seed + idx)
-        X = _build(_POSITIONS, task["payoff"], lattice, lattice.terminal_depth,
-                   rng)
+    for lattice, X in exp.inputs[idx]:
         started = time.perf_counter()
         value = g_risk_measure(lattice, driver, X, t, lattice.horizon)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -388,7 +381,7 @@ def _task_convergence(task, idx, cfg, model, out_dir, seed):
         else:
             ref = expected_loss(X, t)
         err = float(np.max(np.abs(value.values - ref.values)))
-        rows.append([n_steps, value.values[0], err,
+        rows.append([lattice.n_steps, value.values[0], err,
                      _fmt(elapsed_ms) if task["timing"] else ""])
     path = out_dir / f"task{idx:02d}_convergence.csv"
     _write_csv(path, ["n_steps", "value", "abs_error", "runtime_ms"], rows)
@@ -396,18 +389,17 @@ def _task_convergence(task, idx, cfg, model, out_dir, seed):
             "errors": [_fmt(r[2]) for r in rows]}
 
 
-def _task_longevity(task, idx, cfg, model, out_dir, seed):
+def _task_longevity(task, idx, cfg, exp, out_dir, seed):
     t, u, v = task["t"], task["u"], task["v"]
-    X = _task_position(task, idx, model, seed)
+    X = exp.inputs[idx]
     measure = cfg["measure"]
     header = ["node", "gamma"]
     if measure["kind"] == "bsde" and measure["driver"]["kind"] in ("linear", "zero"):
         driver = _build(_DRIVERS, measure["driver"])
-        columns = longevity_girsanov(model, driver, t, u, v, X)
+        columns = longevity_girsanov(exp.model, driver, t, u, v, X)
         header.append("gamma_formula")
     else:
-        rho = _build(_MEASURES, measure, model)
-        columns = (longevity_index(rho, t, u, v, X),)
+        columns = (longevity_index(exp.rho, t, u, v, X),)
     gamma = columns[0]
     rows = [[i, *r] for i, r in enumerate(zip(*[c.values for c in columns]))]
     path = out_dir / f"task{idx:02d}_longevity.csv"
@@ -571,15 +563,15 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _build_experiment(cfg: dict, seed: int):
-    """Build the model, the measure and each task's position (each payoff
-    on each grid lattice) as the task runners will, and resolve every task's
-    times: fill in the defaults t = 0 and u = v = horizon, put each time on
-    its grid and check the order t <= u <= v.  Every ``required`` axiom must
-    be checked, and the measure must fit the task."""
+def _build_experiment(cfg: dict, seed: int) -> _Experiment:
+    """Build the model, the measure and each task's input for the runners:
+    its position, or (lattice, payoff) per grid lattice.  Resolve every
+    task's times: fill in the defaults t = 0 and u = v = horizon, put each
+    time on its grid and check the order t <= u <= v.  Every ``required``
+    axiom must be checked, and the measure must fit the task."""
     model = _build(_MODELS, cfg["model"], seed)
     measure = cfg["measure"]
-    _build(_MEASURES, measure, model)
+    exp = _Experiment(model, _build(_MEASURES, measure, model), [])
     for i, task in enumerate(cfg["tasks"]):
         task.setdefault("t", 0.0)
         task.setdefault("u", model.horizon)
@@ -606,12 +598,13 @@ def _build_experiment(cfg: dict, seed: int):
             if measure["driver"]["kind"] == "linear":
                 raise ConfigError(
                     "no closed-form reference for general linear drivers")
-            for grid in grids:
-                _build(_POSITIONS, full["payoff"], grid, grid.terminal_depth,
-                       np.random.default_rng(seed + i))
-        elif "position" in full:
-            _task_position(full, i, model, seed)
-    return model
+            exp.inputs.append([(grid, _build(
+                _POSITIONS, full["payoff"], grid, grid.terminal_depth,
+                np.random.default_rng(seed + i))) for grid in grids])
+        else:
+            exp.inputs.append(_task_position(full, i, model, seed)
+                              if "position" in full else None)
+    return exp
 
 
 def validate_config(path: str | Path) -> dict:
@@ -628,7 +621,7 @@ def run_config(path: str | Path, out_dir: str | Path | None = None,
     try:
         cfg = load_config(path)
         effective_seed = seed if seed is not None else cfg.get("seed", 0)
-        model = _build_experiment(cfg, effective_seed)
+        exp = _build_experiment(cfg, effective_seed)
         target_dir = Path(out_dir if out_dir is not None
                           else cfg.get("output", {}).get("dir", "."))
         target_dir.mkdir(parents=True, exist_ok=True)
@@ -638,7 +631,7 @@ def run_config(path: str | Path, out_dir: str | Path | None = None,
         return EXIT_CONFIG
 
     try:
-        results = [_build(_TASKS, task, i, cfg, model, target_dir,
+        results = [_build(_TASKS, task, i, cfg, exp, target_dir,
                           effective_seed)
                    for i, task in enumerate(cfg["tasks"])]
     except RiskLibError as exc:

@@ -18,8 +18,9 @@ reported c_min is the smallest dual value evaluated, an upper bound of the
 primal, so weak duality dual_value <= static_shortfall holds by
 construction.  An infeasible acceptance set (level below B at
 lambda = 1e12) yields MINUS_INF.  All computations are static: they take
-their problem from :func:`shortfall._static_problem`, which requires
-depth(t) = 0, and the Lagrangian routes are capped at 6 atoms.
+the one-row problem of :func:`shortfall._problem` under the rule
+depth(t) = 0 of :func:`shortfall._static_depth`, and the Lagrangian routes
+are capped at 6 atoms.
 
 Box rules: :func:`c_min` solves the boxes G and 2G as two rows of one batch
 and reports PLUS_INF when the value grows with the box; :func:`_risk_map_batch`
@@ -42,7 +43,8 @@ import numpy as np
 from .errors import SpecificationError, TimeGridError
 from .probspace import FiltrationModel, RandomVariable
 from .shortfall import (_BISECT_TOL, _BRACKET_CAP, ExtendedReal, RiskSentinel,
-                        ShortfallSpec, _single, _smallest_m, _static_problem)
+                        ShortfallSpec, _extended, _problem, _smallest_m,
+                        _static_depth)
 
 __all__ = [
     "DualGrid", "DualReport", "c_min", "c_min_bruteforce", "risk_map_R",
@@ -114,10 +116,12 @@ class DualGrid:
 
 def _dual_problem(spec: ShortfallSpec, model: FiltrationModel, t: float,
                   u: float | None):
-    """The static problem on the terminal atoms where the Lagrangian dual
-    applies: at most _MAX_ATOMS atoms and U(f(y, m)) concave in y."""
-    problem = _static_problem(spec, model, model.terminal_depth, t, u)
-    if model.num_nodes(model.terminal_depth) > _MAX_ATOMS:
+    """(p, uf, B) on the terminal atoms where the Lagrangian dual applies:
+    at most _MAX_ATOMS atoms and U(f(y, m)) concave in y."""
+    depth = model.terminal_depth
+    law, _, uf, B = _problem(spec, model, depth,
+                             _static_depth(model, depth, t, u), t, u)
+    if model.num_nodes(depth) > _MAX_ATOMS:
         raise SpecificationError(
             f"dual computations are capped at {_MAX_ATOMS} atoms"
         )
@@ -126,7 +130,12 @@ def _dual_problem(spec: ShortfallSpec, model: FiltrationModel, t: float,
             "unsupported: U(f(y, m)) is not concave in y, so the Lagrangian "
             "dual of c_min does not apply"
         )
-    return problem
+    return law[0], uf, B
+
+
+def _check_measure(Q: np.ndarray, p: np.ndarray) -> None:
+    if Q.shape != p.shape:
+        raise SpecificationError("Q must be a probability vector on the atoms")
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +210,7 @@ def c_min(m: float, Q: np.ndarray, spec: ShortfallSpec,
     independent check is :func:`c_min_bruteforce`, run from outside."""
     Q = np.asarray(Q, dtype=float)
     p, uf, B = _dual_problem(spec, model, t, u)
-    if Q.shape != p.shape:
-        raise SpecificationError("Q must be a probability vector on the atoms")
+    _check_measure(Q, p)
     (v1, v2), (bad1, _) = _cmin_batch(np.array([m, m]), np.stack((Q, Q)), p,
                                       uf, B, box=np.array([_BOX, 2.0 * _BOX]))
     if bool(bad1):
@@ -227,7 +235,10 @@ def c_min_bruteforce(m: float, Q: np.ndarray, spec: ShortfallSpec,
     the lower box edge signals an unbounded transfer and returns PLUS_INF
     (the value grows with the box)."""
     Q = np.asarray(Q, dtype=float)
-    p, uf, B = _static_problem(spec, model, model.terminal_depth, t, u)
+    depth = model.terminal_depth
+    law, _, uf, B = _problem(spec, model, depth,
+                             _static_depth(model, depth, t, u), t, u)
+    p = law[0]
     n = len(p)
     if n > 3:
         raise SpecificationError("the grid oracle is limited to 3 atoms")
@@ -308,13 +319,13 @@ def _grid_scan(axes, Q, p, uf, B, m, keep=1):
 
 def _risk_map_batch(x: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float):
     """R(x_i, Q_i) rowwise by bisection over m on the monotone predicate
-    c_min(m, Q) >= x.  Returns (values, plus_mask, minus_mask).
+    c_min(m, Q) >= x; +-inf mark the rows never met and met below every m.
 
     Bracketing and the wide bisection phase run the Lagrangian at coarse
     inner precision; once brackets are below 1e-4 the full precision takes
     over (the coarse value error is second order at the smooth optima that
-    decide the supremum).  The minus mask also holds the rows met by one
-    fine probe at box 2G and m = R - 1e-6 G: their R drops with the box."""
+    decide the supremum).  Rows met by one fine probe at box 2G and
+    m = R - 1e-6 G are -inf too: their R drops with the box."""
     nq = len(x)
     start = 1.0 + 2.0 * float(np.max(np.abs(x), initial=0.0))
 
@@ -357,7 +368,9 @@ def _risk_map_batch(x: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float):
     values = 0.5 * (lo + hi)
     shifted = values - _GROWTH_SLOPE * _BOX
     minus_mask |= active & predicate(shifted, fine=True, box=2.0 * _BOX)
-    return values, plus_mask, minus_mask
+    values[plus_mask] = np.inf
+    values[minus_mask] = -np.inf
+    return values
 
 
 def risk_map_R(x: float, Q: np.ndarray, spec: ShortfallSpec,
@@ -371,8 +384,9 @@ def risk_map_R(x: float, Q: np.ndarray, spec: ShortfallSpec,
     :func:`dual_value` shares."""
     Q = np.asarray(Q, dtype=float)
     p, uf, B = _dual_problem(spec, model, t, u)
+    _check_measure(Q, p)
     x_arr = np.array([float(x)])
-    return _single(*_risk_map_batch(x_arr, Q[None, :], p, uf, B))
+    return _extended(_risk_map_batch(x_arr, Q[None, :], p, uf, B)[0])
 
 
 @dataclass(frozen=True)
@@ -401,20 +415,10 @@ def dual_value(X: RandomVariable, spec: ShortfallSpec, grid: DualGrid,
     if grid.n_atoms != len(p):
         raise SpecificationError("grid atom count does not match the model")
     x = Q @ (-X.values)
-    vals, plus, minus = _risk_map_batch(x, Q, p, uf, B)
-    r = vals.copy()
-    r[plus] = np.inf
-    r[minus] = -np.inf
+    r = _risk_map_batch(x, Q, p, uf, B)
     best = int(np.argmax(r))
-    value: ExtendedReal
-    if np.isposinf(r[best]):
-        value = RiskSentinel.PLUS_INF
-    elif np.isneginf(r[best]):
-        value = RiskSentinel.MINUS_INF
-    else:
-        value = float(r[best])
-    return DualReport(value=value, best_index=best, best_q=Q[best].copy(),
-                      x_values=x, r_values=r)
+    return DualReport(value=_extended(r[best]), best_index=best,
+                      best_q=Q[best].copy(), x_values=x, r_values=r)
 
 
 def rho_bar(m: float, X: RandomVariable, spec: ShortfallSpec,
@@ -422,12 +426,13 @@ def rho_bar(m: float, X: RandomVariable, spec: ShortfallSpec,
     """Cash additive member rho_bar_m(X) = inf{ k : k + X in A^m } of the
     family associated with the quasi-convex measure; decreasing in m, with
     rho_bar_{m+d}(X) <= rho_bar_m(X) - d under cash subadditivity."""
-    p, uf, B = _static_problem(spec, X.model, X.depth, t, u)
+    kt = _static_depth(X.model, X.depth, t, u)
+    law, _, uf, B = _problem(spec, X.model, X.depth, kt, t, u)
     xvals = X.values[None, :]
 
     def constraint(k: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return uf(xvals + k[:, None], float(m)) @ p
+            return uf(xvals + k[:, None], float(m)) @ law[0]
 
     start = 1.0 + 2.0 * (X.max_abs() + abs(m))
-    return _single(*_smallest_m(constraint, B, start, 1))
+    return _extended(_smallest_m(constraint, B, start, 1, kt)[0])

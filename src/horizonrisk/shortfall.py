@@ -11,18 +11,16 @@ The aggregator f decouples cash from the position and is what makes the
 measure cash non-additive; f(y, m) = y + m recovers the classical shortfall.
 
 The infimum is computed by bisection over m (the constraint is monotone when
-f is non-decreasing in m), with an expanding bracket and explicit
-extended-real sentinels: the empty constraint set maps to ``PLUS_INF`` and
-an always-satisfied constraint to ``MINUS_INF``.  One bisection runs over
-all depth-t nodes at once, each probe averaging U(f(X, m_i)) against the
-rows of the conditional law ``model.cond_matrix``.  Sentinels are enumerated
-values, never floating-point infinities, inside all solver arithmetic; only
-the nodewise (dynamic) results surface them as +-inf markers in the value
-array.  Times obey the horizon contract that
-:meth:`FiltrationModel.horizon_depths` checks: depth(t) <= depth(X) <=
-depth(u), u defaulting to the time of depth(X).  The static problems, the
-static shortfall here and the dual quantities of :mod:`.duality`, add
-depth(t) = 0 and are built in one place, :func:`_static_problem`.
+f is non-decreasing in m), with an expanding bracket.  One bisection runs
+over all depth-t nodes at once, each probe averaging U(f(X, m_i)) against
+the rows of the conditional law of :func:`_problem`; +inf marks a node whose
+constraint set is empty and -inf one where it always holds, and a scalar
+result reads them as ``RiskSentinel`` members (:func:`_extended`).  Times
+obey the horizon contract that :meth:`FiltrationModel.horizon_depths`
+checks: depth(t) <= depth(X) <= depth(u), u defaulting to the time of
+depth(X).  The static problems, the static shortfall here (the root node of
+the nodewise solve) and the dual quantities of :mod:`.duality`, add the
+rule depth(t) = 0 of :func:`_static_depth`.
 Value-at-Risk is included through its shortfall representation with the
 right-continuous step utility; its conditional quantile is computed by
 exact atom enumeration, not bisection, since the constraint is
@@ -65,6 +63,7 @@ class RiskSentinel(enum.Enum):
 
 
 ExtendedReal = float | RiskSentinel
+_SENTINEL_OF = {s.as_float(): s for s in RiskSentinel}
 
 
 _GRID_1D = np.linspace(-5.0, 5.0, 50)
@@ -243,18 +242,14 @@ class ShortfallSpec:
 # ---------------------------------------------------------------------------
 
 def _smallest_m(constraint: Callable[[np.ndarray], np.ndarray], target: float,
-                start: float, n: int, depth: int | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least m_i with constraint(m)_i >= target for n non-decreasing
-    constraints at once; ``constraint`` maps n cash amounts to n values.
-
-    Each problem brackets by doubling from +-start; the plus (minus) mask
-    flags problems still unmet at +_BRACKET_CAP (already met at
-    -_BRACKET_CAP).  A decrease along a problem's bracketing probes raises
-    SpecificationError, naming ``node i at depth k`` when ``depth`` is
-    given.  A problem stops moving once its bracket is below _BISECT_TOL,
-    so each value equals a bisection on its problem alone.  Returns
-    (values, plus, minus)."""
+                start: float, n: int, depth: int) -> np.ndarray:
+    """Least m_i with constraint(m)_i >= target for the n non-decreasing
+    constraints of the nodes i at ``depth`` at once; ``constraint`` maps n
+    cash amounts to n values.  Each node brackets by doubling from +-start;
+    +inf (-inf) marks a node still unmet at +_BRACKET_CAP (met at
+    -_BRACKET_CAP).  A decrease along a node's bracketing probes raises
+    SpecificationError.  A node stops moving once its bracket is below
+    _BISECT_TOL, so each value equals a bisection on its problem alone."""
 
     def bracket(edge, active, unmet):
         edge = np.full(n, edge)
@@ -278,11 +273,11 @@ def _smallest_m(constraint: Callable[[np.ndarray], np.ndarray], target: float,
         vs[1:] < vs[:-1] - 1e-9 * np.maximum(1.0, np.abs(vs[:-1])))
     if drops.any():
         i, j = np.argwhere(drops.T)[0]  # first node, then its first drop
-        where = "" if depth is None else f"node {i} at depth {depth}: "
         raise SpecificationError(
-            f"{where}shortfall constraint is not non-decreasing in m: value "
-            f"drops from {float(vs[j, i])!r} at m={float(ms[j, i])!r} to "
-            f"{float(vs[j + 1, i])!r} at m={float(ms[j + 1, i])!r}"
+            f"node {i} at depth {depth}: shortfall constraint is not "
+            f"non-decreasing in m: value drops from {float(vs[j, i])!r} at "
+            f"m={float(ms[j, i])!r} to {float(vs[j + 1, i])!r} at "
+            f"m={float(ms[j + 1, i])!r}"
         )
     lo = np.where(plus | minus, hi, lo)  # sentinel problems do not move
     while (moving := hi - lo > _BISECT_TOL).any():
@@ -290,17 +285,15 @@ def _smallest_m(constraint: Callable[[np.ndarray], np.ndarray], target: float,
         up = moving & (constraint(mid) >= target)
         np.copyto(hi, mid, where=up)
         np.copyto(lo, mid, where=moving ^ up)
-    return 0.5 * (lo + hi), plus, minus
+    values = 0.5 * (lo + hi)
+    values[plus] = math.inf
+    values[minus] = -math.inf
+    return values
 
 
-def _single(values: np.ndarray, plus: np.ndarray,
-            minus: np.ndarray) -> ExtendedReal:
-    """The one result of a single-problem :func:`_smallest_m` run."""
-    if plus[0]:
-        return RiskSentinel.PLUS_INF
-    if minus[0]:
-        return RiskSentinel.MINUS_INF
-    return float(values[0])
+def _extended(value: float) -> ExtendedReal:
+    """A scalar solver result with +-inf read as its sentinel."""
+    return _SENTINEL_OF.get(value, float(value))
 
 
 def _bracket_start(X: RandomVariable, utility: UtilityFn, target: float) -> float:
@@ -312,41 +305,45 @@ def _bracket_start(X: RandomVariable, utility: UtilityFn, target: float) -> floa
     return 1.0 + 2.0 * (X.max_abs() + scale)
 
 
-def _problem(X: RandomVariable, spec: ShortfallSpec, t: float,
-             u: float | None, law: np.ndarray):
-    """(m -> (E_i[U_u(f_tu(X, m_i))])_i over the rows i of ``law``, B_tu,
-    bracket start); the horizon u defaults to the time of depth(X)."""
-    if u is None:
-        u = X.model.times[X.depth]
-    U, f, B = spec.utility_at(u), spec.aggregator_at(t, u), spec.target_at(t, u)
-    x = X.values[None, :]
-    return (lambda m: np.einsum("ij,ij->i", law, U(f(x, m[:, None]))),
-            B, _bracket_start(X, U, B))
-
-
-def _static_problem(spec: ShortfallSpec, model: FiltrationModel, depth: int,
-                    t: float, u: float | None):
-    """(p, uf, B_tu) of the static problem for a position at ``depth``: the
-    atom probabilities, uf(y, m) = U_u(f_tu(y, m)) and the target.  t and u
-    obey the horizon contract, and the static rule depth(t) = 0 holds; u,
-    passed to the spec as given, defaults to the time of ``depth``."""
+def _static_depth(model: FiltrationModel, depth: int, t: float,
+                  u: float | None) -> int:
+    """depth(t) of a static problem for a position at ``depth``: t and u obey
+    the horizon contract, and the static rule depth(t) = 0 holds."""
     kt, _ = model._depths(depth, t, u)
     if kt != 0:
         raise TimeGridError(f"the static problem needs depth(t) = 0, got "
                             f"{kt} for t={t}")
+    return kt
+
+
+def _problem(spec: ShortfallSpec, model: FiltrationModel, depth: int, kt: int,
+             t: float, u: float | None):
+    """(law, U_u, uf, B_tu) at the depth-kt nodes for a position at
+    ``depth``: law = ``model.cond_matrix(kt, depth)``, one row at kt = 0, and
+    uf(y, m) = U_u(f_tu(y, m)); u defaults to the time of ``depth``."""
+    law = model.cond_matrix(kt, depth)
     if u is None:
         u = model.times[depth]
     U, f = spec.utility_at(u), spec.aggregator_at(t, u)
-    return model.probs(depth), lambda y, m: U(f(y, m)), spec.target_at(t, u)
+    return law, U, lambda y, m: U(f(y, m)), spec.target_at(t, u)
+
+
+def _nodewise(X: RandomVariable, spec: ShortfallSpec, kt: int, t: float,
+              u: float | None) -> np.ndarray:
+    """The shortfall at every depth-kt node, one bisection over the rows of
+    the conditional law; +-inf marks the sentinels."""
+    law, U, uf, B = _problem(spec, X.model, X.depth, kt, t, u)
+    x = X.values[None, :]
+    return _smallest_m(lambda m: np.einsum("ij,ij->i", law, uf(x, m[:, None])),
+                       B, _bracket_start(X, U, B), len(law), kt)
 
 
 def static_shortfall(X: RandomVariable, spec: ShortfallSpec,
                      u: float | None = None, t: float = 0.0) -> ExtendedReal:
     """Generalized shortfall inf{m : E[U_u(f_u(X, m))] >= B_tu} at a t of
-    depth 0."""
-    p, _, _ = _static_problem(spec, X.model, X.depth, t, u)
-    level, B, start = _problem(X, spec, t, u, p[None, :])
-    return _single(*_smallest_m(level, B, start, 1))
+    depth 0: the root node of the nodewise solve."""
+    kt = _static_depth(X.model, X.depth, t, u)
+    return _extended(_nodewise(X, spec, kt, t, u)[0])
 
 
 def dynamic_shortfall(X: RandomVariable, t: float, spec: ShortfallSpec,
@@ -354,14 +351,8 @@ def dynamic_shortfall(X: RandomVariable, t: float, spec: ShortfallSpec,
     """Nodewise h-generalized shortfall at depth(t): one bisection runs on
     the conditional subtree distributions of all depth-t nodes at once.
     Sentinel outcomes surface as +-inf markers in the returned values."""
-    model = X.model
-    kt, _ = model.horizon_depths(X, t, u)
-    cond = model.cond_matrix(kt, X.depth)
-    level, B, start = _problem(X, spec, t, u, cond)
-    values, plus, minus = _smallest_m(level, B, start, len(cond), depth=kt)
-    values[plus] = math.inf
-    values[minus] = -math.inf
-    return RandomVariable(model, kt, values)
+    kt, _ = X.model.horizon_depths(X, t, u)
+    return RandomVariable(X.model, kt, _nodewise(X, spec, kt, t, u))
 
 
 def h_var(X: RandomVariable, t: float, alpha_u: float) -> RandomVariable:
@@ -436,10 +427,10 @@ def acceptance_member(Y: RandomVariable, m, spec: ShortfallSpec, t: float,
     i.e. membership of Y in the acceptance set at cash level m."""
     model = Y.model
     kt, _ = model.horizon_depths(Y, t, u)
-    cond = model.cond_matrix(kt, Y.depth)
     m_nodes = np.asarray(m, dtype=float)
-    if m_nodes.ndim and m_nodes.shape != (len(cond),):
+    if m_nodes.ndim and m_nodes.shape != (model.num_nodes(kt),):
         raise SpecificationError("m must be scalar or one value per node")
-    level, B, _ = _problem(Y, spec, t, u, cond)
-    met = level(np.broadcast_to(m_nodes, len(cond))) >= B
+    law, _, uf, B = _problem(spec, model, Y.depth, kt, t, u)
+    m_col = np.broadcast_to(m_nodes, len(law))[:, None]
+    met = np.einsum("ij,ij->i", law, uf(Y.values[None, :], m_col)) >= B
     return RandomVariable(model, kt, np.where(met, 1.0, 0.0))

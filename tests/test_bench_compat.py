@@ -45,3 +45,25 @@ def test_tracer_installs_counts_and_uninstalls():
     assert hr.dual_value is dual_value
     assert cli.run_config is run_config
     assert vars(hr.UtilityFn)["__call__"] is utility_call
+
+
+def test_shortfall_probes_stay_with_the_traced_entry_point():
+    """The static shortfall runs the nodewise solve through an untraced
+    helper, so its utility probes count as the static call's own."""
+    tree = hr.ScenarioTree.terminal_atoms([0.3, 0.7])
+    X = hr.RandomVariable(tree, 1, [1.0, -0.5])
+    spec = hr.ShortfallSpec.classic(hr.UtilityFn.exp_bounded(1.0), 0.0)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        hr.static_shortfall(X, spec)
+        static_probes = tracer.counts["shortfall.probes"]
+        hr.dynamic_shortfall(X, 0.0, spec)
+        assert static_probes > 0
+        assert tracer.counts["shortfall.probes"] == 2 * static_probes
+        assert tracer.counts["shortfall.calls"] == 2
+        hr.rho_bar(0.0, X, spec)
+        assert tracer.counts["duality.inner_evals"] > 0
+        assert tracer.counts["shortfall.probes"] == 2 * static_probes
+    finally:
+        tracer.uninstall()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -448,3 +450,29 @@ class TestExactImplicitStep:
         assert np.all(residual <= 1e-12 * (1.0 + np.abs(y)))
         if shortcut:
             assert np.array_equal(y, e + driver(t, e, z) * dt)
+
+    def test_linear_step_is_well_posed_iff_one_minus_mu_dt_positive(self):
+        # mu = -2 on two steps: 1 - mu dt = 2, so each step is well-posed;
+        # the value converges to int_0^1 e^{mu s} c ds = c (1 - e^-2) / 2
+        driver = LinearDriver.from_constants(mu=-2.0, c=0.1)
+        exact = 0.1 * (1.0 - math.exp(-2.0)) / 2.0
+        gaps = []
+        for n in (2, 8, 64):
+            lat = BrownianLattice(n, 1.0)
+            rho = g_risk_measure(lat, driver, lat.constant(0.0, n), 0.0, 1.0)
+            gaps.append(abs(rho.values[0] - exact))
+        assert gaps[0] == pytest.approx(abs(0.0375 - exact), abs=1e-15)
+        assert gaps[2] < gaps[1] < gaps[0]
+        # mu = 5 only on [2, inf), a piece a horizon-1 solve never uses
+        lat = BrownianLattice(4, 1.0)
+        X = sign_payoff(lat)
+        late = LinearDriver(StepFunction((0.0, 2.0), (0.0, 5.0)),
+                            StepFunction.constant(0.0),
+                            StepFunction.constant(0.3))
+        np.testing.assert_allclose(
+            g_risk_measure(lat, late, X, 0.0, 1.0).values,
+            (expected_loss(X, 0.0) + 0.3).values, atol=1e-12)
+        # a step that uses mu dt >= 1 is still rejected
+        with pytest.raises(ConfigurationError, match="ill-posed"):
+            g_risk_measure(lat, LinearDriver.from_constants(mu=4.0), X,
+                           0.0, 1.0)

@@ -175,6 +175,15 @@ class TestRiskMap:
                 for x in (-1.0, 0.0, 1.0, 2.0)]
         assert all(a <= b + 1e-8 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("route", [c_min, risk_map_R])
+    @pytest.mark.parametrize("Q", [[1.0], [0.2, 0.3, 0.5]])
+    def test_measure_of_the_wrong_length_rejected(self, route, Q):
+        # one entry is not broadcast over the two atoms
+        tree = ScenarioTree.terminal_atoms([0.4, 0.6])
+        with pytest.raises(SpecificationError,
+                           match="Q must be a probability vector on the atoms"):
+            route(0.1, np.array(Q), entropic_spec(), tree)
+
 
 class TestDualValue:
     def test_linear_spec_attains_at_reference_measure(self, uniform_two):

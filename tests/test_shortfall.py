@@ -81,6 +81,45 @@ class TestDynamicShortfall:
         assert dyn.values[0] == pytest.approx(static_shortfall(X, spec),
                                               abs=1e-9)
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_static_is_the_root_of_the_nodewise_solve(self, data):
+        """static_shortfall(X, spec, u) is exactly the depth-0 value of
+        dynamic_shortfall(X, 0, spec, u), +-inf read as the sentinels, on
+        random trees and N <= 16 lattices for the stock specs."""
+        if data.draw(st.booleans()):
+            model = random_tree(data.draw(st.integers(0, 2**16)),
+                                depth=data.draw(st.integers(1, 3)))
+        else:
+            model = BrownianLattice(data.draw(st.integers(1, 16)), 1.0)
+        dx = data.draw(st.integers(1, model.terminal_depth))
+        u = data.draw(st.sampled_from([None, *model.times[dx:]]))
+        X = random_rv(model, data.draw(st.integers(0, 2**16)), depth=dx)
+        qp = QParams(q=data.draw(st.floats(0.3, 1.0)),
+                     alpha_q=data.draw(st.floats(0.0, 0.5)))
+        sched = HorizonSchedule.constant(data.draw(st.floats(0.0, 0.4)))
+        spec = data.draw(st.sampled_from([
+            entropic_spec(), linear_spec(), entropic_spec(B=2.0),
+            ShortfallSpec(UtilityFn.exp_bounded(0.8),
+                          AggregatorFn.scaled_additive(0.7),
+                          TargetSchedule.constant(0.1)),
+            ShortfallSpec(UtilityFn.linear(), AggregatorFn.exponential(0.5),
+                          TargetSchedule.constant(0.2)),
+            ShortfallSpec(UtilityFn.linear(), AggregatorFn.exponential(0.5),
+                          TargetSchedule.constant(1.5)),
+            hq_shortfall_spec(qp, data.draw(st.floats(0.0, 1.0)), sched),
+            # alpha_q at its floor and no losses beyond the buffer: -inf
+            hq_shortfall_spec(QParams(q=0.5, alpha_q=-2.0), beta=3.0,
+                              schedule=HorizonSchedule.zero()),
+        ]))
+        static = static_shortfall(X, spec, u)
+        root = dynamic_shortfall(X, 0.0, spec, u).values[0]
+        if math.isinf(root):
+            assert static is (RiskSentinel.PLUS_INF if root > 0
+                              else RiskSentinel.MINUS_INF)
+        else:
+            assert isinstance(static, float) and static == root
+
     def test_constant_position_solves_utility_equation(self):
         tree = random_tree(3, depth=2)
         spec = ShortfallSpec.classic(UtilityFn.exp_bounded(1.0), 0.5)
