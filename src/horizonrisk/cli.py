@@ -16,14 +16,15 @@ unknown keys rejected, and each kind's required keys.  The schema is checked
 against its metaschema once per process, at the first :func:`load_config`,
 and every parameter domain is re-checked while the objects are built.
 Outputs are deterministic given the seed (floats printed with 9 significant
-digits, '.' decimal, files written atomically); the optional wall-time
-column of convergence tables is left empty unless ``timing`` is enabled,
-precisely so that repeated runs stay byte-identical.
+digits, '.' decimal, files written atomically).  A convergence task
+resolves its payoff at u and evaluates rho_tu(payoff) on every lattice of
+its grid.
 
 Exit codes: 0 success, 2 config/schema violation (a missing or malformed
 key, a non-finite number, off-grid or out-of-order task times, a position or
-measure that does not fit its task; ``validate`` and ``run`` find them
-alike, before any task runs), 3 numerical or solver error, or any other
+measure that does not fit its task, a duality task that breaks the static
+rules of the dual; ``validate`` and ``run`` find them alike, before any
+task runs), 3 numerical or solver error, or any other
 exception a task raises, 4 a required axiom check failed.
 """
 
@@ -35,7 +36,6 @@ import json
 import logging
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -49,7 +49,7 @@ except ImportError:  # pragma: no cover - dependency is declared
 from . import axioms as axioms_mod
 from .bsde import (LinearDriver, QuadraticQDriver, g_risk_measure,
                    longevity_girsanov, quadratic_transform_solve)
-from .duality import DualGrid, dual_value
+from .duality import DualGrid, _terminal_problem, dual_value
 from .errors import RiskLibError
 from .measures import (HorizonSchedule, LossSpec, StepFunction, UtilityFn,
                        certainty_equivalent, entropic, expected_loss,
@@ -156,70 +156,67 @@ _DRIVERS = {
 }
 
 
-# measure builders: (section, model) -> family rho(X, t, u) -> RandomVariable
-# at depth(t)
+# measure builders: (section, model) -> (rho(X, t, u) at depth(t), the
+# library object rho evaluates: a bsde measure's driver, a shortfall
+# measure's spec, None for the closed forms)
 
 def _loss_spec(c: dict) -> LossSpec:
     return LossSpec(beta=c["beta"],
                     qparams=QParams(q=c["q"], alpha_q=c["alpha"]))
 
 
-def _h_entropic(c: dict, model) -> Callable:
+def _h_entropic(c: dict, model) -> tuple:
     schedule = _build_schedule(c["a"])
-    return lambda X, t, u: h_entropic(X, t, u, c["b"], schedule)
+    return (lambda X, t, u: h_entropic(X, t, u, c["b"], schedule)), None
 
 
-def _q_entropic(c: dict, model) -> Callable:
+def _q_entropic(c: dict, model) -> tuple:
     spec = _loss_spec(c)
-    return lambda X, t, u: q_entropic_losses(X, t, spec)
+    return (lambda X, t, u: q_entropic_losses(X, t, spec)), None
 
 
-def _hq_entropic(c: dict, model) -> Callable:
+def _hq_entropic(c: dict, model) -> tuple:
     spec = _loss_spec(c)
     schedule = _build_schedule(c["a"])
-    return lambda X, t, u: hq_entropic_losses(X, t, u, spec, schedule)
+    return (lambda X, t, u: hq_entropic_losses(X, t, u, spec, schedule)), None
 
 
-def _bsde(c: dict, model) -> Callable:
+def _bsde(c: dict, model) -> tuple:
     if not isinstance(model, BrownianLattice):
         raise ConfigError("bsde measures need a lattice model")
     driver = _build(_DRIVERS, c["driver"])
-    return lambda X, t, u: g_risk_measure(model, driver, X, t, u)
+    return (lambda X, t, u: g_risk_measure(model, driver, X, t, u)), driver
 
 
-def _shortfall_spec(c: dict) -> ShortfallSpec:
-    utility = _build(_UTILITIES, c["utility"])
-    aggregator = _build(_AGGREGATORS, c["aggregator"])
-    return ShortfallSpec(utility, aggregator,
+def _shortfall(c: dict, model) -> tuple:
+    spec = ShortfallSpec(_build(_UTILITIES, c["utility"]),
+                         _build(_AGGREGATORS, c["aggregator"]),
                          TargetSchedule.constant(c["target"]))
+    return (lambda X, t, u: dynamic_shortfall(X, t, spec, u)), spec
 
 
-def _shortfall(c: dict, model) -> Callable:
-    spec = _shortfall_spec(c)
-    return lambda X, t, u: dynamic_shortfall(X, t, spec, u)
-
-
-def _certainty_equivalent(c: dict, model) -> Callable:
+def _certainty_equivalent(c: dict, model) -> tuple:
     utility = _build(_UTILITIES, c["utility"])
-    return lambda X, t, u: certainty_equivalent(X, t, utility)
+    return (lambda X, t, u: certainty_equivalent(X, t, utility)), None
 
 
 _LOSS_DEFAULTS = {"alpha": 0.0, "beta": 0.0}
 _MEASURES = {
-    "entropic": _Kind(lambda c, model: lambda X, t, u: entropic(X, t, c["b"]),
-                      optional={"b": 1.0}),
+    "entropic": _Kind(lambda c, model: (
+        lambda X, t, u: entropic(X, t, c["b"]), None), optional={"b": 1.0}),
     "h_entropic": _Kind(_h_entropic, optional={"b": 1.0, "a": None}),
     "q_entropic": _Kind(_q_entropic, ("q",), _LOSS_DEFAULTS),
     "hq_entropic": _Kind(_hq_entropic, ("q",), {**_LOSS_DEFAULTS, "a": None}),
-    "expected_loss": _Kind(lambda c, model:
-                           lambda X, t, u: expected_loss(X, t)),
+    "expected_loss": _Kind(lambda c, model: (
+        lambda X, t, u: expected_loss(X, t), None)),
     "bsde": _Kind(_bsde, ("driver",)),
     "shortfall": _Kind(_shortfall, optional={"utility": {"kind": "linear"},
                                              "aggregator": {"kind": "additive"},
                                              "target": 0.0}),
     "certainty_equivalent": _Kind(_certainty_equivalent, ("utility",)),
-    "h_var": _Kind(lambda c, model: lambda X, t, u: h_var(X, t, c["alpha"]),
-                   optional={"alpha": 0.05}),
+    "h_var": _Kind(lambda c, model: (
+        lambda X, t, u: h_var(X, t, c["alpha"]), None),
+        optional={"alpha": 0.05}),
 }
 
 
@@ -274,11 +271,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell) for cell in row
-        ))
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -287,23 +280,21 @@ def _write_json(path: Path, data: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# task runners: (task, index, config, experiment, out_dir, seed) -> result
+# task runners: (task, index, experiment, out_dir) -> result
 # ---------------------------------------------------------------------------
 
 class _Experiment(NamedTuple):
-    """A built config: model, measure rho(X, t, u) and each task's input."""
+    """A built config: the model, the measure rho(X, t, u), the library
+    object it evaluates (see the measure builders), the seed and each
+    task's input."""
     model: FiltrationModel
     rho: Callable
+    source: Any
+    seed: int
     inputs: list
 
 
-def _task_position(task, idx, model, seed) -> RandomVariable:
-    """The task's position at depth(u), drawn from the task's own stream."""
-    return _build(_POSITIONS, task["position"], model,
-                  model.depth_of(task["u"]), np.random.default_rng(seed + idx))
-
-
-def _task_evaluate(task, idx, cfg, exp, out_dir, seed):
+def _task_evaluate(task, idx, exp, out_dir):
     value = exp.rho(exp.inputs[idx], task["t"], task["u"])
     rows = [[i, value.values[i]] for i in range(len(value.values))]
     path = out_dir / f"task{idx:02d}_evaluate.csv"
@@ -312,7 +303,7 @@ def _task_evaluate(task, idx, cfg, exp, out_dir, seed):
             "root_value": _fmt(value.values[0])}
 
 
-def _task_axioms(task, idx, cfg, exp, out_dir, seed):
+def _task_axioms(task, idx, exp, out_dir):
     t, u = task["t"], task["u"]
     depth = exp.model.depth_of(u)
     samples = task["samples"]
@@ -322,10 +313,10 @@ def _task_axioms(task, idx, cfg, exp, out_dir, seed):
         check = axioms_mod.CHECKERS[name]
         if name in axioms_mod.SWEEPS:
             reports.append(check(exp.rho, exp.model,
-                                 samples=max(2, samples // 3), seed=seed))
+                                 samples=max(2, samples // 3), seed=exp.seed))
         else:
             reports.append(check(bound, exp.model, samples=samples,
-                                 depth=depth, seed=seed))
+                                 depth=depth, seed=exp.seed))
     path = out_dir / f"task{idx:02d}_axioms.json"
     _write_json(path, [r.to_json_dict() for r in reports])
     required = set(task["required"])
@@ -337,27 +328,22 @@ def _task_axioms(task, idx, cfg, exp, out_dir, seed):
             "failed_required": failed_required}
 
 
-def _task_duality(task, idx, cfg, exp, out_dir, seed):
-    X = exp.inputs[idx]
-    spec = _shortfall_spec(_with_defaults(_MEASURES, cfg["measure"]))
-    grid = DualGrid.simplex(X.model.num_nodes(X.depth), task["resolution"])
-    report = dual_value(X, spec, grid, u=task["u"])
-    static = static_shortfall(X, spec, u=task["u"])
-    static_f = static if isinstance(static, float) else static.as_float()
-    dual_f = (report.value if isinstance(report.value, float)
-              else report.value.as_float())
-    rows = []
-    for i in range(len(grid)):
-        rows.append(list(grid.measures[i]) + [report.x_values[i],
-                                              report.r_values[i]])
+def _task_duality(task, idx, exp, out_dir):
+    X, grid = exp.inputs[idx]
+    t, u = task["t"], task["u"]
+    report = dual_value(X, exp.source, grid, t, u)
+    static = float(static_shortfall(X, exp.source, u, t))
+    dual = float(report.value)
+    rows = [[*q, x, r] for q, x, r in zip(grid.measures, report.x_values,
+                                          report.r_values)]
     csv_path = out_dir / f"task{idx:02d}_duality.csv"
     _write_csv(csv_path,
                [f"q{j}" for j in range(grid.n_atoms)] + ["eq_neg_x", "r"],
                rows)
     summary = {
-        "dual_value": _fmt(dual_f),
-        "static_shortfall": _fmt(static_f),
-        "gap": _fmt(static_f - dual_f),
+        "dual_value": _fmt(dual),
+        "static_shortfall": _fmt(static),
+        "gap": _fmt(static - dual),
         "argmax_q": [_fmt(v) for v in report.best_q],
     }
     json_path = out_dir / f"task{idx:02d}_duality.json"
@@ -366,37 +352,31 @@ def _task_duality(task, idx, cfg, exp, out_dir, seed):
             "summary": summary}
 
 
-def _task_convergence(task, idx, cfg, exp, out_dir, seed):
+def _task_convergence(task, idx, exp, out_dir):
     # the entropic driver is the quadratic one with q = 1 and zero rate
-    driver = _build(_DRIVERS, cfg["measure"]["driver"])
-    t = task["t"]
+    driver, t, u = exp.source, task["t"], task["u"]
     rows = []
     for lattice, X in exp.inputs[idx]:
-        started = time.perf_counter()
-        value = g_risk_measure(lattice, driver, X, t, lattice.horizon)
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        value = g_risk_measure(lattice, driver, X, t, u)
         if isinstance(driver, QuadraticQDriver):
             ref = quadratic_transform_solve(lattice, driver.q, driver.rate,
                                             -X, t)
         else:
             ref = expected_loss(X, t)
         err = float(np.max(np.abs(value.values - ref.values)))
-        rows.append([lattice.n_steps, value.values[0], err,
-                     _fmt(elapsed_ms) if task["timing"] else ""])
+        rows.append([lattice.n_steps, value.values[0], err])
     path = out_dir / f"task{idx:02d}_convergence.csv"
-    _write_csv(path, ["n_steps", "value", "abs_error", "runtime_ms"], rows)
+    _write_csv(path, ["n_steps", "value", "abs_error"], rows)
     return {"task": "bsde-convergence", "files": [path.name],
             "errors": [_fmt(r[2]) for r in rows]}
 
 
-def _task_longevity(task, idx, cfg, exp, out_dir, seed):
+def _task_longevity(task, idx, exp, out_dir):
     t, u, v = task["t"], task["u"], task["v"]
     X = exp.inputs[idx]
-    measure = cfg["measure"]
     header = ["node", "gamma"]
-    if measure["kind"] == "bsde" and measure["driver"]["kind"] in ("linear", "zero"):
-        driver = _build(_DRIVERS, measure["driver"])
-        columns = longevity_girsanov(exp.model, driver, t, u, v, X)
+    if isinstance(exp.source, LinearDriver):
+        columns = longevity_girsanov(exp.model, exp.source, t, u, v, X)
         header.append("gamma_formula")
     else:
         columns = (longevity_index(exp.rho, t, u, v, X),)
@@ -415,7 +395,7 @@ _TASKS = {
     "duality": _Kind(_task_duality, optional={"position": _CONSTANT,
                                               "resolution": 0.05}),
     "bsde-convergence": _Kind(_task_convergence, ("grid",),
-                              {"payoff": _CONSTANT, "timing": False}),
+                              {"payoff": _CONSTANT}),
     "longevity": _Kind(_task_longevity, optional={"position": _CONSTANT}),
 }
 
@@ -461,8 +441,6 @@ _KEY_TYPES: dict[str, dict] = {
     "resolution": {"type": "number", "exclusiveMinimum": 0},
     "grid": {"type": "array", "items": {"type": "integer", "minimum": 2},
              "minItems": 1},
-    "timing": {"type": "boolean"},
-    "name": {"type": "string"},
 }
 
 
@@ -503,7 +481,7 @@ CONFIG_SCHEMA = {
         # t, u and v, keys of every task kind, get their defaults from the
         # model in _build_experiment
         "tasks": {"type": "array",
-                  "items": _section(_TASKS, ("t", "u", "v", "name")),
+                  "items": _section(_TASKS, ("t", "u", "v")),
                   "minItems": 1},
         "output": {
             "type": "object",
@@ -564,14 +542,17 @@ def load_config(path: str | Path) -> dict:
 
 
 def _build_experiment(cfg: dict, seed: int) -> _Experiment:
-    """Build the model, the measure and each task's input for the runners:
-    its position, or (lattice, payoff) per grid lattice.  Resolve every
-    task's times: fill in the defaults t = 0 and u = v = horizon, put each
-    time on its grid and check the order t <= u <= v.  Every ``required``
-    axiom must be checked, and the measure must fit the task."""
+    """Build the model, the measure and each task's input for the runners,
+    which read nothing else of the config but their task's keys: its
+    position, (position, dual grid) for a duality task, or (lattice, payoff)
+    per grid lattice.  Resolve every task's times: fill in the defaults
+    t = 0 and u = v = horizon, put each time on its grid and check the order
+    t <= u <= v.  Every ``required`` axiom must be checked, and the measure
+    must fit the task; a duality task must meet the static rules of the
+    dual."""
     model = _build(_MODELS, cfg["model"], seed)
     measure = cfg["measure"]
-    exp = _Experiment(model, _build(_MEASURES, measure, model), [])
+    exp = _Experiment(model, *_build(_MEASURES, measure, model), seed, [])
     for i, task in enumerate(cfg["tasks"]):
         task.setdefault("t", 0.0)
         task.setdefault("u", model.horizon)
@@ -589,20 +570,28 @@ def _build_experiment(cfg: dict, seed: int) -> _Experiment:
         if unchecked:
             raise ConfigError(f"task {i} requires axioms it does not check: "
                               f"{', '.join(sorted(unchecked))}")
-        if task["kind"] == "duality" and measure["kind"] != "shortfall":
-            raise ConfigError("duality tasks need a shortfall measure")
         full = _with_defaults(_TASKS, task)
+        # each task draws its positions at depth(u) from its own stream
+        draw = lambda section, grid: _build(
+            _POSITIONS, section, grid, grid.depth_of(task["u"]),
+            np.random.default_rng(seed + i))
         if task["kind"] == "bsde-convergence":
             if measure["kind"] != "bsde":
                 raise ConfigError("bsde-convergence tasks need a bsde measure")
             if measure["driver"]["kind"] == "linear":
                 raise ConfigError(
                     "no closed-form reference for general linear drivers")
-            exp.inputs.append([(grid, _build(
-                _POSITIONS, full["payoff"], grid, grid.terminal_depth,
-                np.random.default_rng(seed + i))) for grid in grids])
+            exp.inputs.append([(grid, draw(full["payoff"], grid))
+                               for grid in grids])
+        elif task["kind"] == "duality":
+            if measure["kind"] != "shortfall":
+                raise ConfigError("duality tasks need a shortfall measure")
+            X = draw(full["position"], model)
+            _terminal_problem(X, exp.source, task["t"], task["u"])
+            exp.inputs.append((X, DualGrid.simplex(
+                model.num_nodes(X.depth), full["resolution"])))
         else:
-            exp.inputs.append(_task_position(full, i, model, seed)
+            exp.inputs.append(draw(full["position"], model)
                               if "position" in full else None)
     return exp
 
@@ -620,19 +609,18 @@ def run_config(path: str | Path, out_dir: str | Path | None = None,
     ``jobs`` is unused and kept only for callers that still pass it."""
     try:
         cfg = load_config(path)
-        effective_seed = seed if seed is not None else cfg.get("seed", 0)
-        exp = _build_experiment(cfg, effective_seed)
+        exp = _build_experiment(
+            cfg, seed if seed is not None else cfg.get("seed", 0))
         target_dir = Path(out_dir if out_dir is not None
                           else cfg.get("output", {}).get("dir", "."))
         target_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, RiskLibError, ValueError) as exc:
-        log.error("configuration rejected: %s", exc)
+        log.debug("configuration rejected", exc_info=True)
         print(f"riskctl: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        results = [_build(_TASKS, task, i, cfg, exp, target_dir,
-                          effective_seed)
+        results = [_build(_TASKS, task, i, exp, target_dir)
                    for i, task in enumerate(cfg["tasks"])]
     except RiskLibError as exc:
         print(f"riskctl: numerical error: {exc}", file=sys.stderr)

@@ -133,6 +133,14 @@ def _dual_problem(spec: ShortfallSpec, model: FiltrationModel, t: float,
     return law[0], uf, B
 
 
+def _terminal_problem(X: RandomVariable, spec: ShortfallSpec, t: float,
+                      u: float | None):
+    """:func:`_dual_problem` for a position X at the terminal depth."""
+    if X.depth != X.model.terminal_depth:
+        raise TimeGridError("dual evaluation expects a terminal-depth X")
+    return _dual_problem(spec, X.model, t, u)
+
+
 def _check_measure(Q: np.ndarray, p: np.ndarray) -> None:
     if Q.shape != p.shape:
         raise SpecificationError("Q must be a probability vector on the atoms")
@@ -239,6 +247,7 @@ def c_min_bruteforce(m: float, Q: np.ndarray, spec: ShortfallSpec,
     law, _, uf, B = _problem(spec, model, depth,
                              _static_depth(model, depth, t, u), t, u)
     p = law[0]
+    _check_measure(Q, p)
     n = len(p)
     if n > 3:
         raise SpecificationError("the grid oracle is limited to 3 atoms")
@@ -407,10 +416,7 @@ def dual_value(X: RandomVariable, spec: ShortfallSpec, grid: DualGrid,
 
     Lower-bounds the static shortfall (weak duality); the gap closes as the
     grid refines; a row whose c_min diverges has R = -inf."""
-    model = X.model
-    if X.depth != model.terminal_depth:
-        raise TimeGridError("dual evaluation expects a terminal-depth X")
-    p, uf, B = _dual_problem(spec, model, t, u)
+    p, uf, B = _terminal_problem(X, spec, t, u)
     Q = grid.measures
     if grid.n_atoms != len(p):
         raise SpecificationError("grid atom count does not match the model")

@@ -61,6 +61,8 @@ class RiskSentinel(enum.Enum):
     def as_float(self) -> float:
         return math.inf if self is RiskSentinel.PLUS_INF else -math.inf
 
+    __float__ = as_float
+
 
 ExtendedReal = float | RiskSentinel
 _SENTINEL_OF = {s.as_float(): s for s in RiskSentinel}

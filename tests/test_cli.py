@@ -6,8 +6,11 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from horizonrisk import (BrownianLattice, QuadraticQDriver, RandomVariable,
+                         g_risk_measure)
 from horizonrisk import cli
 from horizonrisk.cli import (CONFIG_SCHEMA, EXIT_CONFIG, EXIT_NUMERICAL,
                              EXIT_REQUIRED_AXIOM, EXIT_OK, _fmt, load_config,
@@ -25,6 +28,16 @@ TWO_ATOM_MODEL = {
         {"id": 1, "depth": 1, "parent": 0, "p": 0.5},
         {"id": 2, "depth": 1, "parent": 0, "p": 0.5},
     ],
+}
+
+
+TWO_STEP_MODEL = {
+    "kind": "tree",
+    "times": [0.0, 0.5, 1.0],
+    "nodes": [{"id": 0, "depth": 0, "parent": None, "p": 1.0},
+              *({"id": i, "depth": 1, "parent": 0, "p": 0.5} for i in (1, 2)),
+              *({"id": i, "depth": 2, "parent": 1 + (i - 3) // 2, "p": 0.5}
+                for i in (3, 4, 5, 6))],
 }
 
 
@@ -247,8 +260,15 @@ class TestValidation:
           "measure": {"kind": "bsde", "driver": {"kind": "linear"}},
           "tasks": [{"kind": "bsde-convergence", "grid": [8]}]},
          "no closed-form reference for general linear drivers"),
+        ({"model": TWO_STEP_MODEL, "measure": {"kind": "shortfall"},
+          "tasks": [{"kind": "duality", "t": 0.5}]},
+         "the static problem needs depth(t) = 0"),
+        ({"model": TWO_STEP_MODEL, "measure": {"kind": "shortfall"},
+          "tasks": [{"kind": "duality", "u": 0.5}]},
+         "dual evaluation expects a terminal-depth X"),
     ], ids=["values-length", "two_valued-on-tree", "duality-measure",
-            "convergence-measure", "convergence-linear-driver"])
+            "convergence-measure", "convergence-linear-driver",
+            "duality-t-after-the-root", "duality-u-before-the-horizon"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys,
                                                overrides, message):
         # validate used to print "config ok" for these
@@ -258,6 +278,28 @@ class TestValidation:
         assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.count(message) == 2
         assert not out.exists()
+
+    def test_run_and_validate_print_one_rejection_line(self, tmp_path):
+        # at the default log level run used to log the rejection as well;
+        # pytest captures logging, so the streams are read in a subprocess
+        cfg = base_config(model=LATTICE, tasks=[
+            {"kind": "evaluate", "t": 0.3, "position": {"kind": "uniform"}}])
+        path = write_config(tmp_path, cfg)
+        code = "import sys\nfrom horizonrisk.cli import main\n" \
+               "sys.exit(main(sys.argv[1:]))\n"
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("RISKCTL_LOG", None)
+        errs = []
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--out", str(tmp_path / "out")]):
+            proc = subprocess.run([sys.executable, "-c", code, *argv],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == EXIT_CONFIG
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("riskctl: config error: ")
+        assert errs[0].count("\n") == 1
 
     def test_nan_is_never_printed_as_infinity(self):
         assert _fmt(float("nan")) == "nan"
@@ -376,6 +418,29 @@ class TestRun:
         rows = (out / "task00_convergence.csv").read_text().splitlines()[1:]
         errs = [float(r.split(",")[2]) for r in rows]
         assert errs == sorted(errs, reverse=True)
+
+    def test_convergence_evaluates_at_u(self, tmp_path):
+        payoff = {"kind": "two_valued", "threshold": 0.1, "lo": -0.75,
+                  "hi": 0.75}
+        cfg = base_config(
+            model=LATTICE,
+            measure={"kind": "bsde", "driver": {"kind": "entropic"}},
+            tasks=[{"kind": "bsde-convergence", "u": 0.5, "grid": [8, 16],
+                    "payoff": payoff}],
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert run_config(path, out_dir=out) == EXIT_OK
+        rows = (out / "task00_convergence.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row, n in zip(rows, [8, 16]):
+            lattice = BrownianLattice(n)
+            depth = lattice.depth_of(0.5)
+            X = RandomVariable(lattice, depth, np.where(
+                lattice.brownian(depth) >= 0.1, 0.75, -0.75))
+            want = g_risk_measure(lattice, QuadraticQDriver.entropic(), X,
+                                  0.0, 0.5)
+            assert row.split(",")[:2] == [str(n), _fmt(want.values[0])]
 
     def test_zero_driver_convergence_is_exact(self, tmp_path):
         cfg = base_config(

@@ -175,7 +175,7 @@ class TestRiskMap:
                 for x in (-1.0, 0.0, 1.0, 2.0)]
         assert all(a <= b + 1e-8 for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("route", [c_min, risk_map_R])
+    @pytest.mark.parametrize("route", [c_min, risk_map_R, c_min_bruteforce])
     @pytest.mark.parametrize("Q", [[1.0], [0.2, 0.3, 0.5]])
     def test_measure_of_the_wrong_length_rejected(self, route, Q):
         # one entry is not broadcast over the two atoms

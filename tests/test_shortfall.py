@@ -53,6 +53,11 @@ class TestStaticShortfall:
         X = two_atom.constant(1.0, 1)
         assert static_shortfall(X, spec) is RiskSentinel.MINUS_INF
 
+    @pytest.mark.parametrize("sentinel", list(RiskSentinel))
+    def test_float_reads_a_sentinel(self, sentinel):
+        assert float(sentinel) == sentinel.as_float()
+        assert math.isinf(float(sentinel))
+
     def test_non_monotone_constraint_detected(self, coin_position):
         bad = AggregatorFn(fn=lambda y, m: y - m, monotone_y=True,
                            monotone_m=False, name="anti-cash")
