@@ -49,7 +49,7 @@ except ImportError:  # pragma: no cover - dependency is declared
 from . import axioms as axioms_mod
 from .bsde import (LinearDriver, QuadraticQDriver, g_risk_measure,
                    longevity_girsanov, quadratic_transform_solve)
-from .duality import DualGrid, _terminal_problem, dual_value
+from .duality import DualGrid, _dual_problem, dual_value
 from .errors import RiskLibError
 from .measures import (HorizonSchedule, LossSpec, StepFunction, UtilityFn,
                        certainty_equivalent, entropic, expected_loss,
@@ -121,7 +121,7 @@ _AGGREGATORS = {
                              ("beta",)),
     "exponential": _Kind(lambda c: AggregatorFn.exponential(c["gamma"]),
                          ("gamma",)),
-    # hq aggregators depend on (t, u): the builder of them, with target 0
+    # hq aggregators depend on (t, u): the builder of them
     "hq": _Kind(lambda c: hq_shortfall_spec(
         QParams(q=c["q"], alpha_q=c["alpha"]), c["beta"],
         _build_schedule(c["a"])).aggregator_at,
@@ -330,9 +330,8 @@ def _task_axioms(task, idx, exp, out_dir):
 
 def _task_duality(task, idx, exp, out_dir):
     X, grid = exp.inputs[idx]
-    t, u = task["t"], task["u"]
-    report = dual_value(X, exp.source, grid, t, u)
-    static = float(static_shortfall(X, exp.source, u, t))
+    report = dual_value(X, exp.source, grid)
+    static = float(static_shortfall(X, exp.source))
     dual = float(report.value)
     rows = [[*q, x, r] for q, x, r in zip(grid.measures, report.x_values,
                                           report.r_values)]
@@ -549,7 +548,7 @@ def _build_experiment(cfg: dict, seed: int) -> _Experiment:
     t = 0 and u = v = horizon, put each time on its grid and check the order
     t <= u <= v.  Every ``required`` axiom must be checked, and the measure
     must fit the task; a duality task must meet the static rules of the
-    dual."""
+    dual, t at depth 0 and u at the horizon among them."""
     model = _build(_MODELS, cfg["model"], seed)
     measure = cfg["measure"]
     exp = _Experiment(model, *_build(_MEASURES, measure, model), seed, [])
@@ -586,8 +585,13 @@ def _build_experiment(cfg: dict, seed: int) -> _Experiment:
         elif task["kind"] == "duality":
             if measure["kind"] != "shortfall":
                 raise ConfigError("duality tasks need a shortfall measure")
+            kt, ku = model.depth_of(task["t"]), model.depth_of(task["u"])
+            if (kt, ku) != (0, model.terminal_depth):
+                raise ConfigError(f"task {i} is a static dual: it needs "
+                                  f"depth(t) = 0 and depth(u) = "
+                                  f"{model.terminal_depth}, got {kt} and {ku}")
             X = draw(full["position"], model)
-            _terminal_problem(X, exp.source, task["t"], task["u"])
+            _dual_problem(exp.source, model)
             exp.inputs.append((X, DualGrid.simplex(
                 model.num_nodes(X.depth), full["resolution"])))
         else:

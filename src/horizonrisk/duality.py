@@ -18,9 +18,9 @@ reported c_min is the smallest dual value evaluated, an upper bound of the
 primal, so weak duality dual_value <= static_shortfall holds by
 construction.  An infeasible acceptance set (level below B at
 lambda = 1e12) yields MINUS_INF.  All computations are static: they take
-the one-row problem of :func:`shortfall._problem` under the rule
-depth(t) = 0 of :func:`shortfall._static_depth`, and the Lagrangian routes
-are capped at 6 atoms.
+the one-row problem of :func:`shortfall._problem` at t = 0, on the terminal
+atoms at u = horizon (:func:`rho_bar` at any horizon u), and the Lagrangian
+routes are capped at 6 atoms.
 
 Box rules: :func:`c_min` solves the boxes G and 2G as two rows of one batch
 and reports PLUS_INF when the value grows with the box; :func:`_risk_map_batch`
@@ -43,8 +43,7 @@ import numpy as np
 from .errors import SpecificationError, TimeGridError
 from .probspace import FiltrationModel, RandomVariable
 from .shortfall import (_BISECT_TOL, _BRACKET_CAP, ExtendedReal, RiskSentinel,
-                        ShortfallSpec, _extended, _problem, _smallest_m,
-                        _static_depth)
+                        ShortfallSpec, _extended, _problem, _smallest_m)
 
 __all__ = [
     "DualGrid", "DualReport", "c_min", "c_min_bruteforce", "risk_map_R",
@@ -114,31 +113,20 @@ class DualGrid:
 # problem data extraction
 # ---------------------------------------------------------------------------
 
-def _dual_problem(spec: ShortfallSpec, model: FiltrationModel, t: float,
-                  u: float | None):
-    """(p, uf, B) on the terminal atoms where the Lagrangian dual applies:
-    at most _MAX_ATOMS atoms and U(f(y, m)) concave in y."""
-    depth = model.terminal_depth
-    law, _, uf, B = _problem(spec, model, depth,
-                             _static_depth(model, depth, t, u), t, u)
-    if model.num_nodes(depth) > _MAX_ATOMS:
+def _dual_problem(spec: ShortfallSpec, model: FiltrationModel):
+    """(p, uf, B) on the terminal atoms at (0, horizon) where the Lagrangian
+    dual applies: at most _MAX_ATOMS atoms and U(f(y, m)) concave in y."""
+    law, _, uf, B = _problem(spec, model, model.terminal_depth, 0, 0.0, None)
+    if law.shape[1] > _MAX_ATOMS:
         raise SpecificationError(
             f"dual computations are capped at {_MAX_ATOMS} atoms"
         )
-    if spec.concavity_slack(t, model.horizon if u is None else u) > 1e-9:
+    if spec.concavity_slack(0.0, model.horizon) > 1e-9:
         raise SpecificationError(
             "unsupported: U(f(y, m)) is not concave in y, so the Lagrangian "
             "dual of c_min does not apply"
         )
     return law[0], uf, B
-
-
-def _terminal_problem(X: RandomVariable, spec: ShortfallSpec, t: float,
-                      u: float | None):
-    """:func:`_dual_problem` for a position X at the terminal depth."""
-    if X.depth != X.model.terminal_depth:
-        raise TimeGridError("dual evaluation expects a terminal-depth X")
-    return _dual_problem(spec, X.model, t, u)
 
 
 def _check_measure(Q: np.ndarray, p: np.ndarray) -> None:
@@ -208,8 +196,7 @@ def _cmin_batch(m: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float,
 
 
 def c_min(m: float, Q: np.ndarray, spec: ShortfallSpec,
-          model: FiltrationModel, t: float = 0.0, u: float | None = None
-          ) -> ExtendedReal:
+          model: FiltrationModel) -> ExtendedReal:
     """Minimal penalty c_min(m, Q) = sup{ E_Q[-Y] : E_P[U(f(Y, m))] >= B }.
 
     Solved by the Lagrangian dual with per-atom inner maximizations at the
@@ -217,7 +204,7 @@ def c_min(m: float, Q: np.ndarray, spec: ShortfallSpec,
     grows with the box (unbounded transfer along a mismatched atom).  The
     independent check is :func:`c_min_bruteforce`, run from outside."""
     Q = np.asarray(Q, dtype=float)
-    p, uf, B = _dual_problem(spec, model, t, u)
+    p, uf, B = _dual_problem(spec, model)
     _check_measure(Q, p)
     (v1, v2), (bad1, _) = _cmin_batch(np.array([m, m]), np.stack((Q, Q)), p,
                                       uf, B, box=np.array([_BOX, 2.0 * _BOX]))
@@ -229,8 +216,7 @@ def c_min(m: float, Q: np.ndarray, spec: ShortfallSpec,
 
 
 def c_min_bruteforce(m: float, Q: np.ndarray, spec: ShortfallSpec,
-                     model: FiltrationModel, t: float = 0.0,
-                     u: float | None = None) -> ExtendedReal:
+                     model: FiltrationModel) -> ExtendedReal:
     """Enumeration oracle for c_min: maximize E_Q[-Y] over feasible grid
     points Y in [-20, 20]^n (step 0.05 on two atoms, 0.4 on three), then
     refine the grid locally.  Purely constructive; shares nothing with the
@@ -243,9 +229,7 @@ def c_min_bruteforce(m: float, Q: np.ndarray, spec: ShortfallSpec,
     the lower box edge signals an unbounded transfer and returns PLUS_INF
     (the value grows with the box)."""
     Q = np.asarray(Q, dtype=float)
-    depth = model.terminal_depth
-    law, _, uf, B = _problem(spec, model, depth,
-                             _static_depth(model, depth, t, u), t, u)
+    law, _, uf, B = _problem(spec, model, model.terminal_depth, 0, 0.0, None)
     p = law[0]
     _check_measure(Q, p)
     n = len(p)
@@ -383,8 +367,7 @@ def _risk_map_batch(x: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float):
 
 
 def risk_map_R(x: float, Q: np.ndarray, spec: ShortfallSpec,
-               model: FiltrationModel, t: float = 0.0,
-               u: float | None = None) -> ExtendedReal:
+               model: FiltrationModel) -> ExtendedReal:
     """Left inverse R(x, Q) = inf{ m : c_min(m, Q) >= x }; MINUS_INF when
     the constraint holds below every bracket -- x below inf_m c_min, which
     includes measures with c_min identically +inf -- and PLUS_INF when it is
@@ -392,7 +375,7 @@ def risk_map_R(x: float, Q: np.ndarray, spec: ShortfallSpec,
     MINUS_INF too, by the rule of :func:`_risk_map_batch` that
     :func:`dual_value` shares."""
     Q = np.asarray(Q, dtype=float)
-    p, uf, B = _dual_problem(spec, model, t, u)
+    p, uf, B = _dual_problem(spec, model)
     _check_measure(Q, p)
     x_arr = np.array([float(x)])
     return _extended(_risk_map_batch(x_arr, Q[None, :], p, uf, B)[0])
@@ -410,13 +393,16 @@ class DualReport:
     r_values: np.ndarray = field(repr=False)
 
 
-def dual_value(X: RandomVariable, spec: ShortfallSpec, grid: DualGrid,
-               t: float = 0.0, u: float | None = None) -> DualReport:
-    """Quasi-convex dual representation sup_Q R(E_Q[-X], Q) over the grid.
+def dual_value(X: RandomVariable, spec: ShortfallSpec, grid: DualGrid
+               ) -> DualReport:
+    """Quasi-convex dual representation sup_Q R(E_Q[-X], Q) over the grid,
+    for a position X at the terminal depth.
 
     Lower-bounds the static shortfall (weak duality); the gap closes as the
     grid refines; a row whose c_min diverges has R = -inf."""
-    p, uf, B = _terminal_problem(X, spec, t, u)
+    if X.depth != X.model.terminal_depth:
+        raise TimeGridError("dual evaluation expects a terminal-depth X")
+    p, uf, B = _dual_problem(spec, X.model)
     Q = grid.measures
     if grid.n_atoms != len(p):
         raise SpecificationError("grid atom count does not match the model")
@@ -428,12 +414,13 @@ def dual_value(X: RandomVariable, spec: ShortfallSpec, grid: DualGrid,
 
 
 def rho_bar(m: float, X: RandomVariable, spec: ShortfallSpec,
-            t: float = 0.0, u: float | None = None) -> ExtendedReal:
-    """Cash additive member rho_bar_m(X) = inf{ k : k + X in A^m } of the
-    family associated with the quasi-convex measure; decreasing in m, with
-    rho_bar_{m+d}(X) <= rho_bar_m(X) - d under cash subadditivity."""
-    kt = _static_depth(X.model, X.depth, t, u)
-    law, _, uf, B = _problem(spec, X.model, X.depth, kt, t, u)
+            u: float | None = None) -> ExtendedReal:
+    """Cash additive member rho_bar_m(X) = inf{ k : k + X in A^m } at time 0
+    and horizon u of the family associated with the quasi-convex measure;
+    decreasing in m, with rho_bar_{m+d}(X) <= rho_bar_m(X) - d under cash
+    subadditivity."""
+    X.model.horizon_depths(X, 0.0, u)
+    law, _, uf, B = _problem(spec, X.model, X.depth, 0, 0.0, u)
     xvals = X.values[None, :]
 
     def constraint(k: np.ndarray) -> np.ndarray:
@@ -441,4 +428,4 @@ def rho_bar(m: float, X: RandomVariable, spec: ShortfallSpec,
             return uf(xvals + k[:, None], float(m)) @ law[0]
 
     start = 1.0 + 2.0 * (X.max_abs() + abs(m))
-    return _extended(_smallest_m(constraint, B, start, 1, kt)[0])
+    return _extended(_smallest_m(constraint, B, start, 1, 0)[0])

@@ -84,17 +84,11 @@ class FiltrationModel:
         defaults to the time of depth(X)."""
         if X.model is not self:
             raise TreeStructureError("the position lives on another model")
-        return self._depths(X.depth, t, u)
-
-    def _depths(self, depth: int, t: float,
-                u: float | None) -> tuple[int, int]:
-        """The time rule of :meth:`horizon_depths` for a position at
-        ``depth`` on this model."""
         kt = self.depth_of(t)
-        ku = depth if u is None else self.depth_of(u)
-        if not kt <= depth <= ku:
+        ku = X.depth if u is None else self.depth_of(u)
+        if not kt <= X.depth <= ku:
             raise TimeGridError(f"need depth(t) <= depth(X) <= depth(u), got "
-                                f"{kt}, {depth}, {ku} for t={t}, u={u}")
+                                f"{kt}, {X.depth}, {ku} for t={t}, u={u}")
         return kt, ku
 
     def dt(self, k: int) -> float:
@@ -102,6 +96,7 @@ class FiltrationModel:
 
     # -- layout hooks -----------------------------------------------------
     def num_nodes(self, depth: int) -> int:
+        """Node count at ``depth``; TimeGridError outside the grid's depths."""
         raise NotImplementedError
 
     def probs(self, depth: int) -> np.ndarray:
@@ -153,7 +148,6 @@ class FiltrationModel:
     def constant(self, value: float, depth: int | None = None) -> RandomVariable:
         if depth is None:
             depth = self.terminal_depth
-        self._check_depth(depth)
         return RandomVariable(
             self, depth, np.full(self.num_nodes(depth), float(value))
         )
@@ -416,12 +410,11 @@ class RandomVariable:
     __slots__ = ("model", "depth", "values")
 
     def __init__(self, model: FiltrationModel, depth: int, values):
-        model._check_depth(depth)
+        n = model.num_nodes(depth)  # checks the depth
         vals = np.asarray(values, dtype=float)
-        if vals.shape != (model.num_nodes(depth),):
+        if vals.shape != (n,):
             raise TreeStructureError(
-                f"expected {model.num_nodes(depth)} values at depth {depth}, "
-                f"got shape {vals.shape}"
+                f"expected {n} values at depth {depth}, got shape {vals.shape}"
             )
         if np.isnan(vals).any():
             raise DomainError(f"NaN value at depth {depth}")

@@ -18,9 +18,8 @@ constraint set is empty and -inf one where it always holds, and a scalar
 result reads them as ``RiskSentinel`` members (:func:`_extended`).  Times
 obey the horizon contract that :meth:`FiltrationModel.horizon_depths`
 checks: depth(t) <= depth(X) <= depth(u), u defaulting to the time of
-depth(X).  The static problems, the static shortfall here (the root node of
-the nodewise solve) and the dual quantities of :mod:`.duality`, add the
-rule depth(t) = 0 of :func:`_static_depth`.
+depth(X).  The static shortfall is the root node of the nodewise solve: it
+takes no t, and only its horizon u varies.
 Value-at-Risk is included through its shortfall representation with the
 right-continuous step utility; its conditional quantile is computed by
 exact atom enumeration, not bisection, since the constraint is
@@ -36,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SpecificationError, TimeGridError
+from .errors import DomainError, SpecificationError
 from .measures import HorizonSchedule, UtilityFn
 from .probspace import FiltrationModel, RandomVariable
 from .qcalculus import QParams, exp_q, exp_q_extended
@@ -136,16 +135,16 @@ class AggregatorFn:
         )
 
     @classmethod
-    def hq(cls, qparams: QParams, beta: float, horizon_term: float,
-           target: float) -> "AggregatorFn":
+    def hq(cls, qparams: QParams, beta: float, horizon_term: float
+           ) -> "AggregatorFn":
         """The aggregator that represents the hq-entropic measure on losses
-        as a generalized shortfall with identity utility:
+        as a generalized shortfall with identity utility and target 0:
 
-            f(y, m) = B + exp_q(m) - exp_q((y+beta)^- + alpha_q + A)
+            f(y, m) = exp_q(m) - exp_q((y+beta)^- + alpha_q + A)
 
-        where A is the horizon premium A(t, u) and B the target B_tu.  The
-        cash argument ranges over all of R, so exp_q is extended by zero
-        below its domain boundary (its monotone continuous closure)."""
+        where A is the horizon premium A(t, u).  The cash argument ranges
+        over all of R, so exp_q is extended by zero below its domain
+        boundary (its monotone continuous closure)."""
         if beta < 0.0:
             raise DomainError("severity buffer beta must be >= 0")
         if horizon_term < 0.0:
@@ -154,7 +153,7 @@ class AggregatorFn:
 
         def f(y, m):
             loss = np.maximum(-(y + beta), 0.0) + alpha + horizon_term
-            return target + exp_q_extended(m, q) - exp_q(loss, q)
+            return exp_q_extended(m, q) - exp_q(loss, q)
 
         return cls(fn=f, csa=False, name=f"hq(q={q}, alpha={alpha})")
 
@@ -307,17 +306,6 @@ def _bracket_start(X: RandomVariable, utility: UtilityFn, target: float) -> floa
     return 1.0 + 2.0 * (X.max_abs() + scale)
 
 
-def _static_depth(model: FiltrationModel, depth: int, t: float,
-                  u: float | None) -> int:
-    """depth(t) of a static problem for a position at ``depth``: t and u obey
-    the horizon contract, and the static rule depth(t) = 0 holds."""
-    kt, _ = model._depths(depth, t, u)
-    if kt != 0:
-        raise TimeGridError(f"the static problem needs depth(t) = 0, got "
-                            f"{kt} for t={t}")
-    return kt
-
-
 def _problem(spec: ShortfallSpec, model: FiltrationModel, depth: int, kt: int,
              t: float, u: float | None):
     """(law, U_u, uf, B_tu) at the depth-kt nodes for a position at
@@ -341,11 +329,11 @@ def _nodewise(X: RandomVariable, spec: ShortfallSpec, kt: int, t: float,
 
 
 def static_shortfall(X: RandomVariable, spec: ShortfallSpec,
-                     u: float | None = None, t: float = 0.0) -> ExtendedReal:
-    """Generalized shortfall inf{m : E[U_u(f_u(X, m))] >= B_tu} at a t of
-    depth 0: the root node of the nodewise solve."""
-    kt = _static_depth(X.model, X.depth, t, u)
-    return _extended(_nodewise(X, spec, kt, t, u)[0])
+                     u: float | None = None) -> ExtendedReal:
+    """Generalized shortfall inf{m : E[U_u(f_u(X, m))] >= B_0u} at time 0:
+    the root node of the nodewise solve."""
+    X.model.horizon_depths(X, 0.0, u)
+    return _extended(_nodewise(X, spec, 0, 0.0, u)[0])
 
 
 def dynamic_shortfall(X: RandomVariable, t: float, spec: ShortfallSpec,
@@ -406,21 +394,17 @@ def ce_equivalence_check(utility: UtilityFn, aggregator: AggregatorFn,
 
 
 def hq_shortfall_spec(qparams: QParams, beta: float,
-                      schedule: HorizonSchedule,
-                      targets: TargetSchedule | None = None) -> ShortfallSpec:
+                      schedule: HorizonSchedule) -> ShortfallSpec:
     """The h-generalized shortfall that reproduces the hq-entropic measure
-    on losses: identity utility and the hq aggregator built from
-    (q, alpha_q, beta) with horizon term A(t, u) and target B_tu."""
-    if targets is None:
-        targets = TargetSchedule.constant(0.0)
+    on losses: identity utility, target 0 and the hq aggregator built from
+    (q, alpha_q, beta) with horizon term A(t, u)."""
 
     def aggregator(t: float, u: float) -> AggregatorFn:
-        return AggregatorFn.hq(
-            qparams, beta, horizon_term=schedule.integral(t, u),
-            target=targets(t, u),
-        )
+        return AggregatorFn.hq(qparams, beta,
+                               horizon_term=schedule.integral(t, u))
 
-    return ShortfallSpec(UtilityFn.linear(), aggregator, targets)
+    return ShortfallSpec(UtilityFn.linear(), aggregator,
+                         TargetSchedule.constant(0.0))
 
 
 def acceptance_member(Y: RandomVariable, m, spec: ShortfallSpec, t: float,

@@ -262,10 +262,12 @@ class TestValidation:
          "no closed-form reference for general linear drivers"),
         ({"model": TWO_STEP_MODEL, "measure": {"kind": "shortfall"},
           "tasks": [{"kind": "duality", "t": 0.5}]},
-         "the static problem needs depth(t) = 0"),
+         "task 0 is a static dual: it needs depth(t) = 0 and depth(u) = 2, "
+         "got 1 and 2"),
         ({"model": TWO_STEP_MODEL, "measure": {"kind": "shortfall"},
           "tasks": [{"kind": "duality", "u": 0.5}]},
-         "dual evaluation expects a terminal-depth X"),
+         "task 0 is a static dual: it needs depth(t) = 0 and depth(u) = 2, "
+         "got 0 and 1"),
     ], ids=["values-length", "two_valued-on-tree", "duality-measure",
             "convergence-measure", "convergence-linear-driver",
             "duality-t-after-the-root", "duality-u-before-the-horizon"])
@@ -403,6 +405,27 @@ class TestRun:
                 assert r == "-inf"
         summary = json.loads((out / "task00_duality.json").read_text())
         assert math.isfinite(float(summary["dual_value"]))
+
+    def test_duality_times_within_the_grid_tolerance_change_nothing(
+            self, tmp_path):
+        # t within 1e-9 of 0 and u within 1e-9 of the horizon are the
+        # static dual's only times, so the artifacts are the defaults' own
+        outs = []
+        for times in ({}, {"t": 1e-12, "u": 1.0 - 5e-10}):
+            cfg = base_config(
+                model=TWO_STEP_MODEL,
+                measure={"kind": "shortfall",
+                         "utility": {"kind": "exp_bounded"}},
+                tasks=[{"kind": "duality", "resolution": 0.2, **times,
+                        "position": {"kind": "values",
+                                     "values": [1.0, -0.5, 0.25, -1.0]}}])
+            out = tmp_path / f"out{len(outs)}"
+            path = write_config(tmp_path, cfg, name=f"cfg{len(outs)}.json")
+            assert main(["validate", str(path)]) == EXIT_OK
+            assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+            outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert sorted(outs[0]) == ["task00_duality.csv", "task00_duality.json"]
+        assert outs[1] == outs[0]
 
     def test_convergence_task_errors_decrease(self, tmp_path):
         cfg = base_config(

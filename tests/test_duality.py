@@ -70,10 +70,6 @@ def scaled_shortfall_cases(draw):
     return X, utility, B, draw(st.floats(0.1, 1.0))
 
 
-def as_float(value):
-    return value if isinstance(value, float) else value.as_float()
-
-
 def simplex_and_p(tree, resolution):
     """The simplex grid on the terminal atoms with the reference P appended."""
     p = tree.probs(1)
@@ -243,7 +239,7 @@ class TestDualProperties:
         X = RandomVariable(tree, 1, data.draw(atom_vectors(n, -2.0, 2.0)))
         report = dual_value(X, spec, DualGrid.simplex(n, 0.25))
         static = static_shortfall(X, spec)
-        assert as_float(report.value) <= as_float(static) + 1e-8
+        assert float(report.value) <= float(static) + 1e-8
 
     @given(case=dual_instances(DUAL_POOL), x=st.floats(-2.0, 2.0))
     @example(case=(ScenarioTree.terminal_atoms([0.5, 0.5]), linear_spec(),
@@ -255,7 +251,7 @@ class TestDualProperties:
         tree, spec, Q = case
         report = dual_value(tree.constant(-x, 1), spec, DualGrid(Q[None, :]))
         direct = risk_map_R(report.x_values[0], Q, spec, tree)
-        assert report.r_values[0] == as_float(direct)
+        assert report.r_values[0] == float(direct)
 
     @pytest.mark.parametrize("spec, beta, gamma, B", TRANSLATION_POOL,
                              ids=["entropic", "scaled_additive", "exponential"])
@@ -295,7 +291,7 @@ class TestDualProperties:
             utility, AggregatorFn.scaled_additive(beta),
             TargetSchedule.constant(B)))
         classic = static_shortfall(beta * X, ShortfallSpec.classic(utility, B))
-        assert as_float(scaled) == pytest.approx(as_float(classic), abs=2e-9)
+        assert float(scaled) == pytest.approx(float(classic), abs=2e-9)
 
     @given(case=dual_instances(CMIN_POOL), m=st.floats(-1.5, 1.5))
     @settings(max_examples=6, deadline=None, derandomize=True)

@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horizonrisk import (AdaptedProcess, BrownianLattice, DomainError,
-                         DriverFamily, DualGrid, HorizonSchedule, LinearDriver,
+                         DriverFamily, HorizonSchedule, LinearDriver,
                          LossSpec, QParams, QuadraticQDriver, RandomVariable,
                          ScenarioTree, ShortfallSpec, TimeGridError,
                          TreeStructureError, UtilityFn, acceptance_member,
-                         c_min, c_min_bruteforce, discounted_wrap, dual_value,
-                         dynamic_shortfall, entropic, g_risk_measure,
-                         h_entropic, hq_entropic_losses, hq_shortfall_spec,
-                         longevity_girsanov, quadratic_transform_solve,
-                         restriction_check, rho_bar, risk_map_R, solve_bsde,
-                         solve_family, static_shortfall)
+                         discounted_wrap, dynamic_shortfall, entropic,
+                         g_risk_measure, h_entropic, hq_entropic_losses,
+                         hq_shortfall_spec, longevity_girsanov,
+                         quadratic_transform_solve, restriction_check, rho_bar,
+                         solve_bsde, solve_family, static_shortfall)
 
 from conftest import random_rv, random_tree
 
@@ -224,6 +223,19 @@ class TestRandomVariableArithmetic:
         with pytest.raises(TreeStructureError):
             RandomVariable(two_atom, 1, [1.0])
 
+    @pytest.mark.parametrize("model", [random_tree(4, depth=4),
+                                       BrownianLattice(4, 1.0)],
+                             ids=["tree", "lattice"])
+    @pytest.mark.parametrize("build", [
+        lambda model, depth: RandomVariable(model, depth, [0.0]),
+        lambda model, depth: model.constant(0.0, depth),
+    ], ids=["RandomVariable", "constant"])
+    def test_depth_off_the_grid_rejected(self, model, build):
+        for depth in (5, -1):
+            with pytest.raises(TimeGridError,
+                               match=rf"^depth {depth} outside \[0, 4\]$"):
+                build(model, depth)
+
     def test_nan_rejected_infinities_kept(self, two_atom):
         # NaN is neither a value nor a sentinel; +-inf stay legal as the
         # sentinel markers of dynamic_shortfall
@@ -279,22 +291,15 @@ FOREIGN = RandomVariable(BrownianLattice(4, 1.0), 4, [1.0, 0.5, 0.0, -0.5, -1.0]
 Q_DRIVER = QuadraticQDriver(0.5, HorizonSchedule.constant(0.2))
 
 
-# the dual routes' coin resolves at 0.5, after a sure first step to 0.25
+# the static routes' coin resolves at 0.5, after a sure first step to 0.25
 COIN = ScenarioTree([0.0, 0.25, 0.5], [(0, 0, None, 1.0), (1, 1, 0, 1.0),
                                        (2, 2, 1, 0.5), (3, 2, 1, 0.5)])
 COIN_Y = RandomVariable(COIN, 2, [1.0, -1.0])
 CLASSIC = ShortfallSpec.classic(UtilityFn.exp_bounded(1.0), 0.0)
-HALF = np.array([0.5, 0.5])
-# the static problems as functions of (t, u)
+# the static problems that take a horizon, as functions of u
 STATIC_ROUTES = {
-    "static_shortfall": lambda t, u: static_shortfall(COIN_Y, CLASSIC, u, t),
-    "c_min": lambda t, u: c_min(0.2, HALF, CLASSIC, COIN, t, u),
-    "c_min_bruteforce": lambda t, u: c_min_bruteforce(0.2, HALF, CLASSIC,
-                                                      COIN, t, u),
-    "risk_map_R": lambda t, u: risk_map_R(-0.1, HALF, CLASSIC, COIN, t, u),
-    "dual_value": lambda t, u: dual_value(
-        COIN_Y, CLASSIC, DualGrid.simplex(2, 0.5), t, u).value,
-    "rho_bar": lambda t, u: rho_bar(0.2, COIN_Y, CLASSIC, t, u),
+    "static_shortfall": lambda u: static_shortfall(COIN_Y, CLASSIC, u),
+    "rho_bar": lambda u: rho_bar(0.2, COIN_Y, CLASSIC, u),
 }
 
 
@@ -361,18 +366,10 @@ class TestHorizonContract:
                   lambda: hq_entropic_losses(X, 0.0, u, loss, schedule),
                   lambda: static_shortfall(X, spec, u=u),
                   lambda: acceptance_member(X, 0.0, spec, 0.0, u)]
-        for route in routes + [lambda r=r: r(0.0, u)
+        for route in routes + [lambda r=r: r(u)
                                for r in STATIC_ROUTES.values()]:
             with pytest.raises(TimeGridError):
                 route()
-
-    @pytest.mark.parametrize("route", STATIC_ROUTES.values(),
-                             ids=STATIC_ROUTES.keys())
-    def test_static_rule_is_depth_zero(self, route):
-        """The static problems take any t of depth 0 and no other."""
-        assert route(1e-12, None) == route(0.0, None)
-        with pytest.raises(TimeGridError):
-            route(0.25, None)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(st.data())

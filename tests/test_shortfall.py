@@ -260,7 +260,7 @@ class TestCeEquivalence:
 
     def test_hq_aggregator_is_not_a_certainty_equivalent(self):
         qp = QParams(q=0.5, alpha_q=0.0)
-        f = AggregatorFn.hq(qp, beta=0.0, horizon_term=0.0, target=0.0)
+        f = AggregatorFn.hq(qp, beta=0.0, horizon_term=0.0)
         battery = [UtilityFn.linear(), UtilityFn.neg_exponential(1.0),
                    UtilityFn.exp_bounded(1.0), UtilityFn.softplus()]
         for utilde in battery:
