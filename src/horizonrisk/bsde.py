@@ -14,7 +14,12 @@ depth(t) and stops there; every entry point checks X, t and u against the
 horizon contract of :meth:`FiltrationModel.horizon_depths`.  Beyond the
 depth at which X resolves, Y stays measurable there and Z vanishes, so those
 steps reduce to the per-node recursion Y_j = Y_{j+1} + g(t_j, Y_j, 0) dt;
-this is how horizon-longevity gaps are produced.
+this is how horizon-longevity gaps are produced.  For a q-quadratic driver
+g(t, y, 0) is the horizon rate a(t), so the recursion is the closed form
+Y_j = Y_{j+1} + a(t_j) dt, which adds the premium A(u, v) one step at a time
+(bitwise the value of the implicit step).  Its domain 1 + (1-q) y > 0 is
+checked once, on the layer that enters these steps: a >= 0 makes Y
+non-decreasing backward, so every later layer passes when that one does.
 
 Quadratic q-type drivers with q = 1 or a zero rate additionally admit the
 exact generalized-log transform (:func:`quadratic_transform_solve`), so the
@@ -101,7 +106,7 @@ class QuadraticQDriver:
 
     def _denominator(self, y: np.ndarray) -> np.ndarray:
         denom = 1.0 + (1.0 - self.q) * np.asarray(y, dtype=float)
-        if np.any(denom <= 0.0):
+        if (denom <= 0.0).any():
             raise DomainError("quadratic driver outside its domain: 1 + "
                               f"(1-q) y reached {float(np.min(denom))!r}")
         return denom
@@ -191,15 +196,24 @@ def _backward(lattice: BrownianLattice, driver, y: np.ndarray,
               resolved: int, top: int, stop: int):
     """Yield (Y_k, Z_k) for k = top-1 down to stop, from Y = y at depth top
     for a terminal resolved at depth ``resolved`` <= top: Z = 0 at depths
-    >= resolved, the lattice step (checked for contraction) below."""
+    >= resolved (the closed-form horizon step for a q-quadratic driver),
+    the lattice step below.  A pass with steps is checked for contraction
+    before its first one."""
+    if top > stop:
+        _precheck_contraction(lattice, driver)
+    quadratic = isinstance(driver, QuadraticQDriver)
+    if quadratic and top > max(resolved, stop):
+        driver._denominator(y)  # the one domain check of the horizon steps
     zeros = np.zeros_like(y)
     for k in range(top - 1, stop - 1, -1):
-        e_part, z = y, zeros
+        t, dt, z = lattice.times[k], lattice.dt(k), zeros
         if k < resolved:
-            if k == resolved - 1:
-                _precheck_contraction(lattice, driver)
-            e_part, z = lattice.step_expectation(y, k), lattice.step_z(y, k)
-        y = _implicit_step(driver, lattice.times[k], e_part, z, lattice.dt(k))
+            z = lattice.step_z(y, k)
+            y = _implicit_step(driver, t, lattice.step_expectation(y, k), z, dt)
+        elif quadratic:  # g(t, y, 0) = a(t)
+            y = y + driver.rate(t) * dt
+        else:
+            y = _implicit_step(driver, t, y, zeros, dt)
         yield y, z
 
 

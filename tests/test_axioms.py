@@ -173,6 +173,43 @@ class TestReportMechanics:
         assert axioms.SWEEPS == {"restriction", "h_longevity"}
 
 
+def _six_then_slice(model, depth, samples, rng):
+    """The sampled positions as first built: six fixed ones (fewer on a
+    layer of one or two nodes), then draws up to ``samples``, then a
+    slice."""
+    n = model.num_nodes(depth)
+    xs = [model.constant(c, depth) for c in (-2.0, 0.0, 1.5)]
+    for j in range(min(n, 3)):
+        spike = np.zeros(n)
+        spike[j * (n - 1) // max(1, min(n, 3) - 1) if n > 1 else 0] = \
+            3.0 * (-1) ** j
+        xs.append(RandomVariable(model, depth, spike))
+    while len(xs) < samples:
+        xs.append(RandomVariable(model, depth, rng.uniform(-3.0, 3.0, size=n)))
+    return xs[:samples]
+
+
+class TestSamplePositions:
+    """Only the returned positions are built; the list and the draws are
+    those of building six and slicing."""
+
+    @pytest.mark.parametrize("samples", [1, 2, 4, 7, 9])
+    @pytest.mark.parametrize("case", ["lattice", "tree"])
+    def test_list_and_rng_state_match_six_then_slice(self, samples, case,
+                                                     tree):
+        model = BrownianLattice(6, 1.0) if case == "lattice" else tree
+        for depth in range(model.terminal_depth + 1):
+            rng, ref_rng = (np.random.default_rng(11),
+                            np.random.default_rng(11))
+            xs = axioms._sample_positions(model, depth, samples, rng)
+            ref = _six_then_slice(model, depth, samples, ref_rng)
+            assert len(xs) == len(ref) == samples
+            for X, R in zip(xs, ref):
+                assert X.depth == R.depth == depth
+                assert np.array_equal(X.values, R.values)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def _unmemoized_sweep(axiom, rho_family, model, samples, seed):
     """The time sweep with two rho calls per grid triple and position, as
     the sweep ran before it kept rho_tu(X) per (X, t, u); also returns the

@@ -40,6 +40,12 @@ def test_tracer_installs_counts_and_uninstalls():
         before = tracer.counts["bsde.driver.calls"]
         hr.g_risk_measure(lat, hr.QuadraticQDriver(0.5), X, 0.0, 1.0)
         assert tracer.counts["bsde.driver.calls"] - before == 4
+        # past depth(X) = 2 the horizon steps add a(t) dt without a driver
+        # call: two calls for the two lattice steps below depth 2
+        before = tracer.counts["bsde.driver.calls"]
+        X2 = hr.RandomVariable(lat, 2, lat.brownian(2))
+        hr.g_risk_measure(lat, hr.QuadraticQDriver(0.5), X2, 0.0, 1.0)
+        assert tracer.counts["bsde.driver.calls"] - before == 2
     finally:
         tracer.uninstall()
     assert hr.dual_value is dual_value

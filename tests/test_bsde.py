@@ -86,12 +86,38 @@ class TestBackwardScheme:
         with pytest.raises(ConfigurationError):
             solve_bsde(lat, driver, RandomVariable(lat, 2, [0.0, 1.0, 2.0]))
 
+    def test_contraction_precheck_covers_the_horizon_steps(self):
+        # X resolves at depth 1 of 2 and u = 1: the only fixed-point step
+        # of rho_01 is a horizon step (Z = 0), and dt * C = 1.5 >= 1
+        lat = BrownianLattice(2, 1.0)
+        driver = GenericLipschitzDriver(g=lambda t, y, z: 3.0 * y,
+                                        lipschitz_constant=3.0)
+        X = RandomVariable(lat, 1, [-1.0, 1.0])
+        with pytest.raises(ConfigurationError, match="refine the lattice"):
+            g_risk_measure(lat, driver, X, 0.5, 1.0)
+        with pytest.raises(ConfigurationError, match="refine the lattice"):
+            g_risk_measure(lat, driver, X, 0.0, 1.0)
+        # a pass without steps checks nothing
+        rho = g_risk_measure(lat, driver, X, 0.5, 0.5)
+        assert np.array_equal(rho.values, [1.0, -1.0])
+
     def test_quadratic_domain_breach(self):
         lat = BrownianLattice(4, 1.0)
         driver = QuadraticQDriver(q=0.5)  # needs y > -2
         bad_terminal = lat.constant(-5.0, 4)
         with pytest.raises(DomainError):
             solve_bsde(lat, driver, bad_terminal)
+
+    def test_quadratic_domain_breach_in_the_horizon_steps(self):
+        # y = -X = -5 at one node of depth 2: 1 + 0.5 y = -1.5 <= 0 on the
+        # layer that enters the Z = 0 steps from u = 1
+        lat = BrownianLattice(4, 1.0)
+        driver = QuadraticQDriver(0.5, HorizonSchedule.constant(0.2))
+        X = RandomVariable(lat, 2, [0.0, 1.0, 5.0])
+        with pytest.raises(DomainError, match="reached -1.5"):
+            g_risk_measure(lat, driver, X, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            g_risk_measure(lat, driver, X, 0.5, 0.75)
 
     def test_horizon_before_position_rejected(self):
         lat = BrownianLattice(4, 1.0)
@@ -396,6 +422,45 @@ class TestOneBackwardRecursion:
         inner = g_risk_measure(lat, driver, X, s, u)
         assert np.array_equal(g_risk_measure(lat, driver, X, t, u).values,
                               g_risk_measure(lat, driver, -inner, t, s).values)
+
+
+def _reference_rho(lat, driver, X, kt, ku):
+    """rho_tu(X) by one implicit step per depth, with Z = 0 past depth(X)."""
+    y = -X.values
+    for k in range(ku - 1, kt - 1, -1):
+        e_part, z = y, np.zeros_like(y)
+        if k < X.depth:
+            e_part, z = lat.step_expectation(y, k), lat.step_z(y, k)
+        y = _implicit_step(driver, lat.times[k], e_part, z, lat.dt(k))
+    return y
+
+
+class TestClosedFormHorizonSteps:
+    """Past depth(X) a q-quadratic driver steps by y + a(t) dt, bitwise the
+    value of the implicit step there."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_the_implicit_step_at_every_depth(self, data):
+        n = data.draw(st.integers(1, 32))
+        dx = data.draw(st.integers(0, n))
+        kt = data.draw(st.integers(0, dx))
+        ku = data.draw(st.integers(dx, n))
+        q = data.draw(st.one_of(st.just(1.0),
+                                st.floats(0.0, 1.0, exclude_min=True)))
+        cut = data.draw(st.floats(0.0, 1.0, exclude_min=True,
+                                  exclude_max=True))
+        rates = data.draw(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)))
+        driver = QuadraticQDriver(
+            q, HorizonSchedule(StepFunction((0.0, cut), rates)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        lat = BrownianLattice(n, 1.0)
+        # X in [-1, 1] keeps 1 + (1-q) y > 0 for every q in (0, 1]
+        X = RandomVariable(lat, dx, rng.uniform(-1.0, 1.0, lat.num_nodes(dx)))
+        rho = g_risk_measure(lat, driver, X, lat.times[kt], lat.times[ku])
+        assert rho.depth == kt
+        assert np.array_equal(rho.values,
+                              _reference_rho(lat, driver, X, kt, ku))
 
 
 class TestInterestRateDriverLongevity:
