@@ -43,7 +43,8 @@ import numpy as np
 from .errors import SpecificationError, TimeGridError
 from .probspace import FiltrationModel, RandomVariable
 from .shortfall import (_BISECT_TOL, _BRACKET_CAP, ExtendedReal, RiskSentinel,
-                        ShortfallSpec, _extended, _problem, _smallest_m)
+                        ShortfallSpec, _extended, _finite_max_abs, _problem,
+                        _smallest_m)
 
 __all__ = [
     "DualGrid", "DualReport", "c_min", "c_min_bruteforce", "risk_map_R",
@@ -427,5 +428,5 @@ def rho_bar(m: float, X: RandomVariable, spec: ShortfallSpec,
         with np.errstate(over="ignore", invalid="ignore"):
             return uf(xvals + k[:, None], float(m)) @ law[0]
 
-    start = 1.0 + 2.0 * (X.max_abs() + abs(m))
+    start = 1.0 + 2.0 * (_finite_max_abs(X) + abs(m))
     return _extended(_smallest_m(constraint, B, start, 1, 0)[0])

@@ -225,7 +225,11 @@ def entropic(X: RandomVariable, t: float, b: float = 1.0) -> RandomVariable:
     if b <= 0.0:
         raise DomainError("risk aversion b must be > 0")
     k, _ = X.model.horizon_depths(X, t)
-    ex = X.apply(lambda v: np.exp(np.minimum(-b * v, 700.0))).condexp(k)
+    exponent = -b * X.values
+    if exponent.max() > 700.0:
+        raise DomainError(f"entropic: exp(-b X) overflows, max(-b X) = "
+                          f"{float(exponent.max())!r} > 700")
+    ex = RandomVariable(X.model, X.depth, np.exp(exponent)).condexp(k)
     return ex.apply(lambda v: np.log(v) / b)
 
 

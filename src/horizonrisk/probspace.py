@@ -13,7 +13,10 @@ Two model families share one interface:
 
 Both supply the adjoint one-step hooks ``step_expectation`` (backward) and
 ``step_forward`` (forward), from which :class:`FiltrationModel` derives the
-rest, the conditional law ``cond_matrix`` included.
+rest, the conditional law ``cond_matrix`` included.  A tree pushes the
+identity forward; the lattice's up probabilities depend on the step only, so
+it pushes one node's row and shifts it along the diagonal, O(N^2) in place
+of O(N^3), with every entry bitwise the same.
 
 A :class:`RandomVariable` holds one value per node at a fixed depth and is
 F_k-measurable by construction; an :class:`AdaptedProcess` holds one such
@@ -52,7 +55,10 @@ class FiltrationModel:
     ``step_forward`` (depth-k probability rows pushed to depth k+1).
     Iterated conditioning composes ``step_expectation`` backward; the
     conditional law ``cond_matrix`` composes ``step_forward`` from the
-    identity, and ``probs`` is its row from the root.
+    identity, and ``probs`` is its row from the root.  ``cond_matrix`` checks
+    the depths and hands the build to ``_build_cond_matrix``, which a model
+    with a cheaper law overrides: the lattice pushes a single row and writes
+    it, shifted by i, into row i.
     """
 
     times: tuple[float, ...]
@@ -140,6 +146,11 @@ class FiltrationModel:
         self._check_depth(to_depth)
         if to_depth < from_depth:
             raise TimeGridError("cond_matrix requires from_depth <= to_depth")
+        return self._build_cond_matrix(from_depth, to_depth)
+
+    def _build_cond_matrix(self, from_depth: int, to_depth: int) -> np.ndarray:
+        """The law of :meth:`cond_matrix` on checked depths; models whose law
+        has more structure override this, never ``cond_matrix`` itself."""
         rows = np.eye(self.num_nodes(from_depth))
         for k in range(from_depth, to_depth):
             rows = self.step_forward(rows, k)
@@ -376,6 +387,18 @@ class BrownianLattice(FiltrationModel):
         out[..., 1:] += p * rows
         return out
 
+    def _build_cond_matrix(self, from_depth: int, to_depth: int) -> np.ndarray:
+        # The up probabilities depend on the step only, so every node's law is
+        # one row of d - k + 1 binomial weights, shifted by the node's index.
+        # Each entry takes the same floating-point steps as the base build.
+        row = np.ones(1)
+        for k in range(from_depth, to_depth):
+            row = self.step_forward(row, k)
+        out = np.zeros((from_depth + 1, to_depth + 1))
+        for i in range(from_depth + 1):
+            out[i, i:i + row.size] = row
+        return out
+
     def step_z(self, values: np.ndarray, depth: int) -> np.ndarray:
         """E[Y_{k+1} dB_k | F_k] / dt -- the exact discrete gradient."""
         values = np.asarray(values, dtype=float)
@@ -478,9 +501,6 @@ class RandomVariable:
 
     def expectation(self) -> float:
         return self.model.expectation(self)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     def __repr__(self) -> str:
         return (f"RandomVariable(depth={self.depth}, "

@@ -297,13 +297,22 @@ def _extended(value: float) -> ExtendedReal:
     return _SENTINEL_OF.get(value, float(value))
 
 
+def _finite_max_abs(X: RandomVariable) -> float:
+    """max |X|, the position's share of a bisection's first bracket edge; a
+    position with an infinite value has no finite bracket."""
+    if not np.isfinite(X.values).all():
+        raise DomainError(f"the shortfall needs a finite position, got an "
+                          f"infinite value at depth {X.depth}")
+    return float(np.max(np.abs(X.values)))
+
+
 def _bracket_start(X: RandomVariable, utility: UtilityFn, target: float) -> float:
     scale = 0.0
     if utility.inverse is not None:
         lo, hi = utility.codomain
         if lo - 1e-12 <= target <= hi + 1e-12:
             scale = abs(float(utility.inverse_apply(target)))
-    return 1.0 + 2.0 * (X.max_abs() + scale)
+    return 1.0 + 2.0 * (_finite_max_abs(X) + scale)
 
 
 def _problem(spec: ShortfallSpec, model: FiltrationModel, depth: int, kt: int,

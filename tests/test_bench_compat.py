@@ -46,6 +46,12 @@ def test_tracer_installs_counts_and_uninstalls():
         X2 = hr.RandomVariable(lat, 2, lat.brownian(2))
         hr.g_risk_measure(lat, hr.QuadraticQDriver(0.5), X2, 0.0, 1.0)
         assert tracer.counts["bsde.driver.calls"] - before == 2
+        # the lattice builds its law through the wrapped entry point
+        calls = tracer.counts["probspace.cond_matrix.calls"]
+        cells = tracer.counts["probspace.cond_matrix.cells"]
+        hr.BrownianLattice(4).cond_matrix(2, 4)
+        assert tracer.counts["probspace.cond_matrix.calls"] - calls == 1
+        assert tracer.counts["probspace.cond_matrix.cells"] - cells == 15
     finally:
         tracer.uninstall()
     assert hr.dual_value is dual_value

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from horizonrisk import (AdaptedProcess, DomainError, HorizonSchedule,
-                         LossSpec, QParams, RandomVariable, RangeError,
-                         SpecificationError, StepFunction, TimeGridError,
-                         UtilityFn, certainty_equivalent, discounted_wrap,
-                         entropic, expected_loss, h_entropic,
+from horizonrisk import (AdaptedProcess, BrownianLattice, DomainError,
+                         HorizonSchedule, LossSpec, QParams, RandomVariable,
+                         RangeError, SpecificationError, StepFunction,
+                         TimeGridError, UtilityFn, certainty_equivalent,
+                         discounted_wrap, entropic, expected_loss, h_entropic,
                          hq_entropic_losses, longevity_index,
                          monotone_in_q_check, q_entropic_losses)
 
@@ -88,6 +88,18 @@ class TestEntropic:
     def test_invalid_b(self, coin_position):
         with pytest.raises(DomainError):
             entropic(coin_position, 0.0, 0.0)
+
+    @pytest.mark.parametrize("b", [1.0, 2.0])
+    def test_overflowing_exponent_rejected(self, b):
+        lat = BrownianLattice(4, 1.0)
+        with pytest.raises(DomainError, match="max\\(-b X\\)"):
+            entropic(lat.constant(-800.0), 0.0, b)
+        X = RandomVariable(lat, 4, [-np.inf, 0.5, 1.0, -0.3, 0.2])
+        with pytest.raises(DomainError):
+            entropic(X, 0.0, b)
+        # the largest exponent that does not overflow
+        assert entropic(lat.constant(-700.0 / b), 0.0, b).values[0] \
+            == pytest.approx(700.0 / b, rel=1e-14)
 
 
 class TestHEntropic:

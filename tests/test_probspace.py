@@ -122,7 +122,37 @@ def models_and_depths(draw):
     return model, from_depth, to_depth
 
 
+def pushed_identity_cond_matrix(model, from_depth, to_depth):
+    """Reference conditional law: the identity on the from_depth nodes pushed
+    forward one step at a time."""
+    rows = np.eye(model.num_nodes(from_depth))
+    for k in range(from_depth, to_depth):
+        rows = model.step_forward(rows, k)
+    return rows
+
+
+@st.composite
+def lattices_and_depth(draw):
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        slope = draw(st.floats(-3.0, 3.0))
+        model = BrownianLattice(n, 2.0).tilted(lambda t: 1.0 + slope * t)
+    else:
+        ups = draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n))
+        model = BrownianLattice(n, 1.0, up_probs=np.array(ups))
+    to_depth = draw(st.one_of(st.just(n), st.integers(0, n)))
+    return model, to_depth
+
+
 class TestConditionalLaw:
+    @given(case=lattices_and_depth())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_lattice_law_is_the_pushed_identity_bitwise(self, case):
+        lat, d = case
+        for k in range(d + 1):
+            assert np.array_equal(lat.cond_matrix(k, d),
+                                  pushed_identity_cond_matrix(lat, k, d))
+
     @given(case=models_and_depths(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_forward_law_matches_backward_columns(self, case, seed):

@@ -13,7 +13,7 @@ from horizonrisk import (AggregatorFn, BrownianLattice, DomainError,
                          certainty_equivalent, dynamic_shortfall, entropic,
                          h_entropic, h_var, hq_entropic_losses,
                          hq_shortfall_spec, quadratic_transform_solve,
-                         static_shortfall)
+                         rho_bar, static_shortfall)
 
 from conftest import random_rv, random_tree
 
@@ -75,6 +75,33 @@ class TestStaticShortfall:
         X = RandomVariable(tree, 1, [x1, x2])
         value = static_shortfall(X, linear_spec())
         assert value == pytest.approx(-(p * x1 + (1 - p) * x2), abs=1e-8)
+
+
+INFINITE_POSITION_ROUTES = {
+    "static": static_shortfall,
+    "dynamic": lambda X, spec: dynamic_shortfall(X, 0.5, spec),
+    "rho_bar": lambda X, spec: rho_bar(0.0, X, spec),
+}
+
+
+class TestInfinitePositions:
+    """A position with an infinite value has no finite bisection bracket; it
+    is rejected where it enters, not solved into NaN."""
+
+    @pytest.mark.parametrize("route", sorted(INFINITE_POSITION_ROUTES))
+    @pytest.mark.parametrize("lattice", [False, True])
+    @pytest.mark.parametrize("hq", [False, True])
+    @pytest.mark.parametrize("inf", [-math.inf, math.inf])
+    def test_rejected_on_every_route(self, route, lattice, hq, inf):
+        model = BrownianLattice(4, 1.0) if lattice else random_tree(2, depth=2)
+        values = np.linspace(-0.3, 1.0, model.num_nodes(model.terminal_depth))
+        values[0] = inf
+        X = RandomVariable(model, model.terminal_depth, values)
+        spec = (hq_shortfall_spec(QParams(q=0.7, alpha_q=0.0), 0.0,
+                                  HorizonSchedule.constant(0.2))
+                if hq else entropic_spec())
+        with pytest.raises(DomainError, match="finite position"):
+            INFINITE_POSITION_ROUTES[route](X, spec)
 
 
 class TestDynamicShortfall:
