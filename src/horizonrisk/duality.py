@@ -13,7 +13,8 @@ c_min is solved by a scalar Lagrangian dual in the multiplier lambda >= 0
 of sup_Y [ -E_Q[Y] + lambda (E_P U(f(Y, m)) - B) ], whose inner problem
 separates into per-atom 1-d concave maximizations (golden-section search on
 a box [-G, G]).  Each round searches 17 log-spaced multipliers at once and
-keeps the sub-bracket where the level E_P U(f(y*, m)) first reaches B.  The
+keeps the sub-bracket where the level E_P U(f(y*, m)) first reaches B; a
+precision pair (golden-section iterations, rounds) sets the work.  The
 reported c_min is the smallest dual value evaluated, an upper bound of the
 primal, so weak duality dual_value <= static_shortfall holds by
 construction.  An infeasible acceptance set (level below B at
@@ -22,11 +23,12 @@ the one-row problem of :func:`shortfall._problem` at t = 0, on the terminal
 atoms at u = horizon (:func:`rho_bar` at any horizon u), and the Lagrangian
 routes are capped at 6 atoms.
 
-Box rules: :func:`c_min` solves the boxes G and 2G as two rows of one batch
-and reports PLUS_INF when the value grows with the box; :func:`_risk_map_batch`
-(behind :func:`risk_map_R` and :func:`dual_value`) reports R = MINUS_INF
-where one probe at box 2G and m = R - 1e-6 G is met, an R that drops with
-the box because c_min diverges.
+R bisects in m over all measure rows at once, and each c_min solve takes
+only the rows still open.  Box rules: :func:`c_min` solves the boxes G and
+2G as two rows of one batch and reports PLUS_INF when the value grows with
+the box; :func:`_risk_map_batch` (behind :func:`risk_map_R` and
+:func:`dual_value`) reports R = MINUS_INF where one probe at box 2G and
+m = R - 1e-6 G is met, an R that drops with the box as c_min diverges.
 
 The independent oracle :func:`c_min_bruteforce` enumerates Y on a grid
 (starting at a coarse step and refining locally) without any Lagrangian
@@ -40,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import SpecificationError, TimeGridError
+from .errors import DomainError, SpecificationError, TimeGridError
 from .probspace import FiltrationModel, RandomVariable
 from .shortfall import (_BISECT_TOL, _BRACKET_CAP, ExtendedReal, RiskSentinel,
                         ShortfallSpec, _extended, _finite_max_abs, _problem,
@@ -55,9 +57,11 @@ _MAX_ATOMS = 6
 _BOX = 1000.0
 _ORACLE_BOX = 20.0         # grid oracle: box [-20, 20]^n, and restarts
 _ORACLE_STARTS = 5
-_GOLDEN_ITERS = 66         # 0.618^66 * 2G ~ 3e-11 bracket on y
-_LAMBDA_ITERS = 48         # bracket on log lambda: 2^-48 of [1e-12, 1e12]
 _K = 17                    # multipliers per round, odd so round 0 has 1.0
+# (golden-section iterations, rounds): _FINE brackets y to 0.618^66 * 2G
+# ~ 3e-11 and log lambda to 16^-12 of [1e-12, 1e12]
+_FINE = (66, 12)
+_COARSE = (36, 8)
 _LOG_LAMBDA = (math.log(1e-12), math.log(1e12))
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _GROWTH_SLOPE = 1e-6
@@ -81,7 +85,7 @@ class DualGrid:
             raise SpecificationError(
                 f"dual computations are capped at {_MAX_ATOMS} atoms"
             )
-        if np.any(rows <= 0.0):
+        if not np.all(rows > 0.0):  # NaN too
             raise SpecificationError("dual measures must be strictly positive")
         if np.max(np.abs(rows.sum(axis=1) - 1.0)) > 1e-12:
             raise SpecificationError("dual measures must sum to 1 (1e-12)")
@@ -162,14 +166,16 @@ def _golden_max(objective, lo: float, hi: float, shape, iters: int):
 
 
 def _cmin_batch(m: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float,
-                box=_BOX, inner_iters: int = _GOLDEN_ITERS,
-                lam_iters: int = _LAMBDA_ITERS):
+                box=_BOX, precision: tuple[int, int] = _FINE):
     """c_min(m_i, Q_i) on [-box_i, box_i]; returns (values, infeasible_mask).
 
-    Rounds of _K multipliers run until the log-multiplier bracket is as
-    narrow as ``lam_iters`` bisection steps leave it.  Values are finite
-    upper bounds of the primal; rows unmet at lambda = 1e12 come back in the
-    infeasible mask (c_min = -inf, the supremum over an empty set)."""
+    ``precision`` is (golden-section iterations, rounds); each round searches
+    _K multipliers and keeps the 1/16 sub-bracket of log lambda where the
+    level first reaches B.  All work is rowwise, so a row's value does not
+    depend on the other rows passed with it.  Values are finite upper bounds
+    of the primal; rows unmet at lambda = 1e12 come back in the infeasible
+    mask (c_min = -inf, the supremum over an empty set)."""
+    inner_iters, rounds = precision
     nq = Q.shape[0]
     rows = np.arange(nq)
     m_col = np.asarray(m, dtype=float).reshape(-1, 1, 1)
@@ -177,7 +183,7 @@ def _cmin_batch(m: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float,
     neg_q = -Q[:, None, :]
     lo, hi = np.full(nq, _LOG_LAMBDA[0]), np.full(nq, _LOG_LAMBDA[1])
     values = np.full(nq, np.inf)
-    for r in range(math.ceil(lam_iters / math.log2(_K - 1))):
+    for r in range(rounds):
         grid = np.linspace(lo, hi, _K, axis=1)
         lam = np.exp(grid)
         lam_p = lam[:, :, None] * p
@@ -227,8 +233,8 @@ def c_min_bruteforce(m: float, Q: np.ndarray, spec: ShortfallSpec,
     so a single coarse incumbent can localize the wrong stretch of it; the
     refinement therefore restarts from the 5 best well-separated
     coarse candidates and keeps the overall winner.  An optimum pinned to
-    the lower box edge signals an unbounded transfer and returns PLUS_INF
-    (the value grows with the box)."""
+    either box edge signals an unbounded transfer, which raises one atom as
+    it lowers another, and returns PLUS_INF (the value grows with the box)."""
     Q = np.asarray(Q, dtype=float)
     law, _, uf, B = _problem(spec, model, model.terminal_depth, 0, 0.0, None)
     p = law[0]
@@ -244,23 +250,19 @@ def c_min_bruteforce(m: float, Q: np.ndarray, spec: ShortfallSpec,
     if not starts:
         return RiskSentinel.MINUS_INF
     best, best_y = -math.inf, None
-    for val, y0 in starts:
-        cur_val, cur_y = val, y0
+    for cur_val, cur_y in starts:
         cur_step = first_step
         for _ in range(4 if n <= 2 else 5):
-            new_step = cur_step / 8.0
-            local = [
-                np.arange(c - 2.0 * cur_step,
-                          c + 2.0 * cur_step + new_step / 2, new_step)
-                for c in cur_y
-            ]
+            new_step, half = cur_step / 8.0, 2.0 * cur_step
+            local = [np.arange(c - half, c + half + new_step / 2, new_step)
+                     for c in cur_y]
             found = _grid_scan(local, Q, p, uf, B, m, keep=1)
             if found and found[0][0] > cur_val:
                 cur_val, cur_y = found[0]
             cur_step = new_step
         if cur_val > best:
             best, best_y = cur_val, cur_y
-    if np.min(best_y) <= -_ORACLE_BOX + first_step:
+    if np.max(np.abs(best_y)) >= _ORACLE_BOX - first_step:
         return RiskSentinel.PLUS_INF
     return float(best)
 
@@ -275,36 +277,16 @@ def _well_separated(candidates, min_gap):
 
 
 def _grid_scan(axes, Q, p, uf, B, m, keep=1):
-    """Top feasible points of E_Q[-Y] over the tensor grid, best first;
-    chunked over axis 0 to bound memory."""
-    n = len(axes)
-    tail = np.meshgrid(*axes[1:], indexing="ij") if n > 1 else []
-    tail_flat = [g.ravel() for g in tail]
-    found: list[tuple[float, np.ndarray]] = []
-    chunk = max(1, int(2e6 // max(1, len(tail_flat[0]) if tail_flat else 1)))
-    axis0 = axes[0]
-    for lo in range(0, len(axis0), chunk):
-        a0 = axis0[lo:lo + chunk]
-        if n == 1:
-            ys = a0[:, None]
-        else:
-            cols = [np.repeat(a0, len(tail_flat[0]))]
-            cols += [np.tile(tf, len(a0)) for tf in tail_flat]
-            ys = np.column_stack(cols)
-        with np.errstate(over="ignore", invalid="ignore"):
-            level = uf(ys, np.full((len(ys), 1), float(m))) @ p
-        feasible = level >= B
-        if not np.any(feasible):
-            continue
-        obj = -(ys @ Q)
-        obj[~feasible] = -np.inf
-        top = min(keep, len(obj))
-        idx = np.argpartition(-obj, top - 1)[:top]
-        for i in idx:
-            if np.isfinite(obj[i]):
-                found.append((float(obj[i]), ys[i].copy()))
-    found.sort(key=lambda pair: -pair[0])
-    return found[:keep]
+    """Top feasible points of E_Q[-Y] over the tensor grid, best first; the
+    oracle's largest grids (801^2 and 101^3 points) fit in memory whole."""
+    ys = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                  axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        level = uf(ys, np.full((len(ys), 1), float(m))) @ p
+    obj = np.where(level >= B, -(ys @ Q), -np.inf)
+    idx = np.argpartition(-obj, keep - 1)[:keep]
+    found = [(float(obj[i]), ys[i].copy()) for i in idx if np.isfinite(obj[i])]
+    return sorted(found, key=lambda pair: -pair[0])
 
 
 # ---------------------------------------------------------------------------
@@ -315,55 +297,50 @@ def _risk_map_batch(x: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float):
     """R(x_i, Q_i) rowwise by bisection over m on the monotone predicate
     c_min(m, Q) >= x; +-inf mark the rows never met and met below every m.
 
-    Bracketing and the wide bisection phase run the Lagrangian at coarse
-    inner precision; once brackets are below 1e-4 the full precision takes
-    over (the coarse value error is second order at the smooth optima that
-    decide the supremum).  Rows met by one fine probe at box 2G and
-    m = R - 1e-6 G are -inf too: their R drops with the box."""
+    Every :func:`_cmin_batch` call takes only the open rows.  Each end of a
+    row's bracket doubles from +-(1 + 2 max|x|) while the row is unmet
+    (upper) or met (lower) there; a row still going at +-2 _BRACKET_CAP is
+    +inf or -inf.  The _COARSE precision pair brackets and bisects until the
+    widest open bracket is below 1e-4, then _FINE (the coarse value error is
+    second order at the smooth optima that decide the supremum); every open
+    row moves until that width is below _BISECT_TOL.  Rows met by one _FINE
+    probe at box 2G and m = R - 1e-6 G are -inf too: their R drops with the
+    box."""
+    if not np.isfinite(x).all():
+        raise DomainError("R needs finite levels x = E_Q[-X]")
     nq = len(x)
     start = 1.0 + 2.0 * float(np.max(np.abs(x), initial=0.0))
+    cap = 2.0 * _BRACKET_CAP
 
-    def predicate(m_vec, fine: bool, box: float = _BOX):
-        inner = _GOLDEN_ITERS if fine else 36
-        lam = _LAMBDA_ITERS if fine else 30
-        vals, infeasible = _cmin_batch(m_vec, Q, p, uf, B, box=box,
-                                       inner_iters=inner, lam_iters=lam)
-        out = vals >= x
-        out[infeasible] = False
-        return out
+    def met(m_vec, rows, precision, box=_BOX):
+        vals, infeasible = _cmin_batch(m_vec, Q[rows], p, uf, B, box=box,
+                                       precision=precision)
+        return (vals >= x[rows]) & ~infeasible
 
-    hi = np.full(nq, start)
-    ok_hi = predicate(hi, fine=False)
-    for _ in range(25):
-        if np.all(ok_hi) or np.all(hi >= _BRACKET_CAP):
-            break
-        hi = np.where(ok_hi, hi, np.minimum(hi * 2.0, _BRACKET_CAP * 2.0))
-        ok_hi = predicate(hi, fine=False) | ok_hi
-    plus_mask = ~ok_hi  # constraint value never reaches x
-    lo = np.full(nq, -start)
-    ok_lo = predicate(lo, fine=False)
-    for _ in range(25):
-        if not np.any(ok_lo) or np.all(lo <= -_BRACKET_CAP):
-            break
-        lo = np.where(ok_lo, np.maximum(lo * 2.0, -_BRACKET_CAP * 2.0), lo)
-        ok_lo = predicate(lo, fine=False) & ok_lo
-    minus_mask = ok_lo & ~plus_mask  # met even at the cap: R = -inf
-    active = ~(plus_mask | minus_mask)
-    for _ in range(90):
-        if not np.any(active):
-            break
-        width = float(np.max((hi - lo)[active]))
-        if width <= _BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        ok = predicate(mid, fine=width <= 1e-4)
-        hi = np.where(active & ok, mid, hi)
-        lo = np.where(active & ~ok, mid, lo)
-    values = 0.5 * (lo + hi)
-    shifted = values - _GROWTH_SLOPE * _BOX
-    minus_mask |= active & predicate(shifted, fine=True, box=2.0 * _BOX)
-    values[plus_mask] = np.inf
-    values[minus_mask] = -np.inf
+    def bracket(sign, rows):
+        # a row still going at the cap gets the edge sign * inf, its sentinel
+        edge = np.full(nq, sign * start)
+        while rows.size:
+            rows = rows[met(edge[rows], rows, _COARSE) == (sign < 0)]
+            far = np.abs(edge[rows])
+            edge[rows] = sign * np.where(far < cap, np.minimum(2.0 * far, cap),
+                                         np.inf)
+            rows = rows[far < cap]
+        return edge
+
+    hi = bracket(1.0, np.arange(nq))
+    lo = bracket(-1.0, np.flatnonzero(hi < np.inf))
+    rows = np.flatnonzero(np.isfinite(lo + hi))
+    while rows.size and (width := np.max(hi[rows] - lo[rows])) > _BISECT_TOL:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        ok = met(mid, rows, _FINE if width <= 1e-4 else _COARSE)
+        hi[rows[ok]] = mid[ok]
+        lo[rows[~ok]] = mid[~ok]
+    values = 0.5 * (lo + hi)  # +-inf on the sentinel rows
+    if rows.size:
+        drops = met(values[rows] - _GROWTH_SLOPE * _BOX, rows, _FINE,
+                    box=2.0 * _BOX)
+        values[rows[drops]] = -np.inf
     return values
 
 

@@ -178,15 +178,15 @@ class UtilityFn:
     def exp_bounded(cls, gamma: float = 1.0) -> "UtilityFn":
         """U(x) = 1 - exp(-gamma x), bounded above by 1.
 
-        The declared domain stops where 1 - U(x) underflows relative to 1
-        and the inverse loses the 1e-9 round-trip (evaluation itself is fine
-        for all x)."""
+        The declared domain starts at -700/gamma, below which evaluation
+        clips -gamma x at 700, and stops at 14/gamma, where 1 - U(x)
+        underflows relative to 1 and the inverse loses the 1e-9 round-trip."""
         if gamma <= 0.0:
             raise DomainError("gamma must be positive")
         return cls(
             fn=lambda x: 1.0 - np.exp(np.minimum(-gamma * x, 700.0)),
             inverse=lambda v: -np.log(1.0 - v) / gamma,
-            domain=(-np.inf, 14.0 / gamma),
+            domain=(-700.0 / gamma, 14.0 / gamma),
             codomain=(-np.inf, 1.0 - 1e-300),
             name=f"exp_bounded({gamma})",
         )
@@ -194,12 +194,15 @@ class UtilityFn:
     @classmethod
     def neg_exponential(cls, b: float = 1.0) -> "UtilityFn":
         """U(x) = -exp(-b x), the certainty-equivalent generator of the
-        entropic measure with risk aversion b."""
+        entropic measure with risk aversion b.  Evaluation clips -b x at 700,
+        which keeps the shortfall's bracket probes finite; the declared
+        domain starts there, at -700/b."""
         if b <= 0.0:
             raise DomainError("b must be positive")
         return cls(
             fn=lambda x: -np.exp(np.minimum(-b * x, 700.0)),
             inverse=lambda v: -np.log(-v) / b,
+            domain=(-700.0 / b, np.inf),
             codomain=(-np.inf, -1e-300),
             name=f"neg_exponential({b})",
         )
@@ -346,10 +349,22 @@ def monotone_in_q_check(X: RandomVariable, t: float, q_grid: Sequence[float],
 def certainty_equivalent(X: RandomVariable, t: float, utility: UtilityFn
                          ) -> RandomVariable:
     """Fully-dynamic certainty equivalent -U^{-1}(E[U(X) | F_t]) for a
-    strictly increasing utility with inverse."""
+    strictly increasing utility with inverse.
+
+    A mean outside the inverse's codomain raises RangeError.  A position
+    outside ``utility.domain`` raises DomainError: there the stock
+    utilities clip their argument or lose their inverse, so the value would
+    be wrong (a constant -800 would give 700 under ``neg_exponential(1)``)."""
     k, _ = X.model.horizon_depths(X, t)
     inner = X.apply(utility.fn).condexp(k)
-    return RandomVariable(X.model, k, -utility.inverse_apply(inner.values))
+    values = -utility.inverse_apply(inner.values)
+    lo, hi = utility.domain
+    if X.values.min() < lo or X.values.max() > hi:
+        raise DomainError(
+            f"certainty_equivalent: position values in "
+            f"[{float(X.values.min())!r}, {float(X.values.max())!r}] leave "
+            f"the domain [{lo!r}, {hi!r}] of utility {utility.name!r}")
+    return RandomVariable(X.model, k, values)
 
 
 def discounted_wrap(phi: Callable[[RandomVariable, float], RandomVariable],

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horizonrisk import (AggregatorFn, DualGrid, HorizonSchedule, QParams,
-                         RandomVariable, RiskSentinel, ScenarioTree,
-                         ShortfallSpec, SpecificationError, TargetSchedule,
+from horizonrisk import (AggregatorFn, DomainError, DualGrid,
+                         HorizonSchedule, QParams, RandomVariable,
+                         RiskSentinel, ScenarioTree, ShortfallSpec,
+                         SpecificationError, TargetSchedule, TimeGridError,
                          UtilityFn, acceptance_member, c_min,
                          c_min_bruteforce, dual_value, hq_shortfall_spec,
                          risk_map_R, rho_bar, static_shortfall)
+from horizonrisk.duality import _COARSE, _FINE, _cmin_batch, _dual_problem
 
 from conftest import random_rv, random_tree
 
@@ -101,6 +103,18 @@ class TestDualGrid:
         with pytest.raises(SpecificationError):
             DualGrid(np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: DualGrid(np.array([0.5, 0.5])), "2-d array"),
+        (lambda: DualGrid(np.full((1, 7), 1.0 / 7.0)), "capped at 6 atoms"),
+        (lambda: DualGrid(np.array([[0.5, 0.4], [0.5, 0.5]])), "sum to 1"),
+        (lambda: DualGrid(np.array([[np.nan, 0.5]])), "strictly positive"),
+        (lambda: DualGrid.simplex(3, 0.5), "too coarse"),
+    ], ids=["one_dimensional", "seven_atoms", "row_sum", "nan_entry",
+            "coarse_simplex"])
+    def test_invalid_grids_rejected(self, build, match):
+        with pytest.raises(SpecificationError, match=match):
+            build()
+
 
 class TestCmin:
     def test_linear_spec_at_reference_measure(self, uniform_two):
@@ -146,6 +160,36 @@ class TestCmin:
         v = c_min(0.0, np.array([0.5, 0.5]), spec, uniform_two)
         assert v is RiskSentinel.MINUS_INF
 
+    def test_oracle_reports_plus_inf_at_the_upper_box_edge(self):
+        # Q != P under the linear spec: the unbounded transfer raises the
+        # first atom to the oracle's box edge +20 before it lowers the second
+        # to -20, so the optimum pins the upper edge only
+        tree = ScenarioTree.terminal_atoms([0.3, 0.7])
+        Q = np.array([0.25, 0.75])
+        assert c_min(0.0, Q, linear_spec(), tree) is RiskSentinel.PLUS_INF
+        assert c_min_bruteforce(0.0, Q, linear_spec(),
+                                tree) is RiskSentinel.PLUS_INF
+
+    @pytest.mark.parametrize("spec", DUAL_POOL,
+                             ids=["linear", "entropic", "scaled_additive",
+                                  "exponential"])
+    @pytest.mark.parametrize("precision", [_FINE, _COARSE],
+                             ids=["fine", "coarse"])
+    def test_batch_rows_do_not_depend_on_their_batch(self, spec, precision):
+        # the R map passes only its open rows, so a row solved within a
+        # mixed batch must equal the same row solved alone, bit for bit
+        tree = ScenarioTree.terminal_atoms([0.25, 0.4, 0.35])
+        p, uf, B = _dual_problem(spec, tree)
+        Q = np.vstack([DualGrid.simplex(3, 0.25).measures, p])
+        m = np.array([-1.2, 0.0, 0.7, 2.5])
+        box = np.array([1000.0, 2000.0, 1000.0, 2000.0])
+        values, infeasible = _cmin_batch(m, Q, p, uf, B, box, precision)
+        for i in range(len(m)):
+            alone = _cmin_batch(m[i:i + 1], Q[i:i + 1], p, uf, B,
+                                box[i:i + 1], precision)
+            assert np.array_equal(alone[0], values[i:i + 1])
+            assert np.array_equal(alone[1], infeasible[i:i + 1])
+
     def test_oracle_agreement_on_three_atoms(self):
         tree = ScenarioTree.terminal_atoms([0.3, 0.45, 0.25])
         Q = np.array([0.2, 0.5, 0.3])
@@ -171,6 +215,24 @@ class TestRiskMap:
                 for x in (-1.0, 0.0, 1.0, 2.0)]
         assert all(a <= b + 1e-8 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("Q", [[0.3, 0.7], [0.5, 0.5], [0.8, 0.2]])
+    @pytest.mark.parametrize("x", [0.0, 0.4, -0.3])
+    def test_upper_bracket_matches_the_translation_identity(self, Q, x):
+        # f(y, m) = 0.5 y + m, so R(x, Q) = 0.5 (x - c_min(0, Q)) exactly;
+        # at B = 0.99, R ~ 4.6 lies above the first upper edge 1 + 2|x|,
+        # so the upper end of the bracket doubles before the bisection
+        spec = ShortfallSpec(UtilityFn.exp_bounded(1.0),
+                             AggregatorFn.scaled_additive(0.5),
+                             TargetSchedule.constant(0.99))
+        tree = ScenarioTree.terminal_atoms([0.3, 0.7])
+        Q = np.array(Q)
+        R = risk_map_R(x, Q, spec, tree)
+        assert isinstance(R, float) and R > 1.0 + 2.0 * abs(x)
+        assert abs(R - 0.5 * (x - c_min(0.0, Q, spec, tree))) <= 1e-8
+        X = tree.constant(-x, 1)
+        report = dual_value(X, spec, DualGrid(Q[None, :]))
+        assert report.value <= static_shortfall(X, spec) + 1e-8
+
     @pytest.mark.parametrize("route", [c_min, risk_map_R, c_min_bruteforce])
     @pytest.mark.parametrize("Q", [[1.0], [0.2, 0.3, 0.5]])
     def test_measure_of_the_wrong_length_rejected(self, route, Q):
@@ -182,6 +244,28 @@ class TestRiskMap:
 
 
 class TestDualValue:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: dual_value(random_rv(random_tree(3, depth=2), 5, depth=1),
+                            entropic_spec(), DualGrid.simplex(2, 0.25)),
+         TimeGridError, "terminal-depth"),
+        (lambda: dual_value(ScenarioTree.terminal_atoms([0.5, 0.5]).constant(
+            1.0, 1), entropic_spec(), DualGrid.simplex(3, 0.25)),
+         SpecificationError, "atom count"),
+        (lambda: c_min_bruteforce(0.0, np.full(4, 0.25), entropic_spec(),
+                                  ScenarioTree.terminal_atoms([0.25] * 4)),
+         SpecificationError, "limited to 3 atoms"),
+        (lambda: dual_value(RandomVariable(ScenarioTree.terminal_atoms(
+            [0.5, 0.5]), 1, [-np.inf, 1.0]), entropic_spec(),
+            DualGrid.simplex(2, 0.25)), DomainError, "finite levels"),
+        (lambda: risk_map_R(np.inf, np.array([0.5, 0.5]), entropic_spec(),
+                            ScenarioTree.terminal_atoms([0.5, 0.5])),
+         DomainError, "finite levels"),
+    ], ids=["non_terminal_position", "grid_atom_mismatch", "oracle_4_atoms",
+            "infinite_position", "infinite_level"])
+    def test_invalid_calls_rejected(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
     def test_linear_spec_attains_at_reference_measure(self, uniform_two):
         X = RandomVariable(uniform_two, 1, [1.0, -1.0])
         grid = DualGrid.simplex(2, 0.05)

@@ -277,6 +277,25 @@ class TestCertaintyEquivalent:
                                   UtilityFn.neg_exponential(1.0))
         np.testing.assert_allclose(ce.values, -3.0, atol=1e-12)
 
+    @pytest.mark.parametrize("b", [1.0, 2.0])
+    def test_losses_beyond_the_exponential_clip_rejected(self, b):
+        # neg_exponential clips -b x at 700, so a constant -800 would come
+        # back as 700 / b; the largest loss allowed, 700 / b, comes back exact
+        lattice = BrownianLattice(4)
+        utility = UtilityFn.neg_exponential(b)
+        with pytest.raises(DomainError, match="domain"):
+            certainty_equivalent(lattice.constant(-800.0), 0.0, utility)
+        largest = certainty_equivalent(lattice.constant(-700.0 / b), 0.0,
+                                       utility)
+        np.testing.assert_allclose(largest.values, 700.0 / b, rtol=1e-12)
+
+    @pytest.mark.parametrize("x", [-800.0, 20.0])
+    def test_exp_bounded_domain_edges_rejected(self, x):
+        # below -700 the clip binds; above 14 the inverse loses 1e-9
+        with pytest.raises(DomainError, match="domain"):
+            certainty_equivalent(BrownianLattice(4).constant(x), 0.0,
+                                 UtilityFn.exp_bounded(1.0))
+
     def test_range_error_outside_inverse_domain(self, two_atom):
         bounded = UtilityFn(
             fn=lambda x: np.tanh(x), inverse=lambda v: np.arctanh(v),
