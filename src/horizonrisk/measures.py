@@ -14,6 +14,7 @@ Evaluation conventions shared by every measure here:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -48,6 +49,8 @@ class StepFunction:
         vals = tuple(float(v) for v in self.values)
         if len(bps) != len(vals) or not bps:
             raise SpecificationError("breakpoints and values must align")
+        if not all(map(math.isfinite, bps + vals)):
+            raise SpecificationError("breakpoints and values must be finite")
         if bps[0] != 0.0:
             raise SpecificationError("step function must start at 0")
         if any(b <= a for a, b in zip(bps, bps[1:])):
@@ -224,16 +227,18 @@ class UtilityFn:
 # ---------------------------------------------------------------------------
 
 def entropic(X: RandomVariable, t: float, b: float = 1.0) -> RandomVariable:
-    """Entropic risk measure (1/b) ln E[exp(-b X) | F_t]; cash additive."""
+    """Entropic risk measure (1/b) ln E[exp(-b X) | F_t]; cash additive.
+
+    The q = 1 case of :func:`_ln_q_mean`: exp(-b X) above exp(700) raises
+    DomainError here, and a conditional mean that underflows to 0 in ln."""
     if b <= 0.0:
         raise DomainError("risk aversion b must be > 0")
     k, _ = X.model.horizon_depths(X, t)
-    exponent = -b * X.values
-    if exponent.max() > 700.0:
+    exponent = -b * X
+    if exponent.values.max() > 700.0:
         raise DomainError(f"entropic: exp(-b X) overflows, max(-b X) = "
-                          f"{float(exponent.max())!r} > 700")
-    ex = RandomVariable(X.model, X.depth, np.exp(exponent)).condexp(k)
-    return ex.apply(lambda v: np.log(v) / b)
+                          f"{float(exponent.values.max())!r} > 700")
+    return _ln_q_mean(exponent, k, 1.0) / b
 
 
 def expected_loss(X: RandomVariable, t: float) -> RandomVariable:
@@ -254,8 +259,8 @@ def h_entropic(X: RandomVariable, t: float, u: float, b: float,
 def _ln_q_mean(T: RandomVariable, k: int, q: float) -> RandomVariable:
     """ln_q E[exp_q(T) | F_k], the one generalized-log transform behind the
     (h)q-entropic measures and :func:`bsde.quadratic_transform_solve`."""
-    inner = T.apply(lambda v: exp_q(v, q)).condexp(k)
-    return inner.apply(lambda v: ln_q(v, q))
+    inner = T.model.cond_expectation(exp_q(T.values, q), T.depth, k)
+    return RandomVariable(T.model, k, ln_q(inner, q))
 
 
 def _losses_measure(X: RandomVariable, t: float, u: float | None,
@@ -357,7 +362,8 @@ def certainty_equivalent(X: RandomVariable, t: float, utility: UtilityFn
     be wrong (a constant -800 would give 700 under ``neg_exponential(1)``)."""
     k, _ = X.model.horizon_depths(X, t)
     inner = X.apply(utility.fn).condexp(k)
-    values = -utility.inverse_apply(inner.values)
+    with np.errstate(divide="ignore"):  # log(0) only for positions outside the domain
+        values = -utility.inverse_apply(inner.values)
     lo, hi = utility.domain
     if X.values.min() < lo or X.values.max() > hi:
         raise DomainError(

@@ -38,6 +38,8 @@ _PROB_TOL = 1e-12
 
 def _check_times(times: Sequence[float]) -> tuple[float, ...]:
     ts = tuple(float(t) for t in times)
+    if not all(map(math.isfinite, ts)):
+        raise TimeGridError(f"time grid must be finite: {ts}")
     if len(ts) < 2:
         raise TimeGridError("time grid needs at least two points")
     if abs(ts[0]) > 0.0:
@@ -176,6 +178,12 @@ class ScenarioTree(FiltrationModel):
     branch probabilities are strictly positive and sum to one (tolerance
     1e-12); every non-terminal node has at least one child and all leaves sit
     at the final depth.  Instances are immutable after construction.
+
+    The layout is stored once, per depth: the depth-k nodes sit in id order
+    in slots 0..n_k-1, ``_up[k]`` holds each one's parent slot at depth k-1
+    (the root is its own parent) and ``_p[k]`` its branch probability.
+    Every tree operation reads these two arrays; the raw node arrays are kept
+    for :meth:`to_json_dict` only.
     """
 
     def __init__(self, times: Sequence[float],
@@ -183,119 +191,94 @@ class ScenarioTree(FiltrationModel):
         self.times = _check_times(times)
         entries = sorted(nodes, key=lambda e: e[0])
         n = len(entries)
-        if [e[0] for e in entries] != list(range(n)):
+        if not entries or [e[0] for e in entries] != list(range(n)):
             raise TreeStructureError("node ids must be exactly 0..n-1")
-        self._depth = np.array([e[1] for e in entries], dtype=int)
-        self._parent = np.array(
+        depth = np.array([e[1] for e in entries], dtype=int)
+        parent = np.array(
             [-1 if e[2] is None else int(e[2]) for e in entries], dtype=int
         )
-        self._branch_p = np.array([e[3] for e in entries], dtype=float)
-        self._validate_structure()
-        self._build_layout()
-        self._validate_probabilities()
-
-    def _validate_structure(self) -> None:
-        if self._depth[0] != 0 or self._parent[0] != -1:
+        p = np.array([e[3] for e in entries], dtype=float)
+        if depth[0] != 0 or parent[0] != -1:
             raise TreeStructureError("node 0 must be the root (depth 0, no parent)")
-        if np.count_nonzero(self._parent < 0) != 1:
+        if np.count_nonzero(parent < 0) != 1:
             raise TreeStructureError("exactly one root node allowed")
-        n = len(self._depth)
-        children: list[list[int]] = [[] for _ in range(n)]
-        for i in range(1, n):
-            p = self._parent[i]
-            if not 0 <= p < n:
-                raise TreeStructureError(f"node {i} has invalid parent {p}")
-            if self._depth[i] != self._depth[p] + 1:
-                raise TreeStructureError(
-                    f"node {i} depth {self._depth[i]} != parent depth + 1"
-                )
-            children[p].append(i)
-        self._children = children
+        # Each rule names the first offending node in id order.
+        orphan = parent >= n
+        up = np.where(orphan, 0, parent)
+        up[0] = 0  # the root is its own parent
+        bad = orphan | (depth != depth[up] + 1)
+        bad[0] = False
+        if bad.any():
+            i = int(np.argmax(bad))
+            if orphan[i]:
+                raise TreeStructureError(f"node {i} has invalid parent {parent[i]}")
+            raise TreeStructureError(f"node {i} depth {depth[i]} != parent depth + 1")
         last = self.terminal_depth
-        for i in range(n):
-            if self._depth[i] > last:
-                raise TreeStructureError(
-                    f"node {i} deeper than the time grid allows"
-                )
-            if self._depth[i] < last and not children[i]:
-                raise TreeStructureError(
-                    f"non-terminal node {i} (depth {self._depth[i]}) has no children"
-                )
-
-    def _build_layout(self) -> None:
-        last = self.terminal_depth
-        self._slots: list[np.ndarray] = [
-            np.flatnonzero(self._depth == k) for k in range(last + 1)
-        ]
-        if len(self._slots[0]) != 1:
-            raise TreeStructureError("exactly one node at depth 0 required")
-        n = len(self._depth)
-        self._slot_index = np.empty(n, dtype=int)
-        for ids in self._slots:
-            self._slot_index[ids] = np.arange(len(ids))
-
-    def _validate_probabilities(self) -> None:
-        if abs(self._branch_p[0] - 1.0) > _PROB_TOL:
+        kids = np.bincount(parent[1:], minlength=n)
+        bad = (depth > last) | ((depth < last) & (kids == 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if depth[i] > last:
+                raise TreeStructureError(f"node {i} deeper than the time grid allows")
+            raise TreeStructureError(
+                f"non-terminal node {i} (depth {depth[i]}) has no children"
+            )
+        if not abs(p[0] - 1.0) <= _PROB_TOL:
             raise TreeStructureError("root probability must be 1")
-        for i, kids in enumerate(self._children):
-            if not kids:
-                continue
-            ps = self._branch_p[kids]
-            if np.any(ps <= 0.0):
+        not_positive = np.bincount(parent[1:], weights=~(p[1:] > 0.0), minlength=n)
+        off_one = ~(np.abs(np.bincount(parent[1:], weights=p[1:], minlength=n)
+                           - 1.0) <= _PROB_TOL)
+        bad = (not_positive > 0) | ((kids > 0) & off_one)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not_positive[i]:
                 raise TreeStructureError(
-                    f"node {i} has a non-positive child branch probability"
+                    f"node {i} has a child branch probability that is not positive"
                 )
-            if abs(ps.sum() - 1.0) > _PROB_TOL:
-                raise TreeStructureError(
-                    f"children of node {i} have probabilities summing to "
-                    f"{ps.sum()!r}, not 1"
-                )
+            total = p[1:][parent[1:] == i].sum()
+            raise TreeStructureError(
+                f"children of node {i} have probabilities summing to {total!r}, not 1"
+            )
+        # slots: ids grouped by depth, in id order within each depth
+        order = np.argsort(depth, kind="stable")
+        start = np.searchsorted(depth[order], np.arange(last + 2))
+        slot = np.empty(n, dtype=int)
+        slot[order] = np.arange(n) - start[depth[order]]
+        layers = [order[a:b] for a, b in zip(start[:-1], start[1:])]
+        self._up = [slot[up[ids]] for ids in layers]
+        self._p = [p[ids] for ids in layers]
+        self._nodes = (depth, parent, p)
 
     # -- FiltrationModel hooks ---------------------------------------------
     def num_nodes(self, depth: int) -> int:
         self._check_depth(depth)
-        return len(self._slots[depth])
+        return self._p[depth].size
 
     def probs(self, depth: int) -> np.ndarray:
         return self.cond_matrix(0, depth)[0]
 
     def step_expectation(self, values: np.ndarray, depth: int) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        child_ids = self._slots[depth + 1]
-        weighted = self._branch_p[child_ids] * values
-        out = np.zeros(self.num_nodes(depth))
-        np.add.at(out, self._slot_index[self._parent[child_ids]], weighted)
-        return out
+        # bincount adds each parent's children from 0.0 in slot order
+        weighted = self._p[depth + 1] * np.asarray(values, dtype=float)
+        return np.bincount(self._up[depth + 1], weights=weighted,
+                           minlength=self.num_nodes(depth))
 
     def step_forward(self, rows: np.ndarray, depth: int) -> np.ndarray:
-        child_ids = self._slots[depth + 1]
-        return rows[..., self.parent_slot(depth + 1)] * self._branch_p[child_ids]
+        return rows[..., self._up[depth + 1]] * self._p[depth + 1]
 
     # -- tree-specific operations -------------------------------------------
-    def parent_slot(self, depth: int) -> np.ndarray:
-        """For each depth-k node, the slot of its parent at depth k-1."""
-        if depth == 0:
-            raise TimeGridError("root has no parent")
-        ids = self._slots[depth]
-        return self._slot_index[self._parent[ids]]
-
     def lift(self, values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
         """Extend an F_k layer along paths: each node inherits its ancestor's
         value.  Only trees support lifting (lattice states recombine)."""
         out = np.asarray(values, dtype=float)
         for k in range(from_depth + 1, to_depth + 1):
-            out = out[self.parent_slot(k)]
+            out = out[self._up[k]]
         return out
 
     def to_json_dict(self) -> dict:
-        nodes = []
-        for i in range(len(self._depth)):
-            nodes.append({
-                "id": int(i),
-                "depth": int(self._depth[i]),
-                "parent": None if self._parent[i] < 0 else int(self._parent[i]),
-                "p": float(self._branch_p[i]),
-            })
+        depth, parent, p = (a.tolist() for a in self._nodes)
+        nodes = [{"id": i, "depth": d, "parent": None if a < 0 else a, "p": b}
+                 for i, (d, a, b) in enumerate(zip(depth, parent, p))]
         return {"times": list(self.times), "nodes": nodes}
 
     @classmethod
@@ -354,8 +337,8 @@ class BrownianLattice(FiltrationModel):
                  up_probs: np.ndarray | None = None):
         if n_steps < 1:
             raise TimeGridError("lattice needs at least one step")
-        if horizon <= 0:
-            raise TimeGridError("horizon must be positive")
+        if not 0.0 < horizon < math.inf:
+            raise TimeGridError(f"horizon must be positive and finite, got {horizon}")
         self.times = tuple(horizon * k / n_steps for k in range(n_steps + 1))
         self._sqdt = math.sqrt(horizon / n_steps)
         if up_probs is None:
@@ -364,7 +347,7 @@ class BrownianLattice(FiltrationModel):
             self._up = np.asarray(up_probs, dtype=float)
             if self._up.shape != (n_steps,):
                 raise TreeStructureError("up_probs must have one entry per step")
-            if np.any(self._up <= 0.0) or np.any(self._up >= 1.0):
+            if not np.all((self._up > 0.0) & (self._up < 1.0)):
                 raise TreeStructureError("up probabilities must lie in (0, 1)")
 
     def num_nodes(self, depth: int) -> int:

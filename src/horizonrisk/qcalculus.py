@@ -71,9 +71,9 @@ def exp_q(x, q: float):
     arr = np.asarray(x, dtype=float)
     if q == 1.0:
         out = np.exp(arr)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return float(out) if arr.ndim == 0 else out
     floor = 1.0 / (q - 1.0)
-    if np.any(arr < floor):
+    if (arr < floor).any():
         bad = np.min(arr)
         raise DomainError(
             f"exp_q argument {bad!r} below the domain boundary {floor!r} "
@@ -82,7 +82,7 @@ def exp_q(x, q: float):
     base = 1.0 + (1.0 - q) * arr
     # base >= 0 by the domain check; the boundary maps to 0 exactly.
     out = np.power(np.maximum(base, 0.0), 1.0 / (1.0 - q))
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def exp_q_extended(x, q: float):
@@ -99,7 +99,7 @@ def exp_q_extended(x, q: float):
     else:
         base = np.maximum(1.0 + (1.0 - q) * arr, 0.0)
         out = np.power(base, 1.0 / (1.0 - q))
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def ln_q(x, q: float):
@@ -107,11 +107,11 @@ def ln_q(x, q: float):
     q = _check_q(q)
     arr = np.asarray(x, dtype=float)
     if q == 1.0:
-        if np.any(arr <= 0.0):
+        if (arr <= 0.0).any():
             raise DomainError("ln requires strictly positive arguments at q=1")
         out = np.log(arr)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-    if np.any(arr < 0.0):
+        return float(out) if arr.ndim == 0 else out
+    if (arr < 0.0).any():
         raise DomainError(f"ln_q requires x >= 0, got {np.min(arr)!r}")
     out = (np.power(arr, 1.0 - q) - 1.0) / (1.0 - q)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out

@@ -10,6 +10,8 @@ running the benchmark.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import horizonrisk as hr
 from horizonrisk import cli
 
@@ -52,6 +54,11 @@ def test_tracer_installs_counts_and_uninstalls():
         hr.BrownianLattice(4).cond_matrix(2, 4)
         assert tracer.counts["probspace.cond_matrix.calls"] - calls == 1
         assert tracer.counts["probspace.cond_matrix.cells"] - cells == 15
+        # a tree conditions through its own wrapped hook, once per step
+        tree = hr.ScenarioTree.random(np.random.default_rng(0), depth=3)
+        steps = tracer.counts["probspace.step_expectation.calls"]
+        tree.constant(1.0, 3).condexp(0)
+        assert tracer.counts["probspace.step_expectation.calls"] - steps == 3
     finally:
         tracer.uninstall()
     assert hr.dual_value is dual_value

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,15 @@ class TestStepFunction:
     def test_must_start_at_zero(self):
         with pytest.raises(SpecificationError):
             StepFunction((0.5,), (1.0,))
+
+    @pytest.mark.parametrize("breakpoints, values", [
+        ((0.0, np.nan), (0.1, 0.2)), ((0.0, np.inf), (0.1, 0.2)),
+        ((np.nan,), (0.1,)), ((0.0, 1.0), (0.1, np.nan)),
+        ((0.0,), (np.inf,)), ((0.0,), (-np.inf,)),
+    ])
+    def test_non_finite_input_rejected(self, breakpoints, values):
+        with pytest.raises(SpecificationError):
+            StepFunction(breakpoints, values)
 
 
 class TestHorizonSchedule:
@@ -100,6 +110,16 @@ class TestEntropic:
         # the largest exponent that does not overflow
         assert entropic(lat.constant(-700.0 / b), 0.0, b).values[0] \
             == pytest.approx(700.0 / b, rel=1e-14)
+
+    def test_underflowing_exponent_rejected_without_a_warning(self):
+        # exp(-800) rounds to 0, whose log would give -inf for a true -800
+        lat = BrownianLattice(4, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                entropic(lat.constant(800.0), 0.0, 1.0)
+            assert entropic(lat.constant(700.0), 0.0, 1.0).values[0] \
+                == pytest.approx(-700.0, rel=1e-14)
 
 
 class TestHEntropic:
@@ -289,12 +309,15 @@ class TestCertaintyEquivalent:
                                        utility)
         np.testing.assert_allclose(largest.values, 700.0 / b, rtol=1e-12)
 
-    @pytest.mark.parametrize("x", [-800.0, 20.0])
+    @pytest.mark.parametrize("x", [-800.0, 20.0, 40.0])
     def test_exp_bounded_domain_edges_rejected(self, x):
-        # below -700 the clip binds; above 14 the inverse loses 1e-9
-        with pytest.raises(DomainError, match="domain"):
-            certainty_equivalent(BrownianLattice(4).constant(x), 0.0,
-                                 UtilityFn.exp_bounded(1.0))
+        # below -700 the clip binds; above 14 the inverse loses 1e-9, and
+        # above about 37 U rounds to 1, where the inverse takes log(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="domain"):
+                certainty_equivalent(BrownianLattice(4).constant(x), 0.0,
+                                     UtilityFn.exp_bounded(1.0))
 
     def test_range_error_outside_inverse_domain(self, two_atom):
         bounded = UtilityFn(

@@ -57,6 +57,107 @@ class TestScenarioTreeConstruction:
             ScenarioTree([0.0, 0.0], [(0, 0, None, 1.0), (1, 1, 0, 1.0)])
 
 
+class TestNonFiniteInputRejected:
+    @pytest.mark.parametrize("times, nodes, error", [
+        ([0.0, 1.0], [(0, 0, None, np.nan), (1, 1, 0, 1.0)],
+         TreeStructureError),
+        ([0.0, 1.0], [(0, 0, None, 1.0), (1, 1, 0, np.nan), (2, 1, 0, 1.0)],
+         TreeStructureError),
+        ([0.0, 1.0], [(0, 0, None, 1.0), (1, 1, 0, np.inf), (2, 1, 0, 0.5)],
+         TreeStructureError),
+        ([0.0, np.nan], [(0, 0, None, 1.0), (1, 1, 0, 1.0)], TimeGridError),
+        ([np.nan, 1.0], [(0, 0, None, 1.0), (1, 1, 0, 1.0)], TimeGridError),
+        ([0.0, np.inf], [(0, 0, None, 1.0), (1, 1, 0, 1.0)], TimeGridError),
+    ], ids=["root-p-nan", "child-p-nan", "child-p-inf", "time-nan",
+            "start-nan", "time-inf"])
+    def test_scenario_tree(self, times, nodes, error):
+        with pytest.raises(error):
+            ScenarioTree(times, nodes)
+
+    @pytest.mark.parametrize("horizon, up_probs, error", [
+        (np.nan, None, TimeGridError), (np.inf, None, TimeGridError),
+        (1.0, [0.5, np.nan], TreeStructureError),
+        (1.0, [np.nan, np.nan], TreeStructureError),
+    ], ids=["horizon-nan", "horizon-inf", "up-nan", "up-all-nan"])
+    def test_brownian_lattice(self, horizon, up_probs, error):
+        with pytest.raises(error):
+            BrownianLattice(2, horizon, up_probs=up_probs)
+
+
+# node ids that do not group children by parent: the depth-1 nodes are 1
+# and 3, and their children 2, 5 (of node 1) and 4, 6 (of node 3) interleave
+INTERLEAVED = [(0, 0, None, 1.0), (3, 1, 0, 0.25), (1, 1, 0, 0.75),
+               (4, 2, 3, 0.1), (2, 2, 1, 0.375), (6, 2, 3, 0.9),
+               (5, 2, 1, 0.625)]
+
+
+class TestInterleavedLayout:
+    """Each tree operation on the interleaved tree is checked against a
+    reference that walks the node list itself."""
+
+    TREE = ScenarioTree([0.0, 0.5, 1.0], INTERLEAVED)
+    PARENT = {i: par for i, _, par, _ in INTERLEAVED}
+    P = {i: p for i, _, _, p in INTERLEAVED}
+    AT = [sorted(i for i, d, _, _ in INTERLEAVED if d == k) for k in range(3)]
+
+    def ancestor(self, j, depth):
+        while j not in self.AT[depth]:
+            j = self.PARENT[j]
+        return j
+
+    def test_step_expectation_is_the_per_node_sum_bitwise(self):
+        values = np.random.default_rng(5).uniform(-2.0, 2.0, 4)
+        values[2] = -0.0
+        for k, v in ((1, values), (0, values[:2]), (1, -0.0 * np.ones(4))):
+            want = []
+            for i in self.AT[k]:
+                total = 0.0
+                for slot, j in enumerate(self.AT[k + 1]):
+                    if self.PARENT[j] == i:
+                        total += self.P[j] * v[slot]
+                want.append(total)
+            got = self.TREE.step_expectation(v, k)
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_cond_matrix_is_the_path_product_bitwise(self):
+        for k in range(3):
+            for d in range(k, 3):
+                want = np.zeros((len(self.AT[k]), len(self.AT[d])))
+                for col, j in enumerate(self.AT[d]):
+                    path = [j]
+                    while path[-1] not in self.AT[k]:
+                        path.append(self.PARENT[path[-1]])
+                    prob = 1.0
+                    for node in reversed(path[:-1]):
+                        prob *= self.P[node]
+                    want[self.AT[k].index(path[-1]), col] = prob
+                got = self.TREE.cond_matrix(k, d)
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(
+                    got, pushed_identity_cond_matrix(self.TREE, k, d))
+        assert np.array_equal(self.TREE.probs(2),
+                              [0.75 * 0.375, 0.25 * 0.1, 0.75 * 0.625,
+                               0.25 * 0.9])
+
+    def test_lift_is_the_ancestor_walk(self):
+        for k in range(3):
+            values = np.arange(1.0, len(self.AT[k]) + 1.0)
+            for d in range(k, 3):
+                want = [values[self.AT[k].index(self.ancestor(j, k))]
+                        for j in self.AT[d]]
+                assert np.array_equal(self.TREE.lift(values, k, d), want)
+
+    def test_json_round_trip(self):
+        data = self.TREE.to_json_dict()
+        assert [(nd["id"], nd["depth"], nd["parent"], nd["p"])
+                for nd in data["nodes"]] == sorted(INTERLEAVED)
+        clone = ScenarioTree.from_json_dict(json.loads(json.dumps(data)))
+        assert clone.to_json_dict() == data
+        for k in range(3):
+            assert np.array_equal(clone.cond_matrix(k, 2),
+                                  self.TREE.cond_matrix(k, 2))
+
+
 class TestConditionalExpectation:
     def test_constant_is_preserved(self):
         tree = random_tree(1, depth=4)
