@@ -12,8 +12,8 @@ configs.
 from .errors import (ConfigurationError, DomainError, RangeError,
                      RiskLibError, SolverError, SpecificationError,
                      TimeGridError, TreeStructureError)
-from .probspace import (AdaptedProcess, BrownianLattice, FiltrationModel,
-                        RandomVariable, ScenarioTree)
+from .probspace import (BrownianLattice, FiltrationModel, RandomVariable,
+                        ScenarioTree)
 from .qcalculus import QParams, exp_q, exp_q_extended, ln_q, q_domain_floor
 from .measures import (HorizonSchedule, LossSpec, QMonotonicityReport,
                        StepFunction, UtilityFn, certainty_equivalent,

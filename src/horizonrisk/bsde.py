@@ -8,9 +8,11 @@ The scheme is implicit in Y and explicit in Z on each backward step:
 The root y* is exact for linear and q-quadratic drivers and a fixed point
 for a generic one; the reported Y_k = E[Y_{k+1} | F_k] + g(t_k, y*, Z_k) dt.
 
-The measure generated by a driver g is rho_tu(X) = Y_t for the terminal
-condition Y_u = -X, from one backward recursion that runs from u down to
-depth(t) and stops there; every entry point checks X, t and u against the
+:func:`solve_bsde` returns the whole solution (Y, Z) down to depth 0, each
+an adapted process held as one :class:`RandomVariable` per depth.  The
+measure generated by a driver g is rho_tu(X) = Y_t for the terminal
+condition Y_u = -X, from the same backward recursion run from u down to
+depth(t) and stopped there; every entry point checks X, t and u against the
 horizon contract of :meth:`FiltrationModel.horizon_depths`.  Beyond the
 depth at which X resolves, Y stays measurable there and Z vanishes, so those
 steps reduce to the per-node recursion Y_j = Y_{j+1} + g(t_j, Y_j, 0) dt;
@@ -18,8 +20,10 @@ this is how horizon-longevity gaps are produced.  For a q-quadratic driver
 g(t, y, 0) is the horizon rate a(t), so the recursion is the closed form
 Y_j = Y_{j+1} + a(t_j) dt, which adds the premium A(u, v) one step at a time
 (bitwise the value of the implicit step).  Its domain 1 + (1-q) y > 0 is
-checked once, on the layer that enters these steps: a >= 0 makes Y
-non-decreasing backward, so every later layer passes when that one does.
+checked on the layer that enters every pass with steps, whether or not
+horizon steps follow: a >= 0 makes Y non-decreasing backward, so every later
+horizon layer passes when that one does, and each lattice step checks the
+conditional mean it starts from.
 
 Quadratic q-type drivers with q = 1 or a zero rate additionally admit the
 exact generalized-log transform (:func:`quadratic_transform_solve`), so the
@@ -39,7 +43,7 @@ from .errors import (ConfigurationError, DomainError, SolverError,
                      TimeGridError)
 from .measures import (HorizonSchedule, StepFunction, _ln_q_mean,
                        longevity_index)
-from .probspace import AdaptedProcess, BrownianLattice, RandomVariable
+from .probspace import BrownianLattice, RandomVariable
 
 __all__ = [
     "GenericLipschitzDriver", "LinearDriver", "QuadraticQDriver", "Driver",
@@ -139,13 +143,13 @@ class DriverFamily:
 
 @dataclass(frozen=True)
 class BsdeSolution:
-    """Backward solution (Y, Z) on [0, u]; Y has one layer per depth up to
-    the terminal depth, Z one per step.  Y at the horizon equals the
-    terminal condition exactly."""
+    """Backward solution (Y, Z) on [0, u] as adapted processes: ``Y[k]`` and
+    ``Z[k]`` are the random variables at depth k, Y up to the terminal
+    depth and Z one per step.  Y at the horizon is the terminal condition
+    exactly."""
 
-    model: BrownianLattice
-    Y: AdaptedProcess
-    Z: AdaptedProcess
+    Y: tuple[RandomVariable, ...]
+    Z: tuple[RandomVariable, ...]
 
 
 def _implicit_step(driver, t: float, e_part: np.ndarray, z: np.ndarray,
@@ -197,13 +201,14 @@ def _backward(lattice: BrownianLattice, driver, y: np.ndarray,
     """Yield (Y_k, Z_k) for k = top-1 down to stop, from Y = y at depth top
     for a terminal resolved at depth ``resolved`` <= top: Z = 0 at depths
     >= resolved (the closed-form horizon step for a q-quadratic driver),
-    the lattice step below.  A pass with steps is checked for contraction
-    before its first one."""
+    the lattice step below.  A pass with steps is checked for contraction,
+    and for a q-quadratic driver its entering layer for the domain, before
+    its first step."""
+    quadratic = isinstance(driver, QuadraticQDriver)
     if top > stop:
         _precheck_contraction(lattice, driver)
-    quadratic = isinstance(driver, QuadraticQDriver)
-    if quadratic and top > max(resolved, stop):
-        driver._denominator(y)  # the one domain check of the horizon steps
+        if quadratic:
+            driver._denominator(y)  # the entering layer's domain check
     zeros = np.zeros_like(y)
     for k in range(top - 1, stop - 1, -1):
         t, dt, z = lattice.times[k], lattice.dt(k), zeros
@@ -220,18 +225,14 @@ def _backward(lattice: BrownianLattice, driver, y: np.ndarray,
 def solve_bsde(lattice: BrownianLattice, driver, terminal: RandomVariable
                ) -> BsdeSolution:
     """Solve the BSDE with generator ``driver`` and terminal condition
-    ``terminal`` (= Y at its depth) backward to depth 0."""
+    ``terminal`` (= Y at its depth) backward to depth 0; a depth-0 terminal
+    gives Y = (terminal,) and Z = ()."""
     lattice.horizon_depths(terminal, 0.0)
-    if terminal.depth < 1:
-        raise ConfigurationError("terminal condition must sit at depth >= 1")
     d = terminal.depth
-    y = terminal.values.copy()
-    steps = list(_backward(lattice, driver, y, d, d, 0))[::-1]
-    return BsdeSolution(
-        model=lattice,
-        Y=AdaptedProcess(lattice, [Y for Y, _ in steps] + [y]),
-        Z=AdaptedProcess(lattice, [Z for _, Z in steps]),
-    )
+    steps = list(_backward(lattice, driver, terminal.values, d, d, 0))[::-1]
+    Y = [RandomVariable(lattice, k, y) for k, (y, _) in enumerate(steps)]
+    Z = [RandomVariable(lattice, k, z) for k, (_, z) in enumerate(steps)]
+    return BsdeSolution(Y=(*Y, terminal), Z=tuple(Z))
 
 
 def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,

@@ -280,7 +280,9 @@ def _write_json(path: Path, data: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# task runners: (task, index, experiment, out_dir) -> result
+# task runners: (task, index, experiment, out_dir) -> what run_config reads:
+# the task kind, the files written and, for axioms, the table and the
+# required checks that failed
 # ---------------------------------------------------------------------------
 
 class _Experiment(NamedTuple):
@@ -299,8 +301,7 @@ def _task_evaluate(task, idx, exp, out_dir):
     rows = [[i, value.values[i]] for i in range(len(value.values))]
     path = out_dir / f"task{idx:02d}_evaluate.csv"
     _write_csv(path, ["node", "value"], rows)
-    return {"task": "evaluate", "files": [path.name],
-            "root_value": _fmt(value.values[0])}
+    return {"task": "evaluate", "files": [path.name]}
 
 
 def _task_axioms(task, idx, exp, out_dir):
@@ -339,16 +340,14 @@ def _task_duality(task, idx, exp, out_dir):
     _write_csv(csv_path,
                [f"q{j}" for j in range(grid.n_atoms)] + ["eq_neg_x", "r"],
                rows)
-    summary = {
+    json_path = out_dir / f"task{idx:02d}_duality.json"
+    _write_json(json_path, {
         "dual_value": _fmt(dual),
         "static_shortfall": _fmt(static),
         "gap": _fmt(static - dual),
         "argmax_q": [_fmt(v) for v in report.best_q],
-    }
-    json_path = out_dir / f"task{idx:02d}_duality.json"
-    _write_json(json_path, summary)
-    return {"task": "duality", "files": [csv_path.name, json_path.name],
-            "summary": summary}
+    })
+    return {"task": "duality", "files": [csv_path.name, json_path.name]}
 
 
 def _task_convergence(task, idx, exp, out_dir):
@@ -366,8 +365,7 @@ def _task_convergence(task, idx, exp, out_dir):
         rows.append([lattice.n_steps, value.values[0], err])
     path = out_dir / f"task{idx:02d}_convergence.csv"
     _write_csv(path, ["n_steps", "value", "abs_error"], rows)
-    return {"task": "bsde-convergence", "files": [path.name],
-            "errors": [_fmt(r[2]) for r in rows]}
+    return {"task": "bsde-convergence", "files": [path.name]}
 
 
 def _task_longevity(task, idx, exp, out_dir):
@@ -379,12 +377,10 @@ def _task_longevity(task, idx, exp, out_dir):
         header.append("gamma_formula")
     else:
         columns = (longevity_index(exp.rho, t, u, v, X),)
-    gamma = columns[0]
     rows = [[i, *r] for i, r in enumerate(zip(*[c.values for c in columns]))]
     path = out_dir / f"task{idx:02d}_longevity.csv"
     _write_csv(path, header, rows)
-    return {"task": "longevity", "files": [path.name],
-            "min_gamma": _fmt(float(np.min(gamma.values)))}
+    return {"task": "longevity", "files": [path.name]}
 
 
 _CONSTANT = {"kind": "constant"}

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, RangeError, SpecificationError, TimeGridError
-from .probspace import AdaptedProcess, RandomVariable
+from .probspace import RandomVariable
 from .qcalculus import QParams, exp_q, ln_q
 
 __all__ = [
@@ -374,22 +374,15 @@ def certainty_equivalent(X: RandomVariable, t: float, utility: UtilityFn
 
 
 def discounted_wrap(phi: Callable[[RandomVariable, float], RandomVariable],
-                    discount: AdaptedProcess | RandomVariable,
-                    X: RandomVariable, t: float, u: float) -> RandomVariable:
+                    D: RandomVariable, X: RandomVariable, t: float, u: float
+                    ) -> RandomVariable:
     """Cash subadditive measure phi_tu(D_tu X) built from a cash additive
-    phi and discount factors 0 < D <= 1.
-
-    ``discount`` is an adapted process (its depth(u) layer is used) or a
-    random variable at depth(u)."""
+    phi and discount factors 0 < D <= 1, a random variable at depth(u)."""
     _, ku = X.model.horizon_depths(X, t, u)
     if ku != X.depth:
         raise TimeGridError("X must be measurable exactly at the horizon u")
-    if isinstance(discount, AdaptedProcess):
-        D = discount.at_depth(ku)
-    else:
-        D = discount
-        if D.depth != ku:
-            raise TimeGridError("discount must be measurable at depth(u)")
+    if D.depth != ku:
+        raise TimeGridError("discount must be measurable at depth(u)")
     if np.any(D.values <= 0.0) or np.any(D.values > 1.0 + 1e-12):
         raise DomainError("discount factors must satisfy 0 < D <= 1")
     return phi(D * X, t)

@@ -1,5 +1,5 @@
-"""Finite filtered probability models: scenario trees, binomial lattices,
-node-indexed random variables and adapted processes.
+"""Finite filtered probability models: scenario trees, binomial lattices
+and node-indexed random variables.
 
 Two model families share one interface:
 
@@ -19,8 +19,9 @@ it pushes one node's row and shifts it along the diagonal, O(N^2) in place
 of O(N^3), with every entry bitwise the same.
 
 A :class:`RandomVariable` holds one value per node at a fixed depth and is
-F_k-measurable by construction; an :class:`AdaptedProcess` holds one such
-layer per depth up to a horizon.
+F_k-measurable by construction.  It is the one carrier of values on a model:
+an adapted process, such as a BSDE solution, is one random variable per
+depth.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ import numpy as np
 from .errors import DomainError, TimeGridError, TreeStructureError
 
 _PROB_TOL = 1e-12
+
+
+def _off_step(depth: int, n_steps: int) -> TimeGridError:
+    """The error of a one-step hook called at a depth outside [0, n_steps).
+    The hooks are the per-step hot paths, so each checks its depth inline
+    with one comparison and builds the error here."""
+    return TimeGridError(f"step depth {depth} outside [0, {n_steps})")
 
 
 def _check_times(times: Sequence[float]) -> tuple[float, ...]:
@@ -64,10 +72,7 @@ class FiltrationModel:
     """
 
     times: tuple[float, ...]
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
+    n_steps: int  # len(times) - 1, set with the times
 
     @property
     def horizon(self) -> float:
@@ -165,9 +170,6 @@ class FiltrationModel:
             self, depth, np.full(self.num_nodes(depth), float(value))
         )
 
-    def expectation(self, X: "RandomVariable") -> float:
-        return float(np.dot(self.probs(X.depth), X.values))
-
 
 class ScenarioTree(FiltrationModel):
     """General finite tree model.
@@ -189,6 +191,7 @@ class ScenarioTree(FiltrationModel):
     def __init__(self, times: Sequence[float],
                  nodes: Iterable[tuple[int, int, int | None, float]]):
         self.times = _check_times(times)
+        self.n_steps = len(self.times) - 1
         entries = sorted(nodes, key=lambda e: e[0])
         n = len(entries)
         if not entries or [e[0] for e in entries] != list(range(n)):
@@ -258,18 +261,23 @@ class ScenarioTree(FiltrationModel):
         return self.cond_matrix(0, depth)[0]
 
     def step_expectation(self, values: np.ndarray, depth: int) -> np.ndarray:
+        if not 0 <= depth < self.n_steps:
+            raise _off_step(depth, self.n_steps)
         # bincount adds each parent's children from 0.0 in slot order
         weighted = self._p[depth + 1] * np.asarray(values, dtype=float)
         return np.bincount(self._up[depth + 1], weights=weighted,
-                           minlength=self.num_nodes(depth))
+                           minlength=self._p[depth].size)
 
     def step_forward(self, rows: np.ndarray, depth: int) -> np.ndarray:
+        if not 0 <= depth < self.n_steps:
+            raise _off_step(depth, self.n_steps)
         return rows[..., self._up[depth + 1]] * self._p[depth + 1]
 
     # -- tree-specific operations -------------------------------------------
-    def lift(self, values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
-        """Extend an F_k layer along paths: each node inherits its ancestor's
-        value.  Only trees support lifting (lattice states recombine)."""
+    def _lift(self, values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
+        """Extend a checked F_k layer along paths to a deeper depth: each node
+        inherits its ancestor's value.  Only trees support lifting (lattice
+        states recombine)."""
         out = np.asarray(values, dtype=float)
         for k in range(from_depth + 1, to_depth + 1):
             out = out[self._up[k]]
@@ -290,13 +298,13 @@ class ScenarioTree(FiltrationModel):
         return cls(data["times"], nodes)
 
     @classmethod
-    def terminal_atoms(cls, probabilities: Sequence[float],
-                       times: Sequence[float] = (0.0, 1.0)) -> "ScenarioTree":
-        """One-period tree whose terminal atoms carry the given probabilities."""
+    def terminal_atoms(cls, probabilities: Sequence[float]) -> "ScenarioTree":
+        """One-period tree on the times (0, 1) whose terminal atoms carry the
+        given probabilities."""
         nodes = [(0, 0, None, 1.0)]
         for j, p in enumerate(probabilities):
             nodes.append((j + 1, 1, 0, float(p)))
-        return cls(times, nodes)
+        return cls((0.0, 1.0), nodes)
 
     @classmethod
     def random(cls, rng: np.random.Generator, depth: int = 3,
@@ -340,6 +348,7 @@ class BrownianLattice(FiltrationModel):
         if not 0.0 < horizon < math.inf:
             raise TimeGridError(f"horizon must be positive and finite, got {horizon}")
         self.times = tuple(horizon * k / n_steps for k in range(n_steps + 1))
+        self.n_steps = n_steps
         self._sqdt = math.sqrt(horizon / n_steps)
         if up_probs is None:
             self._up = np.full(n_steps, 0.5)
@@ -358,11 +367,15 @@ class BrownianLattice(FiltrationModel):
         return self.cond_matrix(0, depth)[0]
 
     def step_expectation(self, values: np.ndarray, depth: int) -> np.ndarray:
+        if not 0 <= depth < self.n_steps:
+            raise _off_step(depth, self.n_steps)
         values = np.asarray(values, dtype=float)
         p = self._up[depth]
         return p * values[1:] + (1.0 - p) * values[:-1]
 
     def step_forward(self, rows: np.ndarray, depth: int) -> np.ndarray:
+        if not 0 <= depth < self.n_steps:
+            raise _off_step(depth, self.n_steps)
         p = self._up[depth]
         out = np.empty(rows.shape[:-1] + (rows.shape[-1] + 1,))
         np.multiply(rows, 1.0 - p, out=out[..., :-1])
@@ -384,6 +397,8 @@ class BrownianLattice(FiltrationModel):
 
     def step_z(self, values: np.ndarray, depth: int) -> np.ndarray:
         """E[Y_{k+1} dB_k | F_k] / dt -- the exact discrete gradient."""
+        if not 0 <= depth < self.n_steps:
+            raise _off_step(depth, self.n_steps)
         values = np.asarray(values, dtype=float)
         p = self._up[depth]
         return (p * values[1:] - (1.0 - p) * values[:-1]) / self._sqdt
@@ -439,8 +454,8 @@ class RandomVariable:
                 "states do not determine earlier states)"
             )
         target = max(self.depth, other.depth)
-        a = self.model.lift(self.values, self.depth, target)
-        b = self.model.lift(other.values, other.depth, target)
+        a = self.model._lift(self.values, self.depth, target)
+        b = self.model._lift(other.values, other.depth, target)
         return a, b, target
 
     def _binary(self, other, op) -> "RandomVariable":
@@ -483,38 +498,8 @@ class RandomVariable:
         return RandomVariable(self.model, depth, vals)
 
     def expectation(self) -> float:
-        return self.model.expectation(self)
+        return float(np.dot(self.model.probs(self.depth), self.values))
 
     def __repr__(self) -> str:
         return (f"RandomVariable(depth={self.depth}, "
                 f"values={np.array2string(self.values, precision=6)})")
-
-
-class AdaptedProcess:
-    """One value layer per depth from 0 up to a horizon depth."""
-
-    __slots__ = ("model", "layers")
-
-    def __init__(self, model: FiltrationModel, layers: Sequence[np.ndarray]):
-        if not layers:
-            raise TreeStructureError("adapted process needs at least one layer")
-        self.model = model
-        checked = []
-        for k, layer in enumerate(layers):
-            arr = np.asarray(layer, dtype=float)
-            if arr.shape != (model.num_nodes(k),):
-                raise TreeStructureError(
-                    f"layer {k} has shape {arr.shape}, expected "
-                    f"({model.num_nodes(k)},)"
-                )
-            checked.append(arr)
-        self.layers = checked
-
-    @property
-    def horizon_depth(self) -> int:
-        return len(self.layers) - 1
-
-    def at_depth(self, depth: int) -> RandomVariable:
-        if not 0 <= depth <= self.horizon_depth:
-            raise TimeGridError(f"depth {depth} outside process horizon")
-        return RandomVariable(self.model, depth, self.layers[depth].copy())

@@ -82,7 +82,7 @@ def test_criterion_3_quadratic_representation():
         term = RandomVariable(lat, 32, np.abs(lat.brownian(32)))
         for q in (0.25, 0.5, 0.75):
             direct = hr.solve_bsde(lat, QuadraticQDriver(q=q),
-                                   term).Y.at_depth(0)
+                                   term).Y[0]
             transform = hr.quadratic_transform_solve(
                 lat, q, HorizonSchedule.zero(), term)
             assert abs(direct.values[0] - transform.values[0]) < 1e-2

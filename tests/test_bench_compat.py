@@ -35,7 +35,8 @@ def test_tracer_installs_counts_and_uninstalls():
         # g_risk_measure runs its own backward loop, not the traced
         # solve_bsde; its driver calls must still be counted
         lat = hr.BrownianLattice(4, 1.0)
-        X = hr.RandomVariable(lat, 4, lat.brownian(4))
+        # -X >= -1 keeps the q = 0.5 driver's 1 + (1-q) y > 0 on every layer
+        X = hr.RandomVariable(lat, 4, 0.5 * lat.brownian(4))
         hr.g_risk_measure(lat, hr.QuadraticQDriver.entropic(), X, 0.0, 1.0)
         assert tracer.counts["bsde.driver.calls"] > 0
         # the exact implicit step evaluates a q < 1 driver once per step
@@ -86,3 +87,21 @@ def test_shortfall_probes_stay_with_the_traced_entry_point():
         assert tracer.counts["shortfall.probes"] == 2 * static_probes
     finally:
         tracer.uninstall()
+
+
+def test_solve_bsde_counts_one_solve_and_its_steps():
+    """The tracer reads the terminal's depth from ``solve_bsde``'s third
+    positional argument and passes the solution through."""
+    lat = hr.BrownianLattice(4, 1.0)
+    T = hr.RandomVariable(lat, 3, np.tanh(lat.brownian(3)))
+    want = hr.solve_bsde(lat, hr.QuadraticQDriver(0.5), T)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        sol = hr.solve_bsde(lat, hr.QuadraticQDriver(0.5), T)
+        assert tracer.counts["bsde.solves"] == 1
+        assert tracer.counts["bsde.steps"] == 3
+    finally:
+        tracer.uninstall()
+    assert [Y.values.tobytes() for Y in sol.Y] == \
+        [Y.values.tobytes() for Y in want.Y]

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from horizonrisk import (BrownianLattice, ConfigurationError, DomainError,
                          DriverFamily, GenericLipschitzDriver,
                          HorizonSchedule, LinearDriver, QuadraticQDriver,
-                         RandomVariable, StepFunction, TimeGridError,
-                         entropic, expected_loss, g_risk_measure,
-                         longevity_girsanov, quadratic_transform_solve,
-                         restriction_check, solve_bsde, solve_family)
+                         RandomVariable, SolverError, StepFunction,
+                         TimeGridError, entropic, expected_loss,
+                         g_risk_measure, longevity_girsanov,
+                         quadratic_transform_solve, restriction_check,
+                         solve_bsde, solve_family)
 from horizonrisk.bsde import _implicit_step
 
 
@@ -46,10 +47,13 @@ class TestBackwardScheme:
         term = RandomVariable(lat, 12, np.tanh(lat.brownian(12)))
         driver = QuadraticQDriver(q=0.6)
         sol = solve_bsde(lat, driver, term)
-        np.testing.assert_allclose(sol.Y.layers[12], term.values, atol=0.0)
+        assert [Y.depth for Y in sol.Y] == list(range(13))
+        assert [Z.depth for Z in sol.Z] == list(range(12))
+        assert all(V.model is lat for V in sol.Y + sol.Z)
+        np.testing.assert_allclose(sol.Y[12].values, term.values, atol=0.0)
         for k in range(12):
-            y, z = sol.Y.layers[k], sol.Z.layers[k]
-            residual = y - lat.step_expectation(sol.Y.layers[k + 1], k) \
+            y, z = sol.Y[k].values, sol.Z[k].values
+            residual = y - lat.step_expectation(sol.Y[k + 1].values, k) \
                 - driver(lat.times[k], y, z) * lat.dt(k)
             assert np.max(np.abs(residual)) <= 1e-10
 
@@ -77,7 +81,25 @@ class TestBackwardScheme:
         y1 = solve_bsde(lat, driver, t1).Y
         y2 = solve_bsde(lat, driver, t2).Y
         for k in range(13):
-            assert np.all(y1.layers[k] <= y2.layers[k] + 1e-9)
+            assert np.all(y1[k].values <= y2[k].values + 1e-9)
+
+    def test_depth_zero_terminal_is_its_own_solution(self):
+        lat = BrownianLattice(4, 1.0)
+        term = lat.constant(0.3, 0)
+        sol = solve_bsde(lat, QuadraticQDriver(q=0.5), term)
+        assert sol.Y == (term,) and sol.Z == ()
+
+    def test_fixed_point_that_does_not_settle_names_the_node(self):
+        # C = 0.5 passes the contraction precheck (dt C = 0.125), but the
+        # true y-slope 50 makes each iterate 12.5 times the last
+        lat = BrownianLattice(4, 1.0)
+        driver = GenericLipschitzDriver(g=lambda t, y, z: 50.0 * y,
+                                        lipschitz_constant=0.5)
+        term = RandomVariable(lat, 4, [0.0, 1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(SolverError, match=r"t=0\.75 did not converge.*"
+                                              r"\(node 3\)$") as info:
+            solve_bsde(lat, driver, term)
+        assert info.value.node == 3
 
     def test_contraction_precheck(self):
         lat = BrownianLattice(2, 1.0)  # dt = 0.5
@@ -119,6 +141,22 @@ class TestBackwardScheme:
         with pytest.raises(DomainError):
             g_risk_measure(lat, driver, X, 0.5, 0.75)
 
+    def test_quadratic_domain_checked_on_every_entering_layer(self):
+        # 1 + 0.5 y = -0.25 at the first node of y = -X; with u = 0.5 no
+        # horizon step follows, and the first lattice step's conditional
+        # mean is inside the domain, so only the entering layer shows it
+        lat = BrownianLattice(4, 1.0)
+        driver = QuadraticQDriver(0.5, HorizonSchedule.constant(0.2))
+        X = RandomVariable(lat, 2, [2.5, -1.0, -1.0])
+        routes = [lambda: g_risk_measure(lat, driver, X, 0.0, 0.5),
+                  lambda: solve_bsde(lat, driver, -X),
+                  lambda: g_risk_measure(lat, driver, X, 0.0, 1.0)]
+        for route in routes:
+            with pytest.raises(DomainError, match="reached -0.25"):
+                route()
+        with pytest.raises(DomainError):
+            quadratic_transform_solve(lat, 0.5, driver.rate, -X)
+
     def test_horizon_before_position_rejected(self):
         lat = BrownianLattice(4, 1.0)
         X = sign_payoff(lat, depth=4)
@@ -133,11 +171,11 @@ class TestNormalizationAndRestriction:
         # g(t, 0, 0) = 0 for both: normalized to 1e-10
         for driver in (QuadraticQDriver.entropic(),
                        LinearDriver.from_constants(mu=0.5, nu=0.2)):
-            rho = solve_bsde(lat, driver, zero).Y.at_depth(0)
+            rho = solve_bsde(lat, driver, zero).Y[0]
             np.testing.assert_allclose(rho.values, 0.0, atol=1e-10)
         # g(t, 0, 0) = c0 != 0 accumulates exactly c0 * u
         rho_c = solve_bsde(lat, LinearDriver.from_constants(c=0.25),
-                           zero).Y.at_depth(0)
+                           zero).Y[0]
         np.testing.assert_allclose(rho_c.values, 0.25, atol=1e-12)
 
     def test_interest_rate_example_normalized_and_subadditive(self):
@@ -148,7 +186,7 @@ class TestNormalizationAndRestriction:
             lipschitz_constant=1.3, name="interest-rate",
         )
         zero = lat.constant(0.0, 16)
-        rho0 = solve_bsde(lat, driver, zero).Y.at_depth(0)
+        rho0 = solve_bsde(lat, driver, zero).Y[0]
         np.testing.assert_allclose(rho0.values, 0.0, atol=1e-10)
         rng = np.random.default_rng(3)
         X = RandomVariable(lat, 16, rng.uniform(-2.0, 2.0, 17))
@@ -262,7 +300,7 @@ class TestQuadraticTransform:
     def test_direct_solve_agrees_with_transform(self, q):
         lat = BrownianLattice(32, 1.0)
         term = RandomVariable(lat, 32, np.abs(lat.brownian(32)))
-        direct = solve_bsde(lat, QuadraticQDriver(q=q), term).Y.at_depth(0)
+        direct = solve_bsde(lat, QuadraticQDriver(q=q), term).Y[0]
         transform = quadratic_transform_solve(lat, q, HorizonSchedule.zero(),
                                               term)
         assert abs(direct.values[0] - transform.values[0]) < 1e-2
@@ -302,7 +340,7 @@ class TestQuadraticTransform:
     def test_two_step_hand_example(self):
         lat = BrownianLattice(2, 1.0)
         term = RandomVariable(lat, 2, np.abs(lat.brownian(2)))
-        direct = solve_bsde(lat, QuadraticQDriver(q=0.5), term).Y.at_depth(0)
+        direct = solve_bsde(lat, QuadraticQDriver(q=0.5), term).Y[0]
         transform = quadratic_transform_solve(lat, 0.5,
                                               HorizonSchedule.zero(), term)
         assert abs(direct.values[0] - transform.values[0]) < 1e-2
@@ -417,7 +455,7 @@ class TestOneBackwardRecursion:
         t, s, u = lat.times[kt], lat.times[dx], lat.times[ku]
         solution = solve_bsde(lat, driver, -X)
         assert np.array_equal(g_risk_measure(lat, driver, X, t, s).values,
-                              solution.Y.at_depth(kt).values)
+                              solution.Y[kt].values)
         # flow property: evaluating the tail value at s from t is rho_tu
         inner = g_risk_measure(lat, driver, X, s, u)
         assert np.array_equal(g_risk_measure(lat, driver, X, t, u).values,

@@ -9,8 +9,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from horizonrisk import (BrownianLattice, QuadraticQDriver, RandomVariable,
-                         g_risk_measure)
+from horizonrisk import (BrownianLattice, LossSpec, QParams, QuadraticQDriver,
+                         RandomVariable, ScenarioTree, UtilityFn,
+                         certainty_equivalent, g_risk_measure,
+                         q_entropic_losses)
 from horizonrisk import cli
 from horizonrisk.cli import (CONFIG_SCHEMA, EXIT_CONFIG, EXIT_NUMERICAL,
                              EXIT_REQUIRED_AXIOM, EXIT_OK, _fmt, load_config,
@@ -268,9 +270,12 @@ class TestValidation:
           "tasks": [{"kind": "duality", "u": 0.5}]},
          "task 0 is a static dual: it needs depth(t) = 0 and depth(u) = 2, "
          "got 0 and 1"),
+        ({"measure": {"kind": "bsde", "driver": {"kind": "entropic"}}},
+         "bsde measures need a lattice model"),
     ], ids=["values-length", "two_valued-on-tree", "duality-measure",
             "convergence-measure", "convergence-linear-driver",
-            "duality-t-after-the-root", "duality-u-before-the-horizon"])
+            "duality-t-after-the-root", "duality-u-before-the-horizon",
+            "bsde-on-tree"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys,
                                                overrides, message):
         # validate used to print "config ok" for these
@@ -321,6 +326,30 @@ class TestRun:
         rows = (out / "task00_evaluate.csv").read_text().splitlines()
         assert rows[0] == "node,value"
         assert rows[1] == "0,0.43378083"
+
+    @pytest.mark.parametrize("measure, rho", [
+        ({"kind": "q_entropic", "q": 0.5, "alpha": 0.25, "beta": 0.1},
+         lambda X: q_entropic_losses(X, 0.5, LossSpec(
+             beta=0.1, qparams=QParams(q=0.5, alpha_q=0.25)))),
+        ({"kind": "certainty_equivalent",
+          "utility": {"kind": "exp_bounded", "gamma": 0.5}},
+         lambda X: certainty_equivalent(X, 0.5, UtilityFn.exp_bounded(0.5))),
+    ], ids=["q_entropic", "certainty_equivalent"])
+    def test_evaluate_writes_the_measure_at_every_node(self, tmp_path,
+                                                       measure, rho):
+        values = [1.0, -0.5, 0.25, -1.0]
+        cfg = base_config(model=TWO_STEP_MODEL, measure=measure, tasks=[
+            {"kind": "evaluate", "t": 0.5,
+             "position": {"kind": "values", "values": values}}])
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert run_config(path, out_dir=out) == EXIT_OK
+        rows = (out / "task00_evaluate.csv").read_text().splitlines()
+        X = RandomVariable(ScenarioTree.from_json_dict(TWO_STEP_MODEL), 2,
+                           values)
+        want = rho(X).values
+        assert len(want) == 2
+        assert rows[1:] == [f"{i},{_fmt(v)}" for i, v in enumerate(want)]
 
     def test_axioms_profile_of_hq_measure(self, tmp_path):
         cfg = base_config(

@@ -157,8 +157,10 @@ class TestCmin:
 
     def test_infeasible_target_is_minus_infinity(self, uniform_two):
         spec = entropic_spec(B=2.0)  # unreachable: sup U = 1
-        v = c_min(0.0, np.array([0.5, 0.5]), spec, uniform_two)
-        assert v is RiskSentinel.MINUS_INF
+        Q = np.array([0.5, 0.5])
+        assert c_min(0.0, Q, spec, uniform_two) is RiskSentinel.MINUS_INF
+        assert c_min_bruteforce(0.0, Q, spec,
+                                uniform_two) is RiskSentinel.MINUS_INF
 
     def test_oracle_reports_plus_inf_at_the_upper_box_edge(self):
         # Q != P under the linear spec: the unbounded transfer raises the
@@ -407,7 +409,7 @@ class TestRhoBar:
                     assert lhs == pytest.approx(rhs, abs=1e-7)
 
     def test_hq_constant_inversion(self):
-        tree = ScenarioTree.terminal_atoms([1.0], times=(0.0, 1.0))
+        tree = ScenarioTree.terminal_atoms([1.0])
         spec = hq_shortfall_spec(QParams(q=0.5, alpha_q=0.0), beta=0.0,
                                  schedule=HorizonSchedule.zero())
         X = tree.constant(-1.0, 1)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from horizonrisk import (AdaptedProcess, BrownianLattice, DomainError,
+from horizonrisk import (BrownianLattice, DomainError,
                          HorizonSchedule, LossSpec, QParams, RandomVariable,
                          RangeError, SpecificationError, StepFunction,
                          TimeGridError, UtilityFn, certainty_equivalent,
@@ -360,10 +360,24 @@ class TestDiscountedWrap:
             assert np.all(shifted.values >= base.values - m - 1e-10)
 
     def test_adapted_process_discount(self, two_atom):
-        D = AdaptedProcess(two_atom, [np.array([1.0]), np.array([0.8, 0.9])])
+        # an adapted discount process is one random variable per depth; the
+        # wrap takes its depth(u) layer and rejects any other
+        D = (two_atom.constant(1.0, 0), RandomVariable(two_atom, 1, [0.8, 0.9]))
         X = RandomVariable(two_atom, 1, [2.0, 1.0])
-        v = discounted_wrap(lambda Z, t: expected_loss(Z, t), D, X, 0.0, 1.0)
+        phi = lambda Z, t: expected_loss(Z, t)
+        v = discounted_wrap(phi, D[1], X, 0.0, 1.0)
         assert v.values[0] == pytest.approx(-(0.5 * 1.6 + 0.5 * 0.9))
+        with pytest.raises(TimeGridError,
+                           match="discount must be measurable at depth"):
+            discounted_wrap(phi, D[0], X, 0.0, 1.0)
+
+    def test_position_before_the_horizon_rejected(self):
+        tree = random_tree(4, depth=2)
+        X = random_rv(tree, 5, depth=1)
+        with pytest.raises(TimeGridError,
+                           match="X must be measurable exactly at the horizon"):
+            discounted_wrap(lambda Z, t: expected_loss(Z, t),
+                            tree.constant(0.9, 2), X, 0.0, 1.0)
 
     def test_discount_outside_unit_interval_rejected(self, two_atom):
         X = RandomVariable(two_atom, 1, [1.0, 1.0])
@@ -386,6 +400,14 @@ class TestLongevityIndex:
         rho = lambda Z, t, u: entropic(Z, t, 1.0)
         with pytest.raises(TimeGridError):
             longevity_index(rho, 0.5, 0.2, 1.0, coin_position)
+
+    def test_position_off_depth_u_rejected(self):
+        tree = random_tree(4, depth=4, times=QUARTER_TIMES)
+        X = random_rv(tree, 44, depth=2)
+        rho = lambda Z, t, u: entropic(Z, t, 1.0)
+        with pytest.raises(TimeGridError,
+                           match=r"X must be measurable exactly at depth\(u\)"):
+            longevity_index(rho, 0.0, 0.75, 1.0, X)
 
 
 class TestUtilityFn:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horizonrisk import (AdaptedProcess, BrownianLattice, DomainError,
+from horizonrisk import (BrownianLattice, DomainError,
                          DriverFamily, HorizonSchedule, LinearDriver,
                          LossSpec, QParams, QuadraticQDriver, RandomVariable,
                          ScenarioTree, ShortfallSpec, TimeGridError,
@@ -140,12 +140,17 @@ class TestInterleavedLayout:
                                0.25 * 0.9])
 
     def test_lift_is_the_ancestor_walk(self):
+        # depth-mismatched arithmetic lifts the shallower operand, either side
         for k in range(3):
             values = np.arange(1.0, len(self.AT[k]) + 1.0)
+            shallow = RandomVariable(self.TREE, k, values)
             for d in range(k, 3):
                 want = [values[self.AT[k].index(self.ancestor(j, k))]
                         for j in self.AT[d]]
-                assert np.array_equal(self.TREE.lift(values, k, d), want)
+                zero = self.TREE.constant(0.0, d)
+                for lifted in (shallow + zero, zero + shallow):
+                    assert lifted.depth == d
+                    assert np.array_equal(lifted.values, want)
 
     def test_json_round_trip(self):
         data = self.TREE.to_json_dict()
@@ -316,6 +321,28 @@ class TestBrownianLattice:
         assert tilted.probs(6).sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestStepHooks:
+    """The one-step hooks take a depth in [0, terminal depth) and raise
+    TimeGridError outside it; at -1 a negative index would otherwise read
+    the last step's (lattice) or the root's (tree) arrays."""
+
+    LATTICE = BrownianLattice(4, 1.0)
+    TREE = random_tree(4, depth=4)
+
+    @pytest.mark.parametrize("model, hook", [
+        (LATTICE, "step_expectation"), (LATTICE, "step_forward"),
+        (LATTICE, "step_z"), (TREE, "step_expectation"),
+        (TREE, "step_forward"),
+    ], ids=["lattice-step_expectation", "lattice-step_forward",
+            "lattice-step_z", "tree-step_expectation", "tree-step_forward"])
+    def test_depth_outside_the_steps_rejected(self, model, hook):
+        step = getattr(model, hook)
+        for depth in (-1, 4):
+            with pytest.raises(TimeGridError,
+                               match=rf"^step depth {depth} outside \[0, 4\)$"):
+                step(np.arange(5.0), depth)
+
+
 class TestJsonRoundTrip:
     def test_schema_and_round_trip(self):
         tree = random_tree(11, depth=3)
@@ -336,8 +363,17 @@ class TestRandomVariableArithmetic:
         deep = random_rv(tree, 2, depth=3)
         total = shallow + deep
         assert total.depth == 3
-        lifted = tree.lift(shallow.values, 1, 3)
-        np.testing.assert_allclose(total.values, lifted + deep.values)
+        nodes = tree.to_json_dict()["nodes"]
+        parent = {nd["id"]: nd["parent"] for nd in nodes}
+        at = {k: [nd["id"] for nd in nodes if nd["depth"] == k] for k in (1, 3)}
+        lifted = [shallow.values[at[1].index(parent[parent[j]])] for j in at[3]]
+        np.testing.assert_allclose(total.values, np.add(lifted, deep.values))
+
+    def test_scalar_minus_random_variable(self, two_atom):
+        X = RandomVariable(two_atom, 1, [1.0, -2.5])
+        diff = 3.0 - X
+        assert diff.depth == 1
+        assert np.array_equal(diff.values, [2.0, 5.5])
 
     def test_neg_part(self, two_atom):
         X = RandomVariable(two_atom, 1, [1.0, -2.5])
@@ -374,23 +410,6 @@ class TestRandomVariableArithmetic:
             RandomVariable(two_atom, 1, [np.nan, 1.0])
         X = RandomVariable(two_atom, 1, [np.inf, -np.inf])
         assert np.array_equal(X.values, [np.inf, -np.inf])
-
-
-class TestAdaptedProcess:
-    def test_restriction_is_valid_random_variable(self):
-        tree = random_tree(9, depth=3)
-        layers = [np.full(tree.num_nodes(k), float(k)) for k in range(3)]
-        proc = AdaptedProcess(tree, layers)
-        assert proc.horizon_depth == 2
-        rv = proc.at_depth(1)
-        assert rv.depth == 1
-        np.testing.assert_allclose(rv.values, 1.0)
-        with pytest.raises(TimeGridError):
-            proc.at_depth(3)
-
-    def test_layer_shape_checked(self, two_atom):
-        with pytest.raises(TreeStructureError):
-            AdaptedProcess(two_atom, [np.zeros(1), np.zeros(3)])
 
 
 class TestDeepTreeInvariants:

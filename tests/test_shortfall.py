@@ -298,7 +298,7 @@ class TestCeEquivalence:
 
 class TestHqShortfallSpec:
     def test_constant_with_horizon_term(self):
-        tree = ScenarioTree.terminal_atoms([1.0], times=(0.0, 1.0))
+        tree = ScenarioTree.terminal_atoms([1.0])
         spec = hq_shortfall_spec(QParams(q=0.5, alpha_q=0.0), beta=0.0,
                                  schedule=HorizonSchedule.constant(0.2))
         X = tree.constant(-1.0, 1)
