@@ -20,10 +20,10 @@ this is how horizon-longevity gaps are produced.  For a q-quadratic driver
 g(t, y, 0) is the horizon rate a(t), so the recursion is the closed form
 Y_j = Y_{j+1} + a(t_j) dt, which adds the premium A(u, v) one step at a time
 (bitwise the value of the implicit step).  Its domain 1 + (1-q) y > 0 is
-checked on the layer that enters every pass with steps, whether or not
-horizon steps follow: a >= 0 makes Y non-decreasing backward, so every later
-horizon layer passes when that one does, and each lattice step checks the
-conditional mean it starts from.
+checked on the layer that enters every pass, with steps or none: a >= 0
+makes Y non-decreasing backward, so every later horizon layer passes when
+that one does, and each lattice step checks the conditional mean it starts
+from.
 
 Quadratic q-type drivers with q = 1 or a zero rate additionally admit the
 exact generalized-log transform (:func:`quadratic_transform_solve`), so the
@@ -201,14 +201,14 @@ def _backward(lattice: BrownianLattice, driver, y: np.ndarray,
     """Yield (Y_k, Z_k) for k = top-1 down to stop, from Y = y at depth top
     for a terminal resolved at depth ``resolved`` <= top: Z = 0 at depths
     >= resolved (the closed-form horizon step for a q-quadratic driver),
-    the lattice step below.  A pass with steps is checked for contraction,
-    and for a q-quadratic driver its entering layer for the domain, before
-    its first step."""
+    the lattice step below.  For a q-quadratic driver the entering layer of
+    every pass, with steps or none, is checked for the domain; a pass with
+    steps is checked for contraction before its first step."""
     quadratic = isinstance(driver, QuadraticQDriver)
+    if quadratic:
+        driver._denominator(y)  # the entering layer's domain check
     if top > stop:
         _precheck_contraction(lattice, driver)
-        if quadratic:
-            driver._denominator(y)  # the entering layer's domain check
     zeros = np.zeros_like(y)
     for k in range(top - 1, stop - 1, -1):
         t, dt, z = lattice.times[k], lattice.dt(k), zeros

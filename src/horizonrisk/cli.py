@@ -494,10 +494,11 @@ CONFIG_SCHEMA = {
 def _validator():
     """The config validator, built and its schema checked against the
     metaschema once per process (``jsonschema.validate`` does both on every
-    call), and not at import."""
+    call), and not at import; ``integer`` means an integer literal, not 4.0."""
     cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
     cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+    literal = cls.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
+    return jsonschema.validators.extend(cls, type_checker=literal)(CONFIG_SCHEMA)
 
 
 # ---------------------------------------------------------------------------

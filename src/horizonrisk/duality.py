@@ -23,12 +23,13 @@ the one-row problem of :func:`shortfall._problem` at t = 0, on the terminal
 atoms at u = horizon (:func:`rho_bar` at any horizon u), and the Lagrangian
 routes are capped at 6 atoms.
 
-R bisects in m over all measure rows at once, and each c_min solve takes
-only the rows still open.  Box rules: :func:`c_min` solves the boxes G and
-2G as two rows of one batch and reports PLUS_INF when the value grows with
-the box; :func:`_risk_map_batch` (behind :func:`risk_map_R` and
-:func:`dual_value`) reports R = MINUS_INF where one probe at box 2G and
-m = R - 1e-6 G is met, an R that drops with the box as c_min diverges.
+R is found rowwise by the cash search :func:`shortfall._least_m`, and each
+c_min solve takes only the rows still open.  Box rules: :func:`c_min`
+solves the boxes G and 2G as two rows of one batch and reports PLUS_INF
+when the value grows with the box; :func:`_risk_map_batch` (behind
+:func:`risk_map_R` and :func:`dual_value`) reports R = MINUS_INF where one
+probe at box 2G and m = R - 1e-6 G is met, an R that drops with the box as
+c_min diverges.
 
 The independent oracle :func:`c_min_bruteforce` enumerates Y on a grid
 (starting at a coarse step and refining locally) without any Lagrangian
@@ -44,9 +45,8 @@ import numpy as np
 
 from .errors import DomainError, SpecificationError, TimeGridError
 from .probspace import FiltrationModel, RandomVariable
-from .shortfall import (_BISECT_TOL, _BRACKET_CAP, ExtendedReal, RiskSentinel,
-                        ShortfallSpec, _extended, _finite_max_abs, _problem,
-                        _smallest_m)
+from .shortfall import (ExtendedReal, RiskSentinel, ShortfallSpec, _extended,
+                        _finite_max_abs, _least_m, _problem, _smallest_m)
 
 __all__ = [
     "DualGrid", "DualReport", "c_min", "c_min_bruteforce", "risk_map_R",
@@ -294,52 +294,34 @@ def _grid_scan(axes, Q, p, uf, B, m, keep=1):
 # ---------------------------------------------------------------------------
 
 def _risk_map_batch(x: np.ndarray, Q: np.ndarray, p: np.ndarray, uf, B: float):
-    """R(x_i, Q_i) rowwise by bisection over m on the monotone predicate
-    c_min(m, Q) >= x; +-inf mark the rows never met and met below every m.
-
-    Every :func:`_cmin_batch` call takes only the open rows.  Each end of a
-    row's bracket doubles from +-(1 + 2 max|x|) while the row is unmet
-    (upper) or met (lower) there; a row still going at +-2 _BRACKET_CAP is
-    +inf or -inf.  The _COARSE precision pair brackets and bisects until the
-    widest open bracket is below 1e-4, then _FINE (the coarse value error is
-    second order at the smooth optima that decide the supremum); every open
-    row moves until that width is below _BISECT_TOL.  Rows met by one _FINE
-    probe at box 2G and m = R - 1e-6 G are -inf too: their R drops with the
-    box."""
+    """R(x_i, Q_i): the cash search :func:`shortfall._least_m` on
+    c_min(m, Q_i) >= x_i from 1 + 2 max|x|.  A row probes with _COARSE until
+    its bracket is at most 1e-4 wide, then with _FINE (the coarse error is
+    second order at the smooth optima that decide the supremum).  A row met
+    by one _FINE probe at box 2G and m = R - 1e-6 G is -inf: its R drops
+    with the box."""
     if not np.isfinite(x).all():
         raise DomainError("R needs finite levels x = E_Q[-X]")
-    nq = len(x)
-    start = 1.0 + 2.0 * float(np.max(np.abs(x), initial=0.0))
-    cap = 2.0 * _BRACKET_CAP
 
-    def met(m_vec, rows, precision, box=_BOX):
-        vals, infeasible = _cmin_batch(m_vec, Q[rows], p, uf, B, box=box,
+    def reached(m, rows, precision, box=_BOX):
+        vals, infeasible = _cmin_batch(m, Q[rows], p, uf, B, box=box,
                                        precision=precision)
         return (vals >= x[rows]) & ~infeasible
 
-    def bracket(sign, rows):
-        # a row still going at the cap gets the edge sign * inf, its sentinel
-        edge = np.full(nq, sign * start)
-        while rows.size:
-            rows = rows[met(edge[rows], rows, _COARSE) == (sign < 0)]
-            far = np.abs(edge[rows])
-            edge[rows] = sign * np.where(far < cap, np.minimum(2.0 * far, cap),
-                                         np.inf)
-            rows = rows[far < cap]
-        return edge
+    def met(m, open, width):
+        ok = np.zeros(len(x), dtype=bool)
+        for part, precision in ((open & (width > 1e-4), _COARSE),
+                                (open & (width <= 1e-4), _FINE)):
+            if part.any():
+                ok[part] = reached(m[part], part, precision)
+        return ok
 
-    hi = bracket(1.0, np.arange(nq))
-    lo = bracket(-1.0, np.flatnonzero(hi < np.inf))
-    rows = np.flatnonzero(np.isfinite(lo + hi))
-    while rows.size and (width := np.max(hi[rows] - lo[rows])) > _BISECT_TOL:
-        mid = 0.5 * (lo[rows] + hi[rows])
-        ok = met(mid, rows, _FINE if width <= 1e-4 else _COARSE)
-        hi[rows[ok]] = mid[ok]
-        lo[rows[~ok]] = mid[~ok]
-    values = 0.5 * (lo + hi)  # +-inf on the sentinel rows
+    values = _least_m(met, 1.0 + 2.0 * float(np.max(np.abs(x), initial=0.0)),
+                      len(x))
+    rows = np.flatnonzero(np.isfinite(values))
     if rows.size:
-        drops = met(values[rows] - _GROWTH_SLOPE * _BOX, rows, _FINE,
-                    box=2.0 * _BOX)
+        drops = reached(values[rows] - _GROWTH_SLOPE * _BOX, rows, _FINE,
+                        box=2.0 * _BOX)
         values[rows[drops]] = -np.inf
     return values
 

@@ -10,16 +10,18 @@ distribution at each depth-t node with horizon-dependent (U_u, f_u, B_tu).
 The aggregator f decouples cash from the position and is what makes the
 measure cash non-additive; f(y, m) = y + m recovers the classical shortfall.
 
-The infimum is computed by bisection over m (the constraint is monotone when
-f is non-decreasing in m), with an expanding bracket.  One bisection runs
-over all depth-t nodes at once, each probe averaging U(f(X, m_i)) against
-the rows of the conditional law of :func:`_problem`; +inf marks a node whose
-constraint set is empty and -inf one where it always holds, and a scalar
-result reads them as ``RiskSentinel`` members (:func:`_extended`).  Times
-obey the horizon contract that :meth:`FiltrationModel.horizon_depths`
-checks: depth(t) <= depth(X) <= depth(u), u defaulting to the time of
-depth(X).  The static shortfall is the root node of the nodewise solve: it
-takes no t, and only its horizon u varies.
+The infimum is the least cash amount that meets a monotone constraint (f
+non-decreasing in m), found by :func:`_least_m`, the one cash search behind
+the shortfall, ``duality.rho_bar`` and the dual's R map; its docstring holds
+the bracket, cap and stop rules.  One search runs over all depth-t nodes at
+once, each probe averaging U(f(X, m_i)) against the rows of the conditional
+law of :func:`_problem`; +inf marks a node whose constraint set is empty and
+-inf one where it always holds, and a scalar result reads them as
+``RiskSentinel`` members (:func:`_extended`).  Times obey the horizon
+contract that :meth:`FiltrationModel.horizon_depths` checks:
+depth(t) <= depth(X) <= depth(u), u defaulting to the time of depth(X).
+The static shortfall is the root node of the nodewise solve: it takes no t,
+and only its horizon u varies.
 Value-at-Risk is included through its shortfall representation with the
 right-continuous step utility; its conditional quantile is computed by
 exact atom enumeration, not bisection, since the constraint is
@@ -239,57 +241,71 @@ class ShortfallSpec:
 
 
 # ---------------------------------------------------------------------------
-# bisection machinery
+# the least cash amount
 # ---------------------------------------------------------------------------
+
+def _least_m(met: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+             start: float, n: int) -> np.ndarray:
+    """Least m_i meeting each of n monotone constraints, the one cash search:
+    ``met(m, open, width)`` tells, for the rows of the mask ``open``, whether
+    each one's constraint holds at the finite m_i, given its bracket width
+    (the scalar inf while bracketing); the other rows' entries are ignored.
+    A row's bracket doubles from +start while the row is unmet there and
+    from -start while it is met there, up to the last edge +-2 _BRACKET_CAP;
+    a row still going there is +-inf, its sentinel.  Each row then bisects
+    until its own bracket is below _BISECT_TOL, so its value does not
+    depend on the other rows."""
+    cap = 2.0 * _BRACKET_CAP
+
+    def bracket(sign, going):
+        edge, capped = np.full(n, sign * start), np.zeros(n, dtype=bool)
+        while going.any():
+            going = going & (met(edge, going, math.inf) == (sign < 0))
+            capped |= going & (np.abs(edge) >= cap)
+            going = going & ~capped
+            np.copyto(edge, sign * np.minimum(2.0 * np.abs(edge), cap),
+                      where=going)
+        return edge, capped
+
+    hi, plus = bracket(1.0, np.ones(n, dtype=bool))
+    lo, minus = bracket(-1.0, ~plus)
+    lo = np.where(plus | minus, hi, lo)  # the sentinels do not move
+    while (moving := (width := hi - lo) > _BISECT_TOL).any():
+        mid = 0.5 * (lo + hi)
+        up = moving & met(mid, moving, width)
+        np.copyto(hi, mid, where=up)
+        np.copyto(lo, mid, where=moving ^ up)
+    least = 0.5 * (lo + hi)
+    least[plus], least[minus] = math.inf, -math.inf
+    return least
+
 
 def _smallest_m(constraint: Callable[[np.ndarray], np.ndarray], target: float,
                 start: float, n: int, depth: int) -> np.ndarray:
-    """Least m_i with constraint(m)_i >= target for the n non-decreasing
-    constraints of the nodes i at ``depth`` at once; ``constraint`` maps n
-    cash amounts to n values.  Each node brackets by doubling from +-start;
-    +inf (-inf) marks a node still unmet at +_BRACKET_CAP (met at
-    -_BRACKET_CAP).  A decrease along a node's bracketing probes raises
-    SpecificationError.  A node stops moving once its bracket is below
-    _BISECT_TOL, so each value equals a bisection on its problem alone."""
+    """:func:`_least_m` of constraint(m)_i >= target for the nodes i at
+    ``depth``; a decrease along a node's bracketing probes raises
+    SpecificationError."""
+    probes = []  # (m, values): a bracketing probe puts its nodes at one m
 
-    def bracket(edge, active, unmet):
-        edge = np.full(n, edge)
-        capped = np.zeros(n, dtype=bool)
-        probes = []
-        while active.any():
-            values = constraint(edge)
-            probes.append((edge, values, active))
-            active = active & unmet(values)
-            capped = capped | (active & (2.0 * np.abs(edge) > _BRACKET_CAP))
-            active = active & ~capped
-            edge = np.where(active, 2.0 * edge, edge)
-        return edge, capped, probes
+    def met(m, open, width):
+        values = constraint(m)
+        if isinstance(width, float):  # a bracketing probe
+            probes.append((float(m[open][0]), np.where(open, values, np.nan)))
+        return values >= target
 
-    hi, plus, hi_probes = bracket(start, np.ones(n, dtype=bool),
-                                  lambda v: v < target)
-    lo, minus, lo_probes = bracket(-start, ~plus, lambda v: v >= target)
-    # each problem's probes, in increasing m, form one contiguous run
-    ms, vs, probed = (np.array(col) for col in zip(*lo_probes[::-1], *hi_probes))
-    drops = probed[:-1] & probed[1:] & (
-        vs[1:] < vs[:-1] - 1e-9 * np.maximum(1.0, np.abs(vs[:-1])))
+    least = _least_m(met, start, n)
+    probes.sort(key=lambda probe: probe[0])  # a node's probes: one run in m
+    vs = np.array([values for _, values in probes])  # NaN compares False
+    drops = vs[1:] < vs[:-1] - 1e-9 * np.maximum(1.0, np.abs(vs[:-1]))
     if drops.any():
         i, j = np.argwhere(drops.T)[0]  # first node, then its first drop
         raise SpecificationError(
             f"node {i} at depth {depth}: shortfall constraint is not "
             f"non-decreasing in m: value drops from {float(vs[j, i])!r} at "
-            f"m={float(ms[j, i])!r} to {float(vs[j + 1, i])!r} at "
-            f"m={float(ms[j + 1, i])!r}"
+            f"m={probes[j][0]!r} to {float(vs[j + 1, i])!r} at "
+            f"m={probes[j + 1][0]!r}"
         )
-    lo = np.where(plus | minus, hi, lo)  # sentinel problems do not move
-    while (moving := hi - lo > _BISECT_TOL).any():
-        mid = 0.5 * (lo + hi)
-        up = moving & (constraint(mid) >= target)
-        np.copyto(hi, mid, where=up)
-        np.copyto(lo, mid, where=moving ^ up)
-    values = 0.5 * (lo + hi)
-    values[plus] = math.inf
-    values[minus] = -math.inf
-    return values
+    return least
 
 
 def _extended(value: float) -> ExtendedReal:

@@ -144,18 +144,23 @@ class TestBackwardScheme:
     def test_quadratic_domain_checked_on_every_entering_layer(self):
         # 1 + 0.5 y = -0.25 at the first node of y = -X; with u = 0.5 no
         # horizon step follows, and the first lattice step's conditional
-        # mean is inside the domain, so only the entering layer shows it
+        # mean is inside the domain, so only the entering layer shows it.
+        # The passes with no step at all (t = u = depth(X), and a depth-0
+        # terminal) used to return the layer unchecked
         lat = BrownianLattice(4, 1.0)
         driver = QuadraticQDriver(0.5, HorizonSchedule.constant(0.2))
         X = RandomVariable(lat, 2, [2.5, -1.0, -1.0])
         routes = [lambda: g_risk_measure(lat, driver, X, 0.0, 0.5),
                   lambda: solve_bsde(lat, driver, -X),
-                  lambda: g_risk_measure(lat, driver, X, 0.0, 1.0)]
+                  lambda: g_risk_measure(lat, driver, X, 0.0, 1.0),
+                  lambda: g_risk_measure(lat, driver, X, 0.5, 0.5),
+                  lambda: solve_bsde(lat, driver, lat.constant(-2.5, 0))]
         for route in routes:
             with pytest.raises(DomainError, match="reached -0.25"):
                 route()
-        with pytest.raises(DomainError):
-            quadratic_transform_solve(lat, 0.5, driver.rate, -X)
+        for t in (0.0, 0.5):
+            with pytest.raises(DomainError):
+                quadratic_transform_solve(lat, 0.5, driver.rate, -X, t)
 
     def test_horizon_before_position_rejected(self):
         lat = BrownianLattice(4, 1.0)

@@ -44,6 +44,7 @@ TWO_STEP_MODEL = {
 
 
 LATTICE = {"kind": "lattice", "steps": 8, "horizon": 1.0}
+UNIFORM = [{"kind": "evaluate", "position": {"kind": "uniform"}}]
 
 
 def write_config(tmp_path, blob, name="cfg.json"):
@@ -307,6 +308,31 @@ class TestValidation:
         assert errs[0] == errs[1]
         assert errs[0].startswith("riskctl: config error: ")
         assert errs[0].count("\n") == 1
+
+    @pytest.mark.parametrize("config", [
+        lambda n: base_config(model={**LATTICE, "steps": n}, tasks=UNIFORM),
+        lambda n: base_config(seed=n),
+        lambda n: base_config(model=LATTICE, measure={
+            "kind": "bsde", "driver": {"kind": "entropic"}},
+            tasks=[{"kind": "bsde-convergence", "grid": [n]}]),
+        lambda n: base_config(tasks=[{"kind": "axioms", "checks": ["monotone"],
+                                      "samples": n}]),
+        lambda n: base_config(model={"kind": "random_tree", "depth": 2,
+                                     "max_branching": n}, tasks=UNIFORM),
+        lambda n: base_config(model={**TWO_ATOM_MODEL, "nodes": [
+            TWO_ATOM_MODEL["nodes"][0],
+            *({**node, "depth": n - 2} for node in TWO_ATOM_MODEL["nodes"][1:])]}),
+    ], ids=["steps", "seed", "grid", "samples", "max_branching", "node-depth"])
+    def test_integer_keys_take_only_integer_literals(self, tmp_path, config):
+        # the draft's integer type admits 4.0, which then crashed the build
+        # of the model or task (exit 1) or ran as if it were 4
+        ok = write_config(tmp_path, config(3), "ok.json")
+        bad = write_config(tmp_path, config(3.0), "bad.json")
+        out = tmp_path / "out"
+        assert main(["validate", str(ok)]) == EXIT_OK
+        assert main(["validate", str(bad)]) == EXIT_CONFIG
+        assert main(["run", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_nan_is_never_printed_as_infinity(self):
         assert _fmt(float("nan")) == "nan"

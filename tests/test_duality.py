@@ -306,6 +306,28 @@ class TestDualValue:
         assert all(g >= -1e-8 for g in gaps)
         assert all(b <= a + 1e-10 for a, b in zip(gaps, gaps[1:]))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_row_is_the_risk_map_alone(self, n):
+        # X = 0 gives every row the level 0 and so the first edge 1; the
+        # roots R = 4.6 - H(Q|P) straddle the edge 4, so the rows' brackets
+        # differ in width, and a row matches its search alone only if it
+        # stops on its own
+        spec = ShortfallSpec(UtilityFn.exp_bounded(1.0),
+                             AggregatorFn.scaled_additive(0.5),
+                             TargetSchedule.constant(0.99))
+        rng = np.random.default_rng(n)
+        p = rng.uniform(0.2, 1.0, n)
+        tree = ScenarioTree.terminal_atoms(p / p.sum())
+        P = tree.probs(1)
+        vertex = np.eye(n)[np.argmin(P)]
+        grid = DualGrid(np.vstack([P, 0.5 * (P + vertex),
+                                   0.01 * P + 0.99 * vertex]))
+        report = dual_value(tree.constant(0.0, 1), spec, grid)
+        alone = [float(risk_map_R(x, Q, spec, tree))
+                 for x, Q in zip(report.x_values, grid.measures)]
+        assert report.r_values.tobytes() == np.array(alone).tobytes()
+        assert report.r_values.min() < 4.0 < report.r_values.max()
+
     def test_three_atom_weak_duality(self):
         tree = ScenarioTree.terminal_atoms([0.25, 0.4, 0.35])
         rng = np.random.default_rng(1)

@@ -13,7 +13,8 @@ from horizonrisk import (AggregatorFn, BrownianLattice, DomainError,
                          certainty_equivalent, dynamic_shortfall, entropic,
                          h_entropic, h_var, hq_entropic_losses,
                          hq_shortfall_spec, quadratic_transform_solve,
-                         rho_bar, static_shortfall)
+                         rho_bar, risk_map_R, static_shortfall)
+from horizonrisk.shortfall import _BISECT_TOL, _BRACKET_CAP, _least_m
 
 from conftest import random_rv, random_tree
 
@@ -535,3 +536,70 @@ class TestLatticeModels:
                              TargetSchedule.constant(0.0))
         with pytest.raises(SpecificationError, match="node 0"):
             dynamic_shortfall(X, 0.0, spec)
+
+
+def scalar_least_m(met, start):
+    """One row's bracket-and-bisect, written out: the reference of
+    :func:`_least_m`."""
+    cap = 2.0 * _BRACKET_CAP
+    hi = start
+    while not met(hi):
+        if hi >= cap:
+            return math.inf
+        hi = min(2.0 * hi, cap)
+    lo = -start
+    while met(lo):
+        if -lo >= cap:
+            return -math.inf
+        lo = -min(-2.0 * lo, cap)
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if met(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class TestCashSearch:
+    @pytest.mark.parametrize("target", [1.5e6, 3e6])
+    def test_every_route_probes_up_to_twice_the_cap(self, two_atom, target):
+        # with no inverse and X = 0 the first edge is 1; the root 1.5e6 lies
+        # between 2^20, where the shortfall used to stop with PLUS_INF, and
+        # the last edge 2^21; 3e6 lies beyond it
+        spec = ShortfallSpec.classic(UtilityFn(fn=lambda x: x), target)
+        X = two_atom.constant(0.0, 1)
+        routes = [static_shortfall(X, spec),
+                  dynamic_shortfall(X, 0.0, spec).values[0],
+                  rho_bar(0.0, X, spec),
+                  risk_map_R(0.0, two_atom.probs(1), spec, two_atom)]
+        expected = target if target < 2.0 * _BRACKET_CAP else math.inf
+        for value in routes:
+            assert float(value) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_row_is_searched_on_its_own(self, seed):
+        # step problems m >= root: roots near the first edge, beyond
+        # 2^19 start (past the last edge too) and rows never or always met
+        rng = np.random.default_rng(seed)
+        start = 1.0 + 2.0 * rng.uniform(0.0, 5.0)
+        far = start * 2.0 ** 19 * rng.uniform(1.0, 8.0, 12)
+        roots = np.concatenate([
+            rng.uniform(-3.0, 3.0, 12) * start, far, -far,
+            [start, -start, 2.0 * start, math.inf, -math.inf]])
+        rng.shuffle(roots)
+        seen = []
+
+        def met(m, open, width):
+            seen.append(np.broadcast_to(width, open.shape)[open])
+            return m >= roots
+
+        values = _least_m(met, start, len(roots))
+        expected = [scalar_least_m(lambda m: m >= root, start)
+                    for root in roots]
+        assert values.tobytes() == np.array(expected).tobytes()
+        assert np.isinf(values).any() and np.isfinite(values).any()
+        # a row is open while bracketing (width inf) or while its own
+        # bracket is above the tolerance, never after
+        for width in seen:
+            assert np.isinf(width).all() or (width > _BISECT_TOL).all()
