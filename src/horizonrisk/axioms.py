@@ -20,7 +20,10 @@ witness when the axiom fails.  Conventions:
   l from {0.25, 0.5, 0.75}; and F_u-measurable positions at every grid
   triple t <= u < v.  Normalization is the degenerate one-case row rho(0);
 * a sweep evaluates each distinct rho_tu(X) once: it does not depend on v,
-  and the constant and spike positions recur for every v > u;
+  and the constant and spike positions, built once per depth, recur for
+  every triple; a BSDE family runs one backward pass per (X, u, v) within a
+  sweep, which every t <= u reads, and keeps nothing outside one (see
+  :func:`horizonrisk.bsde.g_risk_measure`);
 * slacks are signed so that >= 0 means the axiom held; the uniform pass
   tolerance is 1e-8, and reports carry the worst slack so borderline
   numerical failures are distinguishable from structural ones;
@@ -39,6 +42,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .bsde import _kept_passes
 from .probspace import FiltrationModel, RandomVariable
 
 __all__ = [
@@ -71,9 +75,9 @@ class AxiomReport:
         return asdict(self)
 
 
-def _positions(model: FiltrationModel, depth: int,
-               rng: np.random.Generator) -> Iterator[RandomVariable]:
-    """Three constants, up to three one-atom spikes, then uniform draws."""
+def _fixed_positions(model: FiltrationModel,
+                     depth: int) -> Iterator[RandomVariable]:
+    """Three constants, then up to three one-atom spikes."""
     n = model.num_nodes(depth)
     for c in (-2.0, 0.0, 1.5):
         yield model.constant(c, depth)
@@ -82,13 +86,19 @@ def _positions(model: FiltrationModel, depth: int,
         spike = np.zeros(n)
         spike[j * (n - 1) // max(1, spikes - 1) if n > 1 else 0] = 3.0 * (-1) ** j
         yield RandomVariable(model, depth, spike)
-    while True:
-        yield RandomVariable(model, depth, rng.uniform(-3.0, 3.0, size=n))
 
 
 def _sample_positions(model: FiltrationModel, depth: int, samples: int,
-                      rng: np.random.Generator) -> list[RandomVariable]:
-    return list(islice(_positions(model, depth, rng), samples))
+                      rng: np.random.Generator,
+                      fixed: list[RandomVariable] | None = None
+                      ) -> list[RandomVariable]:
+    """The first ``samples`` fixed positions (built here unless given), then
+    nodewise i.i.d. uniform draws on [-3, 3] up to ``samples``."""
+    xs = list(islice(_fixed_positions(model, depth) if fixed is None
+                     else fixed, samples))
+    n = model.num_nodes(depth)
+    return xs + [RandomVariable(model, depth, rng.uniform(-3.0, 3.0, size=n))
+                 for _ in range(samples - len(xs))]
 
 
 def _time_triples(model: FiltrationModel) -> list[tuple[float, float, float]]:
@@ -144,11 +154,15 @@ def _zero(rho, model, depth, samples, seed):
 
 def _grid_triples(rho_family, model, depth, samples, seed):
     """(rho_tv(X), rho_tu(X)) for F_u-measurable X at every grid triple,
-    with rho_tu(X) kept per (X, t, u)."""
+    with rho_tu(X) kept per (X, t, u) and the fixed positions built once per
+    depth, so the same objects recur from triple to triple."""
     rng = np.random.default_rng(seed)
-    rho_tu = {}
+    rho_tu, fixed = {}, {}
     for t, u, v in _time_triples(model):
-        for X in _sample_positions(model, model.depth_of(u), samples, rng):
+        k = model.depth_of(u)
+        if k not in fixed:
+            fixed[k] = list(_fixed_positions(model, k))
+        for X in _sample_positions(model, k, samples, rng, fixed[k]):
             rv, key = rho_family(X, t, v).values, (X.values.tobytes(), t, u)
             if key not in rho_tu:
                 rho_tu[key] = rho_family(X, t, u).values
@@ -172,16 +186,18 @@ _SLACKS = {
 def _report(axiom: str, rho, model: FiltrationModel, depth: int | None,
             samples: int, seed: int) -> AxiomReport:
     """Run the axiom's row of the slack table and report its worst node
-    (the first case attaining it) and the number of sampled positions."""
+    (the first case attaining it) and the number of sampled positions;
+    the BSDE passes run during the check are kept until it returns."""
     cases, slack = _SLACKS[axiom]
     depth = model.terminal_depth if depth is None else depth
     rows, positions = [], 0
-    for position in cases(rho, model, depth, samples, seed):
-        positions += 1
-        for values, witness in position:
-            per_node = slack(*values)
-            node = int(np.argmin(per_node))
-            rows.append((float(per_node[node]), {**witness, "node": node}))
+    with _kept_passes():
+        for position in cases(rho, model, depth, samples, seed):
+            positions += 1
+            for values, witness in position:
+                per_node = slack(*values)
+                node = int(np.argmin(per_node))
+                rows.append((float(per_node[node]), {**witness, "node": node}))
     worst, witness = min(rows, key=lambda r: r[0])
     passed = worst >= -TOLERANCE
     return AxiomReport(axiom=axiom, passed=bool(passed), worst_slack=worst,

@@ -13,10 +13,19 @@ an adapted process held as one :class:`RandomVariable` per depth.  The
 measure generated by a driver g is rho_tu(X) = Y_t for the terminal
 condition Y_u = -X, from the same backward recursion run from u down to
 depth(t) and stopped there; every entry point checks X, t and u against the
-horizon contract of :meth:`FiltrationModel.horizon_depths`.  Beyond the
-depth at which X resolves, Y stays measurable there and Z vanishes, so those
-steps reduce to the per-node recursion Y_j = Y_{j+1} + g(t_j, Y_j, 0) dt;
-this is how horizon-longevity gaps are produced.  For a q-quadratic driver
+horizon contract of :meth:`FiltrationModel.horizon_depths`.  Both solvers
+raise :class:`SolverError` where a value they return is not finite.
+
+While an axiom checker runs, :func:`g_risk_measure` keeps each pass it runs,
+so within one time sweep a BSDE family runs one pass per position X, driver
+and horizon: the first call, at the deepest t, runs it, and every later t
+reads a copy of its layer.  The passes are keyed weakly on X and dropped
+when the checker returns; nothing is kept outside one.
+
+Beyond the depth at which X resolves, Y stays measurable there and Z
+vanishes, so those steps reduce to the per-node recursion
+Y_j = Y_{j+1} + g(t_j, Y_j, 0) dt; this is how horizon-longevity gaps are
+produced.  For a q-quadratic driver
 g(t, y, 0) is the horizon rate a(t), so the recursion is the closed form
 Y_j = Y_{j+1} + a(t_j) dt, which adds the premium A(u, v) one step at a time
 (bitwise the value of the implicit step).  Its domain 1 + (1-q) y > 0 is
@@ -34,8 +43,11 @@ trusted.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -222,6 +234,15 @@ def _backward(lattice: BrownianLattice, driver, y: np.ndarray,
         yield y, z
 
 
+def _finite(y: np.ndarray, k: int) -> np.ndarray:
+    """y, or SolverError naming depth k and its first node that is not
+    finite."""
+    if not np.isfinite(y).all():
+        raise SolverError(f"BSDE value not finite at depth {k}",
+                          node=int(np.argmin(np.isfinite(y))))
+    return y
+
+
 def solve_bsde(lattice: BrownianLattice, driver, terminal: RandomVariable
                ) -> BsdeSolution:
     """Solve the BSDE with generator ``driver`` and terminal condition
@@ -229,21 +250,60 @@ def solve_bsde(lattice: BrownianLattice, driver, terminal: RandomVariable
     gives Y = (terminal,) and Z = ()."""
     lattice.horizon_depths(terminal, 0.0)
     d = terminal.depth
-    steps = list(_backward(lattice, driver, terminal.values, d, d, 0))[::-1]
+    steps = [(_finite(y, k), z) for (y, z), k in zip(
+        _backward(lattice, driver, terminal.values, d, d, 0),
+        range(d - 1, -1, -1))][::-1]
     Y = [RandomVariable(lattice, k, y) for k, (y, _) in enumerate(steps)]
     Z = [RandomVariable(lattice, k, z) for k, (_, z) in enumerate(steps)]
     return BsdeSolution(Y=(*Y, terminal), Z=tuple(Z))
 
 
+# The passes kept while an axiom checker runs (None outside one): position
+# -> {(id(driver), depth(u)): (driver, kt, Y at depths kt..depth(X))}.  The
+# entry holds its driver, so no other driver takes over its id.
+_PASSES: ContextVar[WeakKeyDictionary | None] = ContextVar("_PASSES",
+                                                           default=None)
+
+
+@contextmanager
+def _kept_passes():
+    """Keep the passes of :func:`g_risk_measure` until the block ends."""
+    token = _PASSES.set(WeakKeyDictionary())
+    try:
+        yield
+    finally:
+        _PASSES.reset(token)
+
+
+def _pass(lattice: BrownianLattice, driver, X: RandomVariable, kt: int,
+          ku: int) -> list[np.ndarray]:
+    """Y at depths kt..depth(X) of the pass from -X at depth ku down to kt;
+    the horizon layers above depth(X) are dropped."""
+    layers = [-X.values]
+    for y, _ in _backward(lattice, driver, layers[0], X.depth, ku, kt):
+        layers.append(y)
+    return layers[ku - X.depth:][::-1]
+
+
 def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,
                    t: float, u: float) -> RandomVariable:
     """rho_tu(X): the Y-component at depth(t) of the BSDE with terminal -X
-    at horizon u.  u may exceed the depth at which X resolves."""
+    at horizon u.  u may exceed the depth at which X resolves.
+
+    Inside an axiom checker the pass for (X, driver, u) is kept, and a
+    later call at a t no deeper than the kept pass reads a copy of its
+    layer; every layer of it was computed, in the same operations, by a
+    pass that succeeded, so a read raises only where a new pass would.  The
+    check must not change X in place while it runs."""
     kt, ku = lattice.horizon_depths(X, t, u)
-    y = -X.values
-    for y, _ in _backward(lattice, driver, y, X.depth, ku, kt):
-        pass
-    return RandomVariable(lattice, kt, y)
+    passes = _PASSES.get()
+    kept = None if passes is None else passes.get(X, {}).get((id(driver), ku))
+    if kept is None or kept[1] > kt:
+        kept = driver, kt, _pass(lattice, driver, X, kt, ku)
+        if passes is not None:
+            passes.setdefault(X, {})[id(driver), ku] = kept
+    y = _finite(kept[2][kt - kept[1]], kt)
+    return RandomVariable(lattice, kt, y.copy())
 
 
 def solve_family(lattice: BrownianLattice, family: DriverFamily,

@@ -428,7 +428,7 @@ class RandomVariable:
     different depths are lifted along paths to the deeper one.
     """
 
-    __slots__ = ("model", "depth", "values")
+    __slots__ = ("model", "depth", "values", "__weakref__")
 
     def __init__(self, model: FiltrationModel, depth: int, values):
         n = model.num_nodes(depth)  # checks the depth

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from horizonrisk import (AxiomReport, BrownianLattice, HorizonSchedule,
-                         LossSpec, QParams, QuadraticQDriver, RandomVariable,
-                         UtilityFn, certainty_equivalent,
+from horizonrisk import (AxiomReport, BrownianLattice,
+                         GenericLipschitzDriver, HorizonSchedule,
+                         LinearDriver, LossSpec, QParams, QuadraticQDriver,
+                         RandomVariable, SolverError, UtilityFn,
+                         certainty_equivalent,
                          check_cash_additive, check_cash_subadditive,
                          check_convex, check_h_longevity, check_monotone,
                          check_normalized, check_quasi_convex,
                          check_restriction, discounted_wrap, entropic,
                          expected_loss, g_risk_measure, h_entropic, h_var,
                          hq_entropic_losses, q_entropic_losses)
-from horizonrisk import axioms
+from horizonrisk import axioms, bsde
 
 from conftest import random_tree
 
@@ -237,7 +239,10 @@ def _unmemoized_sweep(axiom, rho_family, model, samples, seed):
 
 class TestSweepMemo:
     """The sweep evaluates each distinct rho_tu(X) once; its reports are
-    those of the plain two-calls-per-case loop."""
+    those of the plain two-calls-per-case loop.  A BSDE family runs one
+    backward pass per (X, u, v) within a sweep; its reports and errors are
+    those of a new pass per call, and no pass outlives its position or the
+    check."""
 
     LATTICE = BrownianLattice(5, 1.0)
     Q_DRIVER = QuadraticQDriver(0.8, HorizonSchedule.constant(0.3))
@@ -267,3 +272,95 @@ class TestSweepMemo:
                                                        samples, 3)
         assert report == reference
         assert len(calls) == cases + len(distinct) < 2 * cases
+
+    # The battery of one-pass sweeps: the reference family copies X on
+    # every call, so no kept pass is ever read.
+    DRIVERS = {
+        "q": QuadraticQDriver(0.8, HorizonSchedule.constant(0.2)),
+        "entropic": QuadraticQDriver.entropic(),
+        "linear": LinearDriver.from_constants(0.3, 0.2, 0.1),
+        "generic": GenericLipschitzDriver(
+            lambda t, y, z: 0.3 * np.abs(z) + 0.1 * np.tanh(y) + 0.2, 0.5),
+    }
+
+    @staticmethod
+    def families(lattice, driver):
+        kept = lambda X, t, u: g_risk_measure(lattice, driver, X, t, u)
+        copied = lambda X, t, u: g_risk_measure(
+            lattice, driver, RandomVariable(lattice, X.depth, X.values.copy()),
+            t, u)
+        return kept, copied
+
+    @pytest.mark.parametrize("samples", [2, 6, 8])
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_one_pass_per_horizon_gives_the_reports_of_new_passes(
+            self, driver, n, samples):
+        lattice = BrownianLattice(n, 1.0)
+        kept, copied = self.families(lattice, self.DRIVERS[driver])
+        for axiom in sorted(axioms.SWEEPS):
+            check = axioms.CHECKERS[axiom]
+            assert check(kept, lattice, samples=samples, seed=5) == \
+                check(copied, lattice, samples=samples, seed=5)
+
+    def test_a_failing_pass_raises_in_the_same_call(self):
+        # uniform [-3, 3] positions drive the entropic scheme to +inf/NaN
+        lattice = BrownianLattice(20, 1.0)
+        outcomes = []
+        for family in self.families(lattice, self.DRIVERS["entropic"]):
+            calls = []
+
+            def counted(X, t, u):
+                calls.append((t, u))
+                return family(X, t, u)
+
+            with np.errstate(all="ignore"), \
+                    pytest.raises(SolverError) as err:
+                check_h_longevity(counted, lattice, samples=8, seed=5)
+            outcomes.append((type(err.value), str(err.value), calls))
+        assert outcomes[0] == outcomes[1]
+        assert "not finite at depth 0" in outcomes[0][1]
+
+    def test_reads_are_copies_and_nothing_outlives_a_check(self):
+        lattice = BrownianLattice(6, 1.0)
+        driver = self.DRIVERS["q"]
+        kept, copied = self.families(lattice, driver)
+
+        def scribbling(X, t, u):
+            rho = kept(X, t, u)
+            values = rho.values.copy()
+            rho.values[:] = 99.0
+            return RandomVariable(lattice, rho.depth, values)
+
+        for axiom in sorted(axioms.SWEEPS):
+            check = axioms.CHECKERS[axiom]
+            assert check(scribbling, lattice, samples=2, seed=1) == \
+                check(copied, lattice, samples=2, seed=1)
+        assert bsde._PASSES.get() is None
+        X = RandomVariable(lattice, 3, np.tanh(lattice.brownian(3)))
+        with bsde._kept_passes():
+            first = g_risk_measure(lattice, driver, X, 0.0, 1.0)
+            want = first.values.copy()
+            first.values += 1.0
+            assert np.array_equal(
+                g_risk_measure(lattice, driver, X, 0.0, 1.0).values, want)
+        assert bsde._PASSES.get() is None
+
+    def test_no_pass_of_a_drawn_position_outlives_its_triple(self):
+        lattice, samples = BrownianLattice(5, 1.0), 8
+        kept, _ = self.families(lattice, self.DRIVERS["q"])
+        fixed_values = [-3.0, -2.0, 0.0, 1.5, 3.0]
+        drawn, alive = set(), []
+
+        def watched(X, t, u):
+            if not np.isin(X.values, fixed_values).all():
+                drawn.add(X.values.tobytes())
+            alive.append(sum(not np.isin(Y.values, fixed_values).all()
+                             for Y in bsde._PASSES.get().keys()))
+            return kept(X, t, u)
+
+        check_h_longevity(watched, lattice, samples=samples, seed=2)
+        # a triple draws samples - 4 positions at most (one node, four
+        # fixed ones); the kept passes hold no more than one triple's draws
+        assert len(drawn) > 50
+        assert max(alive) <= samples - 4

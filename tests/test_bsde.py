@@ -13,7 +13,7 @@ from horizonrisk import (BrownianLattice, ConfigurationError, DomainError,
                          g_risk_measure, longevity_girsanov,
                          quadratic_transform_solve, restriction_check,
                          solve_bsde, solve_family)
-from horizonrisk.bsde import _implicit_step
+from horizonrisk.bsde import _implicit_step, _kept_passes
 
 
 def sign_payoff(lattice, scale=0.75, threshold=0.1, depth=None):
@@ -465,6 +465,84 @@ class TestOneBackwardRecursion:
         inner = g_risk_measure(lat, driver, X, s, u)
         assert np.array_equal(g_risk_measure(lat, driver, X, t, u).values,
                               g_risk_measure(lat, driver, -inner, t, s).values)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_kept_pass_reads_are_new_passes(self, data):
+        """Inside a check a call deeper than the kept pass runs a new one;
+        every other t reads a copy of its layer, bitwise the value of a new
+        pass."""
+        n = data.draw(st.integers(2, 10))
+        dx = data.draw(st.integers(0, n))
+        ku = data.draw(st.integers(dx, n))
+        driver = data.draw(st.sampled_from(self.DRIVERS))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        lat = BrownianLattice(n, 1.0)
+        X = RandomVariable(lat, dx, rng.uniform(-1.0, 1.0, lat.num_nodes(dx)))
+        u = lat.times[ku]
+        with _kept_passes():
+            kept = [g_risk_measure(lat, driver, X, lat.times[k], u)
+                    for k in range(dx, -1, -1)]
+            for Y in kept:
+                Y.values[:] = np.nan  # a read hands out a copy
+            again = [g_risk_measure(lat, driver, X, lat.times[k], u)
+                     for k in range(dx + 1)]
+        for k, Y in enumerate(again):
+            assert Y.depth == k
+            assert np.array_equal(
+                Y.values, g_risk_measure(lat, driver, X, lat.times[k],
+                                         u).values)
+
+
+class TestNonFiniteValues:
+    def test_a_value_that_is_not_finite_names_its_depth_and_node(self):
+        lat = BrownianLattice(4, 1.0)
+        X = RandomVariable(lat, 3, [0.0, 1.0, np.inf, 0.0])
+        driver = LinearDriver.from_constants()
+        with np.errstate(all="ignore"):
+            with pytest.raises(SolverError,
+                               match=r"not finite at depth 3 \(node 2\)"):
+                g_risk_measure(lat, driver, X, 0.75, 1.0)
+            with pytest.raises(SolverError,
+                               match=r"not finite at depth 0 \(node 0\)"):
+                g_risk_measure(lat, driver, X, 0.0, 0.75)
+            # solve_bsde names the first layer of its pass that went bad
+            with pytest.raises(SolverError,
+                               match=r"not finite at depth 2 \(node 1\)"):
+                solve_bsde(lat, driver, -X)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_rough_terminals_give_finite_values_or_raise(self, n):
+        """Uniform [-3, 3] terminals drive the entropic scheme past +inf on
+        some lattices; each route returns finite values or raises, with a
+        kept pass and without one alike."""
+        lat = BrownianLattice(n, 1.0)
+        driver = QuadraticQDriver.entropic()
+        rng = np.random.default_rng(0)
+
+        def outcome(X, t):
+            try:
+                values = g_risk_measure(lat, driver, X, t, 1.0).values
+            except SolverError as exc:
+                assert "not finite at depth" in str(exc)
+                return str(exc)
+            assert np.isfinite(values).all()
+            return values.tobytes()
+
+        raised = 0
+        with np.errstate(all="ignore"):
+            for _ in range(200):
+                X = RandomVariable(lat, n, rng.uniform(-3.0, 3.0, n + 1))
+                new = [outcome(X, t) for t in (0.0, 0.5)]
+                with _kept_passes():
+                    assert [outcome(X, t) for t in (0.0, 0.5)] == new
+                try:
+                    solution = solve_bsde(lat, driver, -X)
+                except SolverError:
+                    raised += 1
+                    continue
+                assert all(np.isfinite(Y.values).all() for Y in solution.Y)
+        assert raised > 0
 
 
 def _reference_rho(lat, driver, X, kt, ku):
