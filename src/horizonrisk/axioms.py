@@ -21,8 +21,9 @@ witness when the axiom fails.  Conventions:
   triple t <= u < v.  Normalization is the degenerate one-case row rho(0);
 * a sweep evaluates each distinct rho_tu(X) once: it does not depend on v,
   and the constant and spike positions, built once per depth, recur for
-  every triple; a BSDE family runs one backward pass per (X, u, v) within a
-  sweep, which every t <= u reads, and keeps nothing outside one (see
+  every triple; a BSDE family runs one backward pass per (X, driver) within
+  a sweep, with the horizons stacked as columns, which every (t, u) reads,
+  and keeps nothing outside one (see
   :func:`horizonrisk.bsde.g_risk_measure`);
 * slacks are signed so that >= 0 means the axiom held; the uniform pass
   tolerance is 1e-8, and reports carry the worst slack so borderline
@@ -36,6 +37,7 @@ names of the checkers that sweep the time grid.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import Callable, Iterator
@@ -187,11 +189,11 @@ def _report(axiom: str, rho, model: FiltrationModel, depth: int | None,
             samples: int, seed: int) -> AxiomReport:
     """Run the axiom's row of the slack table and report its worst node
     (the first case attaining it) and the number of sampled positions;
-    the BSDE passes run during the check are kept until it returns."""
+    the BSDE passes run during a time sweep are kept until it returns."""
     cases, slack = _SLACKS[axiom]
     depth = model.terminal_depth if depth is None else depth
     rows, positions = [], 0
-    with _kept_passes():
+    with _kept_passes() if cases is _grid_triples else nullcontext():
         for position in cases(rho, model, depth, samples, seed):
             positions += 1
             for values, witness in position:

@@ -14,13 +14,18 @@ measure generated by a driver g is rho_tu(X) = Y_t for the terminal
 condition Y_u = -X, from the same backward recursion run from u down to
 depth(t) and stopped there; every entry point checks X, t and u against the
 horizon contract of :meth:`FiltrationModel.horizon_depths`.  Both solvers
-raise :class:`SolverError` where a value they return is not finite.
+raise :class:`SolverError` where a value they return is not finite; the
+steps themselves run without numpy's overflow and invalid-value warnings.
 
-While an axiom checker runs, :func:`g_risk_measure` keeps each pass it runs,
-so within one time sweep a BSDE family runs one pass per position X, driver
-and horizon: the first call, at the deepest t, runs it, and every later t
-reads a copy of its layer.  The passes are keyed weakly on X and dropped
-when the checker returns; nothing is kept outside one.
+While a time sweep runs, :func:`g_risk_measure` runs one pass per position X
+and driver: every horizon depth(X)..N is a column of one (nodes, horizons)
+array, a horizon step at depth k >= depth(X) advances the columns whose
+horizon lies above k, and the lattice steps below depth(X) advance all of
+them at once.  The first call, at the deepest t, runs the pass, and every
+later (t, u) reads a copy of one column of one layer.  The passes are keyed
+weakly on X and dropped when the sweep returns; nothing is kept outside
+one, and a call outside a sweep is the one-column case of the same backward
+loop.
 
 Beyond the depth at which X resolves, Y stays measurable there and Z
 vanishes, so those steps reduce to the per-node recursion
@@ -71,7 +76,9 @@ _FP_TOL = 1e-13
 @dataclass(frozen=True)
 class GenericLipschitzDriver:
     """Driver g(t, y, z) given as a numpy-vectorized callable together with
-    a uniform Lipschitz constant C in (y, z)."""
+    a uniform Lipschitz constant C in (y, z).  g is evaluated on (nodes,
+    horizons) stacks of layers as well as on single layers, so it must act
+    elementwise."""
 
     g: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     lipschitz_constant: float
@@ -122,7 +129,7 @@ class QuadraticQDriver:
 
     def _denominator(self, y: np.ndarray) -> np.ndarray:
         denom = 1.0 + (1.0 - self.q) * np.asarray(y, dtype=float)
-        if (denom <= 0.0).any():
+        if np.fmin.reduce(denom, axis=None) <= 0.0:  # skips NaN nodes
             raise DomainError("quadratic driver outside its domain: 1 + "
                               f"(1-q) y reached {float(np.min(denom))!r}")
         return denom
@@ -166,9 +173,12 @@ class BsdeSolution:
 
 def _implicit_step(driver, t: float, e_part: np.ndarray, z: np.ndarray,
                    dt: float) -> np.ndarray:
-    """e_part + g(t, y*, z) dt at the per-node root y* of y = e_part + g dt:
-    exact, with one driver evaluation, for the linear and q-quadratic
-    drivers (w = 1 + (1-q) y* solves a quadratic); a fixed point otherwise."""
+    """e_part + g(t, y*, z) dt at the per-node root y* of y = e_part + g dt,
+    on one layer or on a (nodes, horizons) stack of them: exact, with one
+    driver evaluation, for the linear and q-quadratic drivers
+    (w = 1 + (1-q) y* solves a quadratic); a fixed point otherwise, where
+    each column stops on its own residual, so a column of a stack takes the
+    iterations its own layer would."""
     if isinstance(driver, LinearDriver):
         mu_dt = driver.mu(t) * dt
         if mu_dt >= 1.0:  # 1 - mu dt > 0 keeps the step well-posed
@@ -184,17 +194,20 @@ def _implicit_step(driver, t: float, e_part: np.ndarray, z: np.ndarray,
             y = (w - 1.0) / r
         return e_part + driver(t, y, z) * dt
     y = e_part + np.asarray(driver(t, e_part, z), dtype=float) * dt
+    live = np.ones(y.shape[1:], dtype=bool)  # the columns still iterating
     for _ in range(_FP_MAX_ITER):
         y_new = e_part + np.asarray(driver(t, y, z), dtype=float) * dt
-        delta = np.max(np.abs(y_new - y))
-        y = y_new
-        if delta <= _FP_TOL * (1.0 + np.max(np.abs(y))):
+        delta = np.max(np.abs(y_new - y), axis=0)
+        y = np.where(live, y_new, y)
+        live &= ~(delta <= _FP_TOL * (1.0 + np.max(np.abs(y), axis=0)))
+        if not live.any():
             return y
     residual = np.abs(y - e_part - np.asarray(driver(t, y, z), float) * dt)
-    node = int(np.argmax(residual))
+    stuck = residual.reshape(len(residual), -1)[:, live.ravel()]
+    node, column = divmod(int(np.argmax(stuck)), stuck.shape[1])
     raise SolverError(
         f"implicit step at t={t} did not converge within {_FP_MAX_ITER} "
-        f"iterations (residual {float(residual[node]):.3e})", node=node
+        f"iterations (residual {float(stuck[node, column]):.3e})", node=node
     )
 
 
@@ -208,29 +221,48 @@ def _precheck_contraction(lattice: BrownianLattice, driver) -> None:
                                  "the lattice")
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _step(lattice: BrownianLattice, driver, y: np.ndarray, zeros: np.ndarray,
+          k: int, first_live: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(Y_k, Z_k) from the stack y at depth k+1: the lattice step if
+    ``first_live`` is None, else the horizon step (Z = 0) of the columns
+    from ``first_live`` on, in place, in closed form for a q-quadratic
+    driver.  Overflow and invalid values are left to the caller's finite
+    check, without numpy's warnings."""
+    t, dt = lattice.times[k], lattice.dt(k)
+    if first_live is None:
+        z = lattice.step_z(y, k)
+        return _implicit_step(driver, t, lattice.step_expectation(y, k), z,
+                              dt), z
+    columns = y[:, first_live:]
+    if isinstance(driver, QuadraticQDriver):  # g(t, y, 0) = a(t)
+        columns += driver.rate(t) * dt
+    else:
+        columns[...] = _implicit_step(driver, t, columns,
+                                      zeros[:, first_live:], dt)
+    return y, zeros
+
+
 def _backward(lattice: BrownianLattice, driver, y: np.ndarray,
               resolved: int, top: int, stop: int):
-    """Yield (Y_k, Z_k) for k = top-1 down to stop, from Y = y at depth top
-    for a terminal resolved at depth ``resolved`` <= top: Z = 0 at depths
-    >= resolved (the closed-form horizon step for a q-quadratic driver),
-    the lattice step below.  For a q-quadratic driver the entering layer of
-    every pass, with steps or none, is checked for the domain; a pass with
-    steps is checked for contraction before its first step."""
-    quadratic = isinstance(driver, QuadraticQDriver)
-    if quadratic:
+    """Yield (Y_k, Z_k) for k = top-1 down to stop from the (nodes, H) stack
+    y at depth top, for a terminal resolved at depth ``resolved``.  Column j
+    is the pass from horizon top - H + 1 + j >= resolved: at the depths
+    >= resolved, Z = 0 and the columns whose horizon lies above k take the
+    horizon step, in place, so a layer yielded there is overwritten by the
+    next step; the lattice step below.  For a q-quadratic driver the
+    entering layer of every pass, with steps or none, is checked for the
+    domain; a pass with steps is checked for contraction before its first
+    step."""
+    first = top - y.shape[1] + 1  # the horizon of column 0
+    if isinstance(driver, QuadraticQDriver):
         driver._denominator(y)  # the entering layer's domain check
     if top > stop:
         _precheck_contraction(lattice, driver)
     zeros = np.zeros_like(y)
     for k in range(top - 1, stop - 1, -1):
-        t, dt, z = lattice.times[k], lattice.dt(k), zeros
-        if k < resolved:
-            z = lattice.step_z(y, k)
-            y = _implicit_step(driver, t, lattice.step_expectation(y, k), z, dt)
-        elif quadratic:  # g(t, y, 0) = a(t)
-            y = y + driver.rate(t) * dt
-        else:
-            y = _implicit_step(driver, t, y, zeros, dt)
+        y, z = _step(lattice, driver, y, zeros, k,
+                     None if k < resolved else max(k - first + 1, 0))
         yield y, z
 
 
@@ -250,16 +282,17 @@ def solve_bsde(lattice: BrownianLattice, driver, terminal: RandomVariable
     gives Y = (terminal,) and Z = ()."""
     lattice.horizon_depths(terminal, 0.0)
     d = terminal.depth
-    steps = [(_finite(y, k), z) for (y, z), k in zip(
-        _backward(lattice, driver, terminal.values, d, d, 0),
+    steps = [(_finite(y[:, 0], k), z[:, 0]) for (y, z), k in zip(
+        _backward(lattice, driver, terminal.values[:, None], d, d, 0),
         range(d - 1, -1, -1))][::-1]
     Y = [RandomVariable(lattice, k, y) for k, (y, _) in enumerate(steps)]
     Z = [RandomVariable(lattice, k, z) for k, (_, z) in enumerate(steps)]
     return BsdeSolution(Y=(*Y, terminal), Z=tuple(Z))
 
 
-# The passes kept while an axiom checker runs (None outside one): position
-# -> {(id(driver), depth(u)): (driver, kt, Y at depths kt..depth(X))}.  The
+# The passes kept while a time sweep runs (None outside one): position ->
+# {id(driver): (driver, kt, Y at depths kt..depth(X))}, each layer a
+# (nodes, horizons) stack whose column j is the horizon depth(X) + j.  The
 # entry holds its driver, so no other driver takes over its id.
 _PASSES: ContextVar[WeakKeyDictionary | None] = ContextVar("_PASSES",
                                                            default=None)
@@ -276,13 +309,14 @@ def _kept_passes():
 
 
 def _pass(lattice: BrownianLattice, driver, X: RandomVariable, kt: int,
-          ku: int) -> list[np.ndarray]:
-    """Y at depths kt..depth(X) of the pass from -X at depth ku down to kt;
-    the horizon layers above depth(X) are dropped."""
-    layers = [-X.values]
-    for y, _ in _backward(lattice, driver, layers[0], X.depth, ku, kt):
+          first: int, top: int) -> list[np.ndarray]:
+    """Y at depths kt..depth(X) of the passes from -X at the horizons
+    first..top down to kt, one (nodes, horizons) stack per depth; the
+    horizon layers above depth(X) are dropped."""
+    layers = [np.repeat(-X.values[:, None], top - first + 1, axis=1)]
+    for y, _ in _backward(lattice, driver, layers[0], X.depth, top, kt):
         layers.append(y)
-    return layers[ku - X.depth:][::-1]
+    return layers[top - X.depth:][::-1]
 
 
 def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,
@@ -290,19 +324,26 @@ def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,
     """rho_tu(X): the Y-component at depth(t) of the BSDE with terminal -X
     at horizon u.  u may exceed the depth at which X resolves.
 
-    Inside an axiom checker the pass for (X, driver, u) is kept, and a
-    later call at a t no deeper than the kept pass reads a copy of its
-    layer; every layer of it was computed, in the same operations, by a
-    pass that succeeded, so a read raises only where a new pass would.  The
-    check must not change X in place while it runs."""
+    Inside a time sweep one pass per (X, driver) serves every (t, u): it
+    runs every horizon depth(X)..N at once, as the columns of one
+    (nodes, horizons) stack, down to the deepest t asked for, and a later
+    call no deeper than it reads a copy of one column of one layer.  Each
+    column is bitwise the value of its own pass, and a read checks its
+    column for finiteness, as a new pass would; a domain error in any
+    column raises at the first call for X.  The check must not change X in
+    place while it runs."""
     kt, ku = lattice.horizon_depths(X, t, u)
     passes = _PASSES.get()
-    kept = None if passes is None else passes.get(X, {}).get((id(driver), ku))
-    if kept is None or kept[1] > kt:
-        kept = driver, kt, _pass(lattice, driver, X, kt, ku)
-        if passes is not None:
-            passes.setdefault(X, {})[id(driver), ku] = kept
-    y = _finite(kept[2][kt - kept[1]], kt)
+    if passes is None:
+        layer, column = _pass(lattice, driver, X, kt, ku, ku)[0], 0
+    else:
+        kept = passes.get(X, {}).get(id(driver))
+        if kept is None or kept[1] > kt:
+            kept = driver, kt, _pass(lattice, driver, X, kt, X.depth,
+                                     lattice.terminal_depth)
+            passes.setdefault(X, {})[id(driver)] = kept
+        layer, column = kept[2][kt - kept[1]], ku - X.depth
+    y = _finite(layer[:, column], kt)
     return RandomVariable(lattice, kt, y.copy())
 
 

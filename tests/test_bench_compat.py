@@ -107,14 +107,14 @@ def test_solve_bsde_counts_one_solve_and_its_steps():
         [Y.values.tobytes() for Y in want.Y]
 
 
-def test_a_bsde_sweep_runs_one_pass_per_position_and_horizon():
+def test_a_bsde_sweep_runs_one_pass_per_position():
     """The sweep keeps its passes behind the traced ``g_risk_measure``: the
     axiom layer makes the calls it made before, and the driver layer does
     less work.  The reference family copies X on every call, so it never
     reads a kept pass.  With samples=2 the positions are the constants -2
-    and 0; a pass for X at depth j and horizon v runs j driver steps, once
-    per v > j and once for v = u = depth(X): 2 * sum_j j (5 - j) = 32 calls
-    on four steps, against 50 for a new pass per (t, X, v)."""
+    and 0; one pass for X at depth j serves every horizon, as the columns
+    of one stack, and runs j driver steps: 2 * sum_j j = 12 calls on four
+    steps, against 50 for a new pass per (t, X, v)."""
     lat = hr.BrownianLattice(4, 1.0)
     driver = hr.QuadraticQDriver(0.8, hr.HorizonSchedule.constant(0.2))
     families = {
@@ -136,4 +136,4 @@ def test_a_bsde_sweep_runs_one_pass_per_position_and_horizon():
                         tracer.counts["bsde.driver.calls"],
                         tracer.counts["probspace.step_expectation.calls"])
     assert reports["kept"] == reports["copied"]
-    assert counts == {"kept": (60, 32, 32), "copied": (60, 50, 50)}
+    assert counts == {"kept": (60, 12, 12), "copied": (60, 50, 50)}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from horizonrisk import (BrownianLattice, ConfigurationError, DomainError,
                          g_risk_measure, longevity_girsanov,
                          quadratic_transform_solve, restriction_check,
                          solve_bsde, solve_family)
-from horizonrisk.bsde import _implicit_step, _kept_passes
+from horizonrisk.bsde import _implicit_step, _kept_passes, _pass
 
 
 def sign_payoff(lattice, scale=0.75, threshold=0.1, depth=None):
@@ -494,6 +495,36 @@ class TestOneBackwardRecursion:
                                          u).values)
 
 
+    # Its fixed point contracts by dt * 0.9 / cosh(4 y)^2, fastest far from
+    # y = 0, and its rate carries the horizon columns across 0, so the
+    # columns of one stack stop at different iterations.
+    STEEP = GenericLipschitzDriver(
+        lambda t, y, z: 0.225 * np.tanh(4.0 * y) + 0.5 * np.abs(z) + 0.3,
+        1.4)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_stacked_pass_is_its_one_column_passes(self, data):
+        """The pass that stacks the horizons depth(X)..N as columns gives,
+        in every column of every layer, bitwise the one-column pass of that
+        horizon."""
+        n = data.draw(st.integers(2, 12))
+        dx = data.draw(st.integers(0, n))
+        kt = data.draw(st.integers(0, dx))
+        driver = data.draw(st.sampled_from(self.DRIVERS + (self.STEEP,)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        lat = BrownianLattice(n, 1.0)
+        X = RandomVariable(lat, dx, rng.uniform(-1.0, 1.0, lat.num_nodes(dx)))
+        stack = _pass(lat, driver, X, kt, dx, n)
+        assert [layer.shape for layer in stack] == \
+            [(lat.num_nodes(k), n - dx + 1) for k in range(kt, dx + 1)]
+        for j, ku in enumerate(range(dx, n + 1)):
+            own = _pass(lat, driver, X, kt, ku, ku)
+            assert len(own) == len(stack)
+            for layer, column in zip(stack, own):
+                assert np.array_equal(layer[:, j], column[:, 0])
+
+
 class TestNonFiniteValues:
     def test_a_value_that_is_not_finite_names_its_depth_and_node(self):
         lat = BrownianLattice(4, 1.0)
@@ -510,6 +541,26 @@ class TestNonFiniteValues:
             with pytest.raises(SolverError,
                                match=r"not finite at depth 2 \(node 1\)"):
                 solve_bsde(lat, driver, -X)
+
+    def test_a_rough_terminal_raises_without_warnings(self):
+        """The backward steps leave overflow and invalid values to the
+        finite check: numpy warns of none of them before the SolverError,
+        in one column or in a stack of five."""
+        driver = QuadraticQDriver.entropic()
+        draw = np.random.default_rng(0).uniform(-3.0, 3.0, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lat = BrownianLattice(16, 1.0)
+            X = RandomVariable(lat, 16, draw)
+            with pytest.raises(SolverError, match="not finite at depth 0"):
+                g_risk_measure(lat, driver, X, 0.0, 1.0)
+            with pytest.raises(SolverError, match="not finite at depth 1"):
+                solve_bsde(lat, driver, -X)
+            lat = BrownianLattice(20, 1.0)
+            X = RandomVariable(lat, 16, draw)
+            with _kept_passes(), \
+                    pytest.raises(SolverError, match="not finite at depth 0"):
+                g_risk_measure(lat, driver, X, 0.0, 1.0)
 
     @pytest.mark.parametrize("n", [16, 20])
     def test_rough_terminals_give_finite_values_or_raise(self, n):
@@ -582,6 +633,47 @@ class TestClosedFormHorizonSteps:
         assert rho.depth == kt
         assert np.array_equal(rho.values,
                               _reference_rho(lat, driver, X, kt, ku))
+
+
+class TestStackedFixedPoint:
+    """The generic implicit step on a (nodes, horizons) stack: each column
+    iterates as its own layer would."""
+
+    def test_each_column_stops_on_its_own_residual(self):
+        calls = []
+
+        def g(t, y, z):
+            calls.append(np.shape(y))
+            return 0.225 * np.tanh(4.0 * y) + 0.5 * np.abs(z) + 0.3
+
+        driver = GenericLipschitzDriver(g, 1.4)
+        e = np.array([[-0.9, -0.2, 1.5], [-0.7, 0.1, 2.5]])
+        z = np.array([[0.3, -0.2, 0.0], [0.1, 0.4, -0.5]])
+        own, iterations = [], []
+        for j in range(3):
+            calls.clear()
+            own.append(_implicit_step(driver, 0.5, e[:, j].copy(),
+                                      z[:, j].copy(), 0.25))
+            iterations.append(len(calls))
+        calls.clear()
+        stacked = _implicit_step(driver, 0.5, e, z, 0.25)
+        assert len(set(iterations)) == 3
+        assert calls == [(2, 3)] * max(iterations)
+        for j in range(3):
+            assert np.array_equal(stacked[:, j], own[j])
+
+    def test_a_column_that_cannot_converge_names_its_node(self):
+        # y -> e - (y - 1) swings between 1 and e, so only the nodes with
+        # e = 1 settle: node 2 of column 1 is stuck with residual |1 - e| = 3,
+        # flat index 7 of the (4, 3) stack
+        driver = GenericLipschitzDriver(lambda t, y, z: 2.0 * (1.0 - y), 0.5)
+        e = np.ones((4, 3))
+        e[2, 1] = 4.0
+        with pytest.raises(SolverError, match=r"did not converge within 100 "
+                           r"iterations \(residual 3\.000e\+00\) \(node 2\)"
+                           ) as err:
+            _implicit_step(driver, 0.0, e, np.zeros_like(e), 0.5)
+        assert err.value.node == 2
 
 
 class TestInterestRateDriverLongevity:
