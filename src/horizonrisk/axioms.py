@@ -110,7 +110,6 @@ def _time_triples(model: FiltrationModel) -> list[tuple[float, float, float]]:
         for i in range(len(ts) - 1)
         for j in range(i, len(ts) - 1)
         for k in range(j + 1, len(ts))
-        if ts[j] < ts[k]
     ]
 
 

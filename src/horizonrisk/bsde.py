@@ -14,8 +14,9 @@ measure generated by a driver g is rho_tu(X) = Y_t for the terminal
 condition Y_u = -X, from the same backward recursion run from u down to
 depth(t) and stopped there; every entry point checks X, t and u against the
 horizon contract of :meth:`FiltrationModel.horizon_depths`.  Both solvers
-raise :class:`SolverError` where a value they return is not finite; the
-steps themselves run without numpy's overflow and invalid-value warnings.
+raise :class:`SolverError` where a value they return is not finite; each
+pass runs, checks included, under one numpy errstate, so overflow and
+invalid values raise no numpy warnings on the way.
 
 While a time sweep runs, :func:`g_risk_measure` runs one pass per position X
 and driver: every horizon depth(X)..N is a column of one (nodes, horizons)
@@ -211,59 +212,47 @@ def _implicit_step(driver, t: float, e_part: np.ndarray, z: np.ndarray,
     )
 
 
-def _precheck_contraction(lattice: BrownianLattice, driver) -> None:
-    if not isinstance(driver, GenericLipschitzDriver):
-        return  # linear and q-quadratic steps are exact, checked per step
-    dt_c = np.diff(lattice.times).max() * driver.lipschitz_constant
-    if dt_c >= 1.0:
-        raise ConfigurationError(f"dt * C = {dt_c:.3f} >= 1: the "
-                                 "implicit step is not a contraction; refine "
-                                 "the lattice")
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _step(lattice: BrownianLattice, driver, y: np.ndarray, zeros: np.ndarray,
-          k: int, first_live: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(Y_k, Z_k) from the stack y at depth k+1: the lattice step if
-    ``first_live`` is None, else the horizon step (Z = 0) of the columns
-    from ``first_live`` on, in place, in closed form for a q-quadratic
-    driver.  Overflow and invalid values are left to the caller's finite
-    check, without numpy's warnings."""
-    t, dt = lattice.times[k], lattice.dt(k)
-    if first_live is None:
-        z = lattice.step_z(y, k)
-        return _implicit_step(driver, t, lattice.step_expectation(y, k), z,
-                              dt), z
-    columns = y[:, first_live:]
-    if isinstance(driver, QuadraticQDriver):  # g(t, y, 0) = a(t)
-        columns += driver.rate(t) * dt
-    else:
-        columns[...] = _implicit_step(driver, t, columns,
-                                      zeros[:, first_live:], dt)
-    return y, zeros
-
-
 def _backward(lattice: BrownianLattice, driver, y: np.ndarray,
-              resolved: int, top: int, stop: int):
-    """Yield (Y_k, Z_k) for k = top-1 down to stop from the (nodes, H) stack
-    y at depth top, for a terminal resolved at depth ``resolved``.  Column j
-    is the pass from horizon top - H + 1 + j >= resolved: at the depths
-    >= resolved, Z = 0 and the columns whose horizon lies above k take the
-    horizon step, in place, so a layer yielded there is overwritten by the
-    next step; the lattice step below.  For a q-quadratic driver the
-    entering layer of every pass, with steps or none, is checked for the
-    domain; a pass with steps is checked for contraction before its first
-    step."""
+              resolved: int, top: int, stop: int
+              ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The Y layers at depths stop..resolved and the Z layers at depths
+    stop..resolved-1 of the pass from the (nodes, H) stack y at depth top,
+    for a terminal resolved at depth ``resolved``.  Column j is the pass
+    from horizon top - H + 1 + j >= resolved: at the depths >= resolved,
+    Z = 0 and the columns whose horizon lies above k take the horizon step,
+    in place in y, closed form for a q-quadratic driver; the lattice steps
+    below.  For a q-quadratic driver the entering layer of every pass, with
+    steps or none, is checked for the domain; a generic driver's pass with
+    steps is checked for contraction before its first step.  Overflow and
+    invalid values are left to the caller's finite check, without numpy's
+    warnings."""
     first = top - y.shape[1] + 1  # the horizon of column 0
-    if isinstance(driver, QuadraticQDriver):
-        driver._denominator(y)  # the entering layer's domain check
-    if top > stop:
-        _precheck_contraction(lattice, driver)
-    zeros = np.zeros_like(y)
-    for k in range(top - 1, stop - 1, -1):
-        y, z = _step(lattice, driver, y, zeros, k,
-                     None if k < resolved else max(k - first + 1, 0))
-        yield y, z
+    ys, zs = [y], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(driver, QuadraticQDriver):
+            driver._denominator(y)  # the entering layer's domain check
+        elif isinstance(driver, GenericLipschitzDriver) and top > stop:
+            # the one inexact step: its fixed point needs dt * C < 1
+            dt_c = np.diff(lattice.times).max() * driver.lipschitz_constant
+            if dt_c >= 1.0:
+                raise ConfigurationError(
+                    f"dt * C = {dt_c:.3f} >= 1: the implicit step is not a "
+                    "contraction; refine the lattice")
+        for k in range(top - 1, resolved - 1, -1):
+            t, dt = lattice.times[k], lattice.dt(k)
+            columns = y[:, max(k - first + 1, 0):]
+            if isinstance(driver, QuadraticQDriver):  # g(t, y, 0) = a(t)
+                columns += driver.rate(t) * dt
+            else:
+                columns[...] = _implicit_step(driver, t, columns,
+                                              np.zeros_like(columns), dt)
+        for k in range(resolved - 1, stop - 1, -1):
+            z = lattice.step_z(y, k)
+            y = _implicit_step(driver, lattice.times[k],
+                               lattice.step_expectation(y, k), z, lattice.dt(k))
+            ys.append(y)
+            zs.append(z)
+    return ys[::-1], zs[::-1]
 
 
 def _finite(y: np.ndarray, k: int) -> np.ndarray:
@@ -282,11 +271,11 @@ def solve_bsde(lattice: BrownianLattice, driver, terminal: RandomVariable
     gives Y = (terminal,) and Z = ()."""
     lattice.horizon_depths(terminal, 0.0)
     d = terminal.depth
-    steps = [(_finite(y[:, 0], k), z[:, 0]) for (y, z), k in zip(
-        _backward(lattice, driver, terminal.values[:, None], d, d, 0),
-        range(d - 1, -1, -1))][::-1]
-    Y = [RandomVariable(lattice, k, y) for k, (y, _) in enumerate(steps)]
-    Z = [RandomVariable(lattice, k, z) for k, (_, z) in enumerate(steps)]
+    ys, zs = _backward(lattice, driver, terminal.values[:, None], d, d, 0)
+    for k in range(d - 1, -1, -1):  # the deepest layer that went bad
+        _finite(ys[k], k)
+    Y = [RandomVariable(lattice, k, y[:, 0]) for k, y in enumerate(ys[:-1])]
+    Z = [RandomVariable(lattice, k, z[:, 0]) for k, z in enumerate(zs)]
     return BsdeSolution(Y=(*Y, terminal), Z=tuple(Z))
 
 
@@ -310,13 +299,11 @@ def _kept_passes():
 
 def _pass(lattice: BrownianLattice, driver, X: RandomVariable, kt: int,
           first: int, top: int) -> list[np.ndarray]:
-    """Y at depths kt..depth(X) of the passes from -X at the horizons
-    first..top down to kt, one (nodes, horizons) stack per depth; the
-    horizon layers above depth(X) are dropped."""
-    layers = [np.repeat(-X.values[:, None], top - first + 1, axis=1)]
-    for y, _ in _backward(lattice, driver, layers[0], X.depth, top, kt):
-        layers.append(y)
-    return layers[top - X.depth:][::-1]
+    """The Y layers at depths kt..depth(X) of the passes from -X at the
+    horizons first..top down to kt, one (nodes, horizons) stack per
+    depth."""
+    y = np.repeat(-X.values[:, None], top - first + 1, axis=1)
+    return _backward(lattice, driver, y, X.depth, top, kt)[0]
 
 
 def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,

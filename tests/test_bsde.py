@@ -543,9 +543,10 @@ class TestNonFiniteValues:
                 solve_bsde(lat, driver, -X)
 
     def test_a_rough_terminal_raises_without_warnings(self):
-        """The backward steps leave overflow and invalid values to the
+        """The backward passes leave overflow and invalid values to the
         finite check: numpy warns of none of them before the SolverError,
-        in one column or in a stack of five."""
+        in one column or in a stack of five, nor of an infinite terminal
+        value."""
         driver = QuadraticQDriver.entropic()
         draw = np.random.default_rng(0).uniform(-3.0, 3.0, 17)
         with warnings.catch_warnings():
@@ -560,6 +561,11 @@ class TestNonFiniteValues:
             X = RandomVariable(lat, 16, draw)
             with _kept_passes(), \
                     pytest.raises(SolverError, match="not finite at depth 0"):
+                g_risk_measure(lat, driver, X, 0.0, 1.0)
+            # an infinite value meets the entering layer's domain check
+            lat = BrownianLattice(4, 1.0)
+            X = RandomVariable(lat, 3, [0.0, 1.0, np.inf, 0.0])
+            with pytest.raises(SolverError, match="not finite at depth 0"):
                 g_risk_measure(lat, driver, X, 0.0, 1.0)
 
     @pytest.mark.parametrize("n", [16, 20])
