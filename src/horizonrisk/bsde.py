@@ -83,7 +83,6 @@ class GenericLipschitzDriver:
 
     g: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     lipschitz_constant: float
-    name: str = "generic"
 
     def __call__(self, t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.g(t, y, z), dtype=float)
@@ -200,7 +199,8 @@ def _implicit_step(driver, t: float, e_part: np.ndarray, z: np.ndarray,
         y_new = e_part + np.asarray(driver(t, y, z), dtype=float) * dt
         delta = np.max(np.abs(y_new - y), axis=0)
         y = np.where(live, y_new, y)
-        live &= ~(delta <= _FP_TOL * (1.0 + np.max(np.abs(y), axis=0)))
+        live &= np.isfinite(delta) & ~(
+            delta <= _FP_TOL * (1.0 + np.max(np.abs(y), axis=0)))
         if not live.any():
             return y
     residual = np.abs(y - e_part - np.asarray(driver(t, y, z), float) * dt)

@@ -10,11 +10,12 @@ bsde-convergence | longevity) and optional output/seed settings.
 Each kinded section (model, measure, utility, aggregator, driver, position,
 task) is one table with a row per kind: the keys the kind requires, its
 optional keys with their defaults, and its builder, which is handed the
-section with those defaults filled in.  ``CONFIG_SCHEMA`` is derived from
-the tables: per section a ``kind`` enum, the union of the kinds' keys with
-unknown keys rejected, and each kind's required keys.  The schema is checked
-against its metaschema once per process, at the first :func:`load_config`,
-and every parameter domain is re-checked while the objects are built.
+section with those defaults filled in.  :func:`load_config` checks a
+config straight from the tables: a section's ``kind`` is a row of its
+table, the section holds the keys its kind requires and no key that no kind
+of the table takes, and each value passes the check of its key in
+``_KEY_CHECKS`` (nested sections are checked as sections).  Every parameter
+domain is re-checked while the objects are built.
 Outputs are deterministic given the seed (floats printed with 9 significant
 digits, '.' decimal, files written atomically).  A convergence task
 resolves its payoff at u and evaluates rho_tu(payoff) on every lattice of
@@ -31,7 +32,6 @@ exception a task raises, 4 a required axiom check failed.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import os
@@ -40,11 +40,6 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - dependency is declared
-    jsonschema = None
 
 from . import axioms as axioms_mod
 from .bsde import (LinearDriver, QuadraticQDriver, g_risk_measure,
@@ -396,109 +391,117 @@ _TASKS = {
 
 
 # ---------------------------------------------------------------------------
-# schema, derived from the tables
+# config checks, read off the tables
 # ---------------------------------------------------------------------------
 
-_NUMBER = {"type": "number"}
-_INDEX = {"type": "integer", "minimum": 0}
-_STEPFN = {
-    "type": "object",
-    "properties": {
-        "breakpoints": {"type": "array", "items": _NUMBER, "minItems": 1},
-        "values": {"type": "array", "items": _NUMBER, "minItems": 1},
-    },
-    "required": ["breakpoints", "values"],
-    "additionalProperties": False,
-}
-_AXIOM = {"enum": list(axioms_mod.CHECKERS)}
+def _integer(low: int) -> Callable:
+    return lambda v: type(v) is int and v >= low  # an integer literal, not 4.0
 
-# the type of every key of a kinded section (a key means the same wherever
-# it occurs); the nested sections are added once they are derived
-_KEY_TYPES: dict[str, dict] = {
-    "steps": {"type": "integer", "minimum": 1},
-    "horizon": {"type": "number", "exclusiveMinimum": 0},
-    "times": {"type": "array", "items": _NUMBER, "minItems": 2},
-    "nodes": {"type": "array", "minItems": 1, "items": {
-        "type": "object", "required": ["id", "depth", "parent", "p"],
-        "properties": {"id": _INDEX, "depth": _INDEX, "p": _NUMBER,
-                       "parent": {"type": ["integer", "null"]}},
-        "additionalProperties": False}},
-    "depth": {"type": "integer", "minimum": 1},
-    "max_branching": {"type": "integer", "minimum": 2},
+
+def _number(v) -> bool:
+    return type(v) in (int, float)  # never a bool
+
+
+def _positive(v) -> bool:
+    return _number(v) and v > 0
+
+
+def _list_of(item: Callable, min_items: int = 0) -> Callable:
+    return lambda v: (isinstance(v, list) and len(v) >= min_items
+                      and all(map(item, v)))
+
+
+def _object_of(checks: dict[str, Callable]) -> Callable:
+    """An object with exactly the keys of ``checks``, each value valid."""
+    return lambda v: (isinstance(v, dict) and v.keys() == checks.keys()
+                      and all(checks[key](x) for key, x in v.items()))
+
+
+_STEPFN = _object_of({"breakpoints": _list_of(_number, 1),
+                      "values": _list_of(_number, 1)})
+_AXIOM = lambda v: isinstance(v, str) and v in axioms_mod.CHECKERS
+
+# the check of every key (a key means the same wherever it occurs) but the
+# sections, which are checked as sections
+_KEY_CHECKS: dict[str, Callable] = {
+    "steps": _integer(1),
+    "horizon": _positive,
+    "times": _list_of(_number, 2),
+    "nodes": _list_of(_object_of({
+        "id": _integer(0), "depth": _integer(0), "p": _number,
+        "parent": lambda v: v is None or type(v) is int}), 1),
+    "depth": _integer(1),
+    "max_branching": _integer(2),
     **dict.fromkeys(("b", "q", "alpha", "beta", "gamma", "target", "value",
                      "threshold", "lo", "hi", "low", "high", "t", "u", "v"),
-                    _NUMBER),
+                    _number),
     **dict.fromkeys(("a", "mu", "nu", "c"), _STEPFN),
-    "values": {"type": "array", "items": _NUMBER},
-    "checks": {"type": "array", "items": _AXIOM, "minItems": 1},
-    "required": {"type": "array", "items": _AXIOM},
-    "samples": {"type": "integer", "minimum": 1},
-    "resolution": {"type": "number", "exclusiveMinimum": 0},
-    "grid": {"type": "array", "items": {"type": "integer", "minimum": 2},
-             "minItems": 1},
+    "values": _list_of(_number),
+    "checks": _list_of(_AXIOM, 1),
+    "required": _list_of(_AXIOM),
+    "samples": _integer(1),
+    "resolution": _positive,
+    "grid": _list_of(_integer(2), 1),
+    "seed": _integer(0),
+    "output": _object_of({"dir": lambda v: isinstance(v, str)}),
+    "tasks": _list_of(lambda task: True, 1),  # each checked as a section
 }
+_SECTIONS = {"model": _MODELS, "measure": _MEASURES, "utility": _UTILITIES,
+             "aggregator": _AGGREGATORS, "driver": _DRIVERS,
+             "position": _POSITIONS, "payoff": _POSITIONS}
 
 
-def _section(table: dict[str, _Kind], shared: tuple[str, ...] = ()) -> dict:
-    """The schema of a kinded section: its kinds, the union of their keys
-    and, for each kind, the keys it requires."""
-    keys = dict.fromkeys(shared)
+def _violation(message: str) -> ConfigError:
+    return ConfigError(f"config schema violation: {message}")
+
+
+def _require(cfg, keys) -> None:
+    """Reject a non-object, or an object that lacks one of ``keys``."""
+    if not isinstance(cfg, dict):
+        raise _violation(f"{cfg!r} is not of type 'object'")
+    for key in keys:
+        if key not in cfg:
+            raise _violation(f"'{key}' is a required property")
+
+
+def _check_values(cfg: dict, known: set[str]) -> None:
+    """Reject unknown keys, then invalid values; nested sections are checked
+    as sections."""
+    unknown = [key for key in cfg if key not in known]
+    if unknown:
+        raise _violation(f"Additional properties are not allowed "
+                         f"({', '.join(map(repr, unknown))} "
+                         f"{'was' if len(unknown) == 1 else 'were'} unexpected)")
+    for key, value in cfg.items():
+        if key in _SECTIONS:
+            _check_section(_SECTIONS[key], value)
+        elif key != "kind" and not _KEY_CHECKS[key](value):
+            raise _violation(f"{value!r} is not a valid '{key}'")
+
+
+def _check_section(table: dict[str, _Kind], cfg,
+                   shared: tuple[str, ...] = ()) -> None:
+    """Check a kinded section: its kind is a row of the table, the keys the
+    kind requires are present, and every key is a key of some kind of the
+    table (or shared) with a valid value."""
+    _require(cfg, ("kind",))
+    kind = cfg["kind"]
+    if not (isinstance(kind, str) and kind in table):
+        raise _violation(f"{kind!r} is not one of {list(table)}")
+    _require(cfg, table[kind].required)
+    known = {"kind", *shared}
     for row in table.values():
-        keys.update(dict.fromkeys((*row.required, *row.optional)))
-    schema = {
-        "type": "object",
-        "properties": {"kind": {"enum": list(table)},
-                       **{key: _KEY_TYPES[key] for key in keys}},
-        "required": ["kind"],
-        "additionalProperties": False,
-    }
-    per_kind = [{"if": {"properties": {"kind": {"const": kind}},
-                        "required": ["kind"]},
-                 "then": {"required": list(row.required)}}
-                for kind, row in table.items() if row.required]
-    if per_kind:
-        schema["allOf"] = per_kind
-    return schema
+        known.update(row.required, row.optional)
+    _check_values(cfg, known)
 
 
-_KEY_TYPES.update(utility=_section(_UTILITIES),
-                  aggregator=_section(_AGGREGATORS),
-                  driver=_section(_DRIVERS),
-                  position=_section(_POSITIONS),
-                  payoff=_section(_POSITIONS))
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "model": _section(_MODELS),
-        "seed": {"type": "integer", "minimum": 0},
-        "measure": _section(_MEASURES),
+def _check_config(cfg) -> None:
+    _require(cfg, ("model", "measure", "tasks"))
+    _check_values(cfg, {"model", "measure", "tasks", "seed", "output"})
+    for task in cfg["tasks"]:
         # t, u and v, keys of every task kind, get their defaults from the
         # model in _build_experiment
-        "tasks": {"type": "array",
-                  "items": _section(_TASKS, ("t", "u", "v")),
-                  "minItems": 1},
-        "output": {
-            "type": "object",
-            "properties": {"dir": {"type": "string"}},
-            "required": ["dir"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["model", "measure", "tasks"],
-    "additionalProperties": False,
-}
-
-
-@functools.cache
-def _validator():
-    """The config validator, built and its schema checked against the
-    metaschema once per process (``jsonschema.validate`` does both on every
-    call), and not at import; ``integer`` means an integer literal, not 4.0."""
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    literal = cls.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
-    return jsonschema.validators.extend(cls, type_checker=literal)(CONFIG_SCHEMA)
+        _check_section(_TASKS, task, ("t", "u", "v"))
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +532,7 @@ def load_config(path: str | Path) -> dict:
                          parse_int=_float_range_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if jsonschema is None:  # pragma: no cover
-        raise ConfigError("jsonschema is required to validate configs")
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+    _check_config(cfg)
     return cfg
 
 

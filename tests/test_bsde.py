@@ -130,6 +130,8 @@ class TestBackwardScheme:
         bad_terminal = lat.constant(-5.0, 4)
         with pytest.raises(DomainError):
             solve_bsde(lat, driver, bad_terminal)
+        with pytest.raises(DomainError, match="must lie in"):
+            QuadraticQDriver(q=1.5)
 
     def test_quadratic_domain_breach_in_the_horizon_steps(self):
         # y = -X = -5 at one node of depth 2: 1 + 0.5 y = -1.5 <= 0 on the
@@ -189,7 +191,7 @@ class TestNormalizationAndRestriction:
         lat = BrownianLattice(16, 1.0)
         driver = GenericLipschitzDriver(
             g=lambda t, y, z: 0.3 * np.maximum(-y, 0.0) + z,
-            lipschitz_constant=1.3, name="interest-rate",
+            lipschitz_constant=1.3,
         )
         zero = lat.constant(0.0, 16)
         rho0 = solve_bsde(lat, driver, zero).Y[0]
@@ -567,6 +569,15 @@ class TestNonFiniteValues:
             X = RandomVariable(lat, 3, [0.0, 1.0, np.inf, 0.0])
             with pytest.raises(SolverError, match="not finite at depth 0"):
                 g_risk_measure(lat, driver, X, 0.0, 1.0)
+            # and stops the generic fixed point instead of running it out
+            generic = GenericLipschitzDriver(
+                lambda t, y, z: 0.3 * np.abs(z) + 0.1 * np.tanh(y) + 0.2, 0.4)
+            with pytest.raises(SolverError,
+                               match=r"not finite at depth 0 \(node 0\)"):
+                g_risk_measure(lat, generic, X, 0.0, 1.0)
+            with pytest.raises(SolverError,
+                               match=r"not finite at depth 2 \(node 1\)"):
+                solve_bsde(lat, generic, X)
 
     @pytest.mark.parametrize("n", [16, 20])
     def test_rough_terminals_give_finite_values_or_raise(self, n):
@@ -689,7 +700,7 @@ class TestInterestRateDriverLongevity:
         lat = BrownianLattice(16, 1.0)
         driver = GenericLipschitzDriver(
             g=lambda t, y, z: 0.3 * np.maximum(-y, 0.0) + z,
-            lipschitz_constant=1.3, name="interest-rate",
+            lipschitz_constant=1.3,
         )
         rng = np.random.default_rng(31)
         for _ in range(6):

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
@@ -14,9 +13,8 @@ from horizonrisk import (BrownianLattice, LossSpec, QParams, QuadraticQDriver,
                          certainty_equivalent, g_risk_measure,
                          q_entropic_losses)
 from horizonrisk import cli
-from horizonrisk.cli import (CONFIG_SCHEMA, EXIT_CONFIG, EXIT_NUMERICAL,
-                             EXIT_REQUIRED_AXIOM, EXIT_OK, _fmt, load_config,
-                             main, run_config, validate_config)
+from horizonrisk.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_REQUIRED_AXIOM,
+                             EXIT_OK, _fmt, main, run_config, validate_config)
 
 from golden.make_golden import golden_configs
 
@@ -93,10 +91,12 @@ class TestValidation:
         path = write_config(tmp_path, cfg)
         assert main(["validate", str(path)]) == EXIT_CONFIG
 
-    def test_malformed_json_rejected(self, tmp_path):
+    def test_malformed_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("literal", [
         "NaN", "Infinity", "-Infinity", "1e999",
@@ -617,36 +617,16 @@ class TestDeterminism:
 
 
 class TestSchema:
-    def test_derived_schema_is_valid_for_its_draft(self):
-        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(
-            CONFIG_SCHEMA)
-
     @pytest.mark.parametrize("config", golden_configs(), ids=lambda p: p.stem)
     def test_shipped_and_golden_configs_validate(self, config):
         validate_config(config)
 
-    def test_metaschema_check_runs_once_per_process(self, tmp_path,
-                                                    monkeypatch):
-        # jsonschema.validate checks the schema on every call, which used
-        # to cost most of a small run
-        cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-        check, calls = cls.check_schema, []
-        monkeypatch.setattr(cls, "check_schema",
-                            lambda *a, **kw: calls.append(1) or check(*a, **kw))
-        cli._validator.cache_clear()
-        path = write_config(tmp_path, base_config())
-        load_config(path)
-        load_config(path)
-        assert len(calls) == 1
-
-    def test_import_does_not_check_the_schema(self):
-        # the benchmark's set-up time includes importing the cli
-        code = ("import jsonschema.validators as v\n"
-                "cls = v.validator_for({})\n"
-                "check, calls = cls.check_schema, []\n"
-                "cls.check_schema = lambda *a: calls.append(1) or check(*a)\n"
+    def test_import_does_not_load_jsonschema(self):
+        # configs are checked against the cli's tables, with no schema
+        # library; the benchmark's set-up time includes importing the cli
+        code = ("import sys\n"
                 "import horizonrisk.cli\n"
-                "assert not calls\n")
+                "assert 'jsonschema' not in sys.modules\n")
         src = str(Path(cli.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], env=env, check=True)

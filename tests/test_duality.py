@@ -109,8 +109,9 @@ class TestDualGrid:
         (lambda: DualGrid(np.array([[0.5, 0.4], [0.5, 0.5]])), "sum to 1"),
         (lambda: DualGrid(np.array([[np.nan, 0.5]])), "strictly positive"),
         (lambda: DualGrid.simplex(3, 0.5), "too coarse"),
+        (lambda: DualGrid.simplex(7, 0.1), "capped at 6 atoms"),
     ], ids=["one_dimensional", "seven_atoms", "row_sum", "nan_entry",
-            "coarse_simplex"])
+            "coarse_simplex", "seven_atom_simplex"])
     def test_invalid_grids_rejected(self, build, match):
         with pytest.raises(SpecificationError, match=match):
             build()

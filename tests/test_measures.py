@@ -27,10 +27,20 @@ class TestStepFunction:
         assert f.integral(0.0, 2.5) == pytest.approx(0.1 + 0.3, abs=1e-15)
         assert f.integral(0.5, 1.5) == pytest.approx(0.05 + 0.15, abs=1e-15)
         assert f.integral(1.5, 0.5) == pytest.approx(-0.2, abs=1e-15)
+        with pytest.raises(DomainError, match="t=-0.5 < 0"):
+            f(-0.5)
 
     def test_must_start_at_zero(self):
         with pytest.raises(SpecificationError):
             StepFunction((0.5,), (1.0,))
+
+    @pytest.mark.parametrize("breakpoints, values, match", [
+        ((0.0, 1.0), (0.1,), "must align"),
+        ((0.0, 1.0, 0.5), (0.1, 0.2, 0.3), "strictly increasing"),
+    ], ids=["misaligned", "unsorted"])
+    def test_malformed_breakpoints_rejected(self, breakpoints, values, match):
+        with pytest.raises(SpecificationError, match=match):
+            StepFunction(breakpoints, values)
 
     @pytest.mark.parametrize("breakpoints, values", [
         ((0.0, np.nan), (0.1, 0.2)), ((0.0, np.inf), (0.1, 0.2)),

@@ -74,14 +74,17 @@ class TestNonFiniteInputRejected:
         with pytest.raises(error):
             ScenarioTree(times, nodes)
 
-    @pytest.mark.parametrize("horizon, up_probs, error", [
-        (np.nan, None, TimeGridError), (np.inf, None, TimeGridError),
-        (1.0, [0.5, np.nan], TreeStructureError),
-        (1.0, [np.nan, np.nan], TreeStructureError),
-    ], ids=["horizon-nan", "horizon-inf", "up-nan", "up-all-nan"])
-    def test_brownian_lattice(self, horizon, up_probs, error):
+    @pytest.mark.parametrize("steps, horizon, up_probs, error", [
+        (2, np.nan, None, TimeGridError), (2, np.inf, None, TimeGridError),
+        (2, 1.0, [0.5, np.nan], TreeStructureError),
+        (2, 1.0, [np.nan, np.nan], TreeStructureError),
+        (0, 1.0, None, TimeGridError),
+        (2, 1.0, [0.5], TreeStructureError),
+    ], ids=["horizon-nan", "horizon-inf", "up-nan", "up-all-nan", "no-steps",
+            "up-too-short"])
+    def test_brownian_lattice(self, steps, horizon, up_probs, error):
         with pytest.raises(error):
-            BrownianLattice(2, horizon, up_probs=up_probs)
+            BrownianLattice(steps, horizon, up_probs=up_probs)
 
 
 # node ids that do not group children by parent: the depth-1 nodes are 1
@@ -319,6 +322,8 @@ class TestBrownianLattice:
             ones = tilted.step_expectation(np.ones(k + 2), k)
             np.testing.assert_allclose(ones, 1.0, atol=1e-14)
         assert tilted.probs(6).sum() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(DomainError, match="too large to normalize"):
+            lat.tilted(lambda t: 1e4)
 
 
 class TestStepHooks:

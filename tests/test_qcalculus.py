@@ -30,6 +30,7 @@ class TestExpQ:
     def test_boundary_maps_to_zero_exactly(self):
         for q in (0.3, 0.5, 0.8):
             assert exp_q(q_domain_floor(q), q) == 0.0
+        assert q_domain_floor(1.0) == -np.inf  # exp has no boundary
 
     def test_domain_error_below_boundary(self):
         with pytest.raises(DomainError):
@@ -43,6 +44,8 @@ class TestExpQ:
     def test_extended_version_floors_at_zero(self):
         assert exp_q_extended(-5.0, 0.5) == 0.0
         assert exp_q_extended(1.2, 0.5) == pytest.approx(2.56)
+        xs = np.array([-5.0, 0.0, 1.2])
+        assert np.array_equal(exp_q_extended(xs, 1.0), np.exp(xs))
 
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
     def test_strictly_increasing(self, q):
