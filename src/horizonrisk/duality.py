@@ -46,7 +46,8 @@ import numpy as np
 from .errors import DomainError, SpecificationError, TimeGridError
 from .probspace import FiltrationModel, RandomVariable
 from .shortfall import (ExtendedReal, RiskSentinel, ShortfallSpec, _extended,
-                        _finite_max_abs, _least_m, _problem, _smallest_m)
+                        _finite_cash, _finite_max_abs, _least_m, _problem,
+                        _smallest_m)
 
 __all__ = [
     "DualGrid", "DualReport", "c_min", "c_min_bruteforce", "risk_map_R",
@@ -210,6 +211,7 @@ def c_min(m: float, Q: np.ndarray, spec: ShortfallSpec,
     box sizes G and 2G, as two rows of one batch; PLUS_INF when the value
     grows with the box (unbounded transfer along a mismatched atom).  The
     independent check is :func:`c_min_bruteforce`, run from outside."""
+    _finite_cash(m)
     Q = np.asarray(Q, dtype=float)
     p, uf, B = _dual_problem(spec, model)
     _check_measure(Q, p)
@@ -235,6 +237,7 @@ def c_min_bruteforce(m: float, Q: np.ndarray, spec: ShortfallSpec,
     coarse candidates and keeps the overall winner.  An optimum pinned to
     either box edge signals an unbounded transfer, which raises one atom as
     it lowers another, and returns PLUS_INF (the value grows with the box)."""
+    _finite_cash(m)
     Q = np.asarray(Q, dtype=float)
     law, _, uf, B = _problem(spec, model, model.terminal_depth, 0, 0.0, None)
     p = law[0]
@@ -379,6 +382,7 @@ def rho_bar(m: float, X: RandomVariable, spec: ShortfallSpec,
     and horizon u of the family associated with the quasi-convex measure;
     decreasing in m, with rho_bar_{m+d}(X) <= rho_bar_m(X) - d under cash
     subadditivity."""
+    _finite_cash(m)
     X.model.horizon_depths(X, 0.0, u)
     law, _, uf, B = _problem(spec, X.model, X.depth, 0, 0.0, u)
     xvals = X.values[None, :]

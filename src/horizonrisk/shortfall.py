@@ -15,11 +15,16 @@ non-decreasing in m), found by :func:`_least_m`, the one cash search behind
 the shortfall, ``duality.rho_bar`` and the dual's R map; its docstring holds
 the bracket, cap and stop rules.  One search runs over all depth-t nodes at
 once, each probe averaging U(f(X, m_i)) against the rows of the conditional
-law of :func:`_problem`; +inf marks a node whose constraint set is empty and
--inf one where it always holds, and a scalar result reads them as
-``RiskSentinel`` members (:func:`_extended`).  Times obey the horizon
-contract that :meth:`FiltrationModel.horizon_depths` checks:
-depth(t) <= depth(X) <= depth(u), u defaulting to the time of depth(X).
+law of :func:`_problem`.  A probe runs in row blocks of at most
+``_PROBE_CELLS`` law cells (:func:`_level`): a dense probe of a large law
+makes temporaries big enough that the allocator returns them to the OS and
+takes them back, page-faulting on every probe, while the blocks stay in
+cache and give bitwise the same values.  +inf marks a node whose
+constraint set is empty and -inf one where it always holds, and a scalar
+result reads them as ``RiskSentinel`` members (:func:`_extended`).  Times
+obey the horizon contract that :meth:`FiltrationModel.horizon_depths`
+checks: depth(t) <= depth(X) <= depth(u), u defaulting to the time of
+depth(X).
 The static shortfall is the root node of the nodewise solve: it takes no t,
 and only its horizon u varies.
 Value-at-Risk is included through its shortfall representation with the
@@ -51,6 +56,9 @@ __all__ = [
 
 _BISECT_TOL = 1e-9
 _BRACKET_CAP = float(2 ** 20)
+# law cells per probe block: a block's temporaries stay at most 512 KB,
+# below the size where the heap is handed back to the OS after every probe
+_PROBE_CELLS = 65_536
 
 
 class RiskSentinel(enum.Enum):
@@ -322,6 +330,15 @@ def _finite_max_abs(X: RandomVariable) -> float:
     return float(np.max(np.abs(X.values)))
 
 
+def _finite_cash(m) -> np.ndarray:
+    """The cash level(s) m as floats; a non-finite level is rejected where it
+    enters, since no search or membership test can read it."""
+    m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise DomainError("the cash level m must be finite")
+    return m
+
+
 def _bracket_start(X: RandomVariable, utility: UtilityFn, target: float) -> float:
     scale = 0.0
     if utility.inverse is not None:
@@ -343,13 +360,29 @@ def _problem(spec: ShortfallSpec, model: FiltrationModel, depth: int, kt: int,
     return law, U, lambda y, m: U(f(y, m)), spec.target_at(t, u)
 
 
+def _level(law: np.ndarray, uf, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """E[U(f(x, m_i)) | node i] for the rows i of ``law``, in even row blocks
+    of at most _PROBE_CELLS law cells.  Each row's reduction and each
+    elementwise term see the same operands in the same order as one dense
+    evaluation, so the values are bitwise the same."""
+    if law.size <= _PROBE_CELLS:  # no loop for the many small laws
+        return np.einsum("ij,ij->i", law, uf(x, m[:, None]))
+    blocks = math.ceil(law.size / _PROBE_CELLS)
+    rows = math.ceil(len(law) / blocks)
+    level = np.empty(len(law))
+    for s in range(0, len(law), rows):
+        level[s:s + rows] = np.einsum("ij,ij->i", law[s:s + rows],
+                                      uf(x, m[s:s + rows, None]))
+    return level
+
+
 def _nodewise(X: RandomVariable, spec: ShortfallSpec, kt: int, t: float,
               u: float | None) -> np.ndarray:
     """The shortfall at every depth-kt node, one bisection over the rows of
     the conditional law; +-inf marks the sentinels."""
     law, U, uf, B = _problem(spec, X.model, X.depth, kt, t, u)
     x = X.values[None, :]
-    return _smallest_m(lambda m: np.einsum("ij,ij->i", law, uf(x, m[:, None])),
+    return _smallest_m(lambda m: _level(law, uf, x, m),
                        B, _bracket_start(X, U, B), len(law), kt)
 
 
@@ -438,10 +471,10 @@ def acceptance_member(Y: RandomVariable, m, spec: ShortfallSpec, t: float,
     i.e. membership of Y in the acceptance set at cash level m."""
     model = Y.model
     kt, _ = model.horizon_depths(Y, t, u)
-    m_nodes = np.asarray(m, dtype=float)
+    m_nodes = _finite_cash(m)
     if m_nodes.ndim and m_nodes.shape != (model.num_nodes(kt),):
         raise SpecificationError("m must be scalar or one value per node")
     law, _, uf, B = _problem(spec, model, Y.depth, kt, t, u)
-    m_col = np.broadcast_to(m_nodes, len(law))[:, None]
-    met = np.einsum("ij,ij->i", law, uf(Y.values[None, :], m_col)) >= B
+    met = _level(law, uf, Y.values[None, :],
+                 np.broadcast_to(m_nodes, len(law))) >= B
     return RandomVariable(model, kt, np.where(met, 1.0, 0.0))

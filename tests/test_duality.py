@@ -263,8 +263,28 @@ class TestDualValue:
         (lambda: risk_map_R(np.inf, np.array([0.5, 0.5]), entropic_spec(),
                             ScenarioTree.terminal_atoms([0.5, 0.5])),
          DomainError, "finite levels"),
+        # a NaN cash level used to hang rho_bar's bracket and read as an
+        # empty acceptance set in c_min
+        (lambda: rho_bar(np.nan, ScenarioTree.terminal_atoms([0.5, 0.5])
+                         .constant(1.0, 1), entropic_spec()),
+         DomainError, "cash level m must be finite"),
+        (lambda: rho_bar(np.inf, ScenarioTree.terminal_atoms([0.5, 0.5])
+                         .constant(1.0, 1), entropic_spec()),
+         DomainError, "cash level m must be finite"),
+        (lambda: c_min(np.nan, np.array([0.5, 0.5]), entropic_spec(),
+                       ScenarioTree.terminal_atoms([0.5, 0.5])),
+         DomainError, "cash level m must be finite"),
+        (lambda: c_min(-np.inf, np.array([0.5, 0.5]), entropic_spec(),
+                       ScenarioTree.terminal_atoms([0.5, 0.5])),
+         DomainError, "cash level m must be finite"),
+        (lambda: c_min_bruteforce(np.nan, np.array([0.5, 0.5]),
+                                  entropic_spec(),
+                                  ScenarioTree.terminal_atoms([0.5, 0.5])),
+         DomainError, "cash level m must be finite"),
     ], ids=["non_terminal_position", "grid_atom_mismatch", "oracle_4_atoms",
-            "infinite_position", "infinite_level"])
+            "infinite_position", "infinite_level", "rho_bar_nan_cash",
+            "rho_bar_infinite_cash", "c_min_nan_cash", "c_min_infinite_cash",
+            "oracle_nan_cash"])
     def test_invalid_calls_rejected(self, call, error, match):
         with pytest.raises(error, match=match):
             call()

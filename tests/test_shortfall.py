@@ -14,7 +14,9 @@ from horizonrisk import (AggregatorFn, BrownianLattice, DomainError,
                          h_entropic, h_var, hq_entropic_losses,
                          hq_shortfall_spec, quadratic_transform_solve,
                          rho_bar, risk_map_R, static_shortfall)
-from horizonrisk.shortfall import _BISECT_TOL, _BRACKET_CAP, _least_m
+from horizonrisk import shortfall
+from horizonrisk.shortfall import (_BISECT_TOL, _BRACKET_CAP, _bracket_start,
+                                   _least_m, _problem, _smallest_m)
 
 from conftest import random_rv, random_tree
 
@@ -25,6 +27,13 @@ def linear_spec(B=0.0):
 
 def entropic_spec(B=0.0):
     return ShortfallSpec.classic(UtilityFn.exp_bounded(1.0), B)
+
+
+def anti_cash_spec():
+    """A constraint that falls in m: the shortfall must refuse it."""
+    bad = AggregatorFn(fn=lambda y, m: y - m, monotone_y=True,
+                       monotone_m=False, name="anti-cash")
+    return ShortfallSpec(UtilityFn.linear(), bad, TargetSchedule.constant(0.0))
 
 
 class TestStaticShortfall:
@@ -60,12 +69,8 @@ class TestStaticShortfall:
         assert math.isinf(float(sentinel))
 
     def test_non_monotone_constraint_detected(self, coin_position):
-        bad = AggregatorFn(fn=lambda y, m: y - m, monotone_y=True,
-                           monotone_m=False, name="anti-cash")
-        spec = ShortfallSpec(UtilityFn.linear(), bad,
-                             TargetSchedule.constant(0.0))
         with pytest.raises(SpecificationError):
-            static_shortfall(coin_position, spec)
+            static_shortfall(coin_position, anti_cash_spec())
 
     @given(p=st.floats(min_value=0.05, max_value=0.95),
            x1=st.floats(min_value=-5.0, max_value=5.0),
@@ -416,6 +421,15 @@ class TestAcceptanceSets:
         first_member = grid[np.argmax(flags)]
         assert abs(first_member - rho) <= (grid[1] - grid[0]) + 1e-9
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf,
+                                   [0.1, math.nan, 0.2]])
+    def test_non_finite_cash_level_rejected(self, m):
+        # a NaN level used to read as "not accepted" at its node
+        lat = BrownianLattice(4, 1.0)
+        X = RandomVariable(lat, 4, np.linspace(-1.0, 1.0, 5))
+        with pytest.raises(DomainError, match="cash level m must be finite"):
+            acceptance_member(X, m, entropic_spec(), 0.5)
+
 
 class TestStructuralProperties:
     def test_quasi_convexity_sampled(self):
@@ -530,12 +544,8 @@ class TestLatticeModels:
         from horizonrisk import BrownianLattice
         lat = BrownianLattice(4, 1.0)
         X = RandomVariable(lat, 4, np.linspace(-1, 1, 5))
-        bad = AggregatorFn(fn=lambda y, m: y - m, monotone_y=True,
-                           monotone_m=False, name="anti-cash")
-        spec = ShortfallSpec(UtilityFn.linear(), bad,
-                             TargetSchedule.constant(0.0))
         with pytest.raises(SpecificationError, match="node 0"):
-            dynamic_shortfall(X, 0.0, spec)
+            dynamic_shortfall(X, 0.0, anti_cash_spec())
 
 
 def scalar_least_m(met, start):
@@ -603,3 +613,61 @@ class TestCashSearch:
         # bracket is above the tolerance, never after
         for width in seen:
             assert np.isinf(width).all() or (width > _BISECT_TOL).all()
+
+
+def hq_spec():
+    return hq_shortfall_spec(QParams(q=0.7, alpha_q=0.1), 0.2,
+                             HorizonSchedule.constant(0.3))
+
+
+class TestProbeBlocks:
+    """The nodewise level is evaluated in row blocks of at most
+    _PROBE_CELLS law cells; every value is bitwise the dense one."""
+
+    @pytest.mark.parametrize("spec", [entropic_spec(), hq_spec()],
+                             ids=["exp", "hq"])
+    def test_three_blocks_equal_the_dense_level(self, spec):
+        lat = BrownianLattice(512, 1.0)
+        X = RandomVariable(lat, 512, np.tanh(lat.brownian(512)))
+        law, U, uf, B = _problem(spec, lat, 512, 256, 0.5, None)
+        assert math.ceil(law.size / shortfall._PROBE_CELLS) == 3
+        x = X.values[None, :]
+        dense = _smallest_m(
+            lambda m: np.einsum("ij,ij->i", law, uf(x, m[:, None])),
+            B, _bracket_start(X, U, B), len(law), 256)
+        assert np.array_equal(dynamic_shortfall(X, 0.5, spec).values, dense)
+
+    @pytest.mark.parametrize("spec", [entropic_spec(), hq_spec()],
+                             ids=["exp", "hq"])
+    @pytest.mark.parametrize("model, kt", [
+        (BrownianLattice(16, 1.0), 4),  # 5 x 17 cells: blocks of 2, 2, 1 rows
+        (random_tree(5, depth=3), 2),   # 7 x 16 cells: 3, 3, 1 rows
+        (random_tree(4, depth=4), 2),   # 8 x 48 cells: one row each
+    ], ids=["lattice", "tree", "tree_row_blocks"])
+    def test_small_blocks_change_no_value(self, monkeypatch, spec, model, kt):
+        X = random_rv(model, 7)
+        t = model.times[kt]
+        dense = dynamic_shortfall(X, t, spec).values
+        m = np.where(np.isfinite(dense), dense, 0.0) + 1e-10
+        members = acceptance_member(X, m, spec, t).values
+        monkeypatch.setattr(shortfall, "_PROBE_CELLS", 40)
+        assert np.array_equal(dynamic_shortfall(X, t, spec).values, dense)
+        assert np.array_equal(acceptance_member(X, m, spec, t).values,
+                              members)
+
+    @pytest.mark.parametrize("route", [
+        lambda: static_shortfall(
+            RandomVariable(ScenarioTree.terminal_atoms([0.5, 0.5]), 1,
+                           [1.0, -1.0]), anti_cash_spec()),
+        lambda: dynamic_shortfall(
+            RandomVariable(BrownianLattice(4, 1.0), 4,
+                           np.linspace(-1.0, 1.0, 5)), 0.5, anti_cash_spec()),
+    ], ids=["coin", "lattice"])
+    def test_one_row_blocks_keep_the_monotonicity_error(self, monkeypatch,
+                                                        route):
+        with pytest.raises(SpecificationError) as dense:
+            route()
+        monkeypatch.setattr(shortfall, "_PROBE_CELLS", 1)
+        with pytest.raises(SpecificationError) as blocked:
+            route()
+        assert str(blocked.value) == str(dense.value)
