@@ -20,11 +20,10 @@ from .measures import (HorizonSchedule, LossSpec, QMonotonicityReport,
                        discounted_wrap, entropic, expected_loss, h_entropic,
                        hq_entropic_losses, longevity_index,
                        monotone_in_q_check, q_entropic_losses)
-from .bsde import (BsdeSolution, Driver, DriverFamily,
-                   GenericLipschitzDriver, LinearDriver, QuadraticQDriver,
-                   g_risk_measure, longevity_girsanov,
-                   quadratic_transform_solve, restriction_check, solve_bsde,
-                   solve_family)
+from .bsde import (BsdeSolution, Driver, GenericLipschitzDriver,
+                   LinearDriver, QuadraticQDriver, g_risk_measure,
+                   longevity_girsanov, quadratic_transform_solve,
+                   restriction_check, solve_bsde, solve_family)
 from .shortfall import (AggregatorFn, CeEquivalenceReport, ExtendedReal,
                         RiskSentinel, ShortfallSpec, TargetSchedule,
                         acceptance_member, ce_equivalence_check,

@@ -65,7 +65,7 @@ from .probspace import BrownianLattice, RandomVariable
 
 __all__ = [
     "GenericLipschitzDriver", "LinearDriver", "QuadraticQDriver", "Driver",
-    "DriverFamily", "BsdeSolution", "solve_bsde", "g_risk_measure",
+    "BsdeSolution", "solve_bsde", "g_risk_measure",
     "solve_family", "quadratic_transform_solve", "longevity_girsanov",
     "restriction_check",
 ]
@@ -141,24 +141,6 @@ class QuadraticQDriver:
 
 Driver = GenericLipschitzDriver | LinearDriver | QuadraticQDriver
 
-
-class DriverFamily:
-    """Horizon-indexed drivers u -> g_u over grid horizons."""
-
-    def __init__(self, members: dict[float, Driver]):
-        if not members:
-            raise ConfigurationError("driver family needs at least one member")
-        self._members = {float(u): g for u, g in members.items()}
-
-    @property
-    def horizons(self) -> tuple[float, ...]:
-        return tuple(sorted(self._members))
-
-    def driver_at(self, u: float) -> Driver:
-        for h, g in self._members.items():
-            if abs(h - u) <= 1e-9:
-                return g
-        raise TimeGridError(f"horizon {u} not in the family grid {self.horizons}")
 
 @dataclass(frozen=True)
 class BsdeSolution:
@@ -334,11 +316,15 @@ def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,
     return RandomVariable(lattice, kt, y.copy())
 
 
-def solve_family(lattice: BrownianLattice, family: DriverFamily,
+def solve_family(lattice: BrownianLattice, family: dict[float, Driver],
                  X: RandomVariable, t: float, u: float) -> RandomVariable:
-    """rho^G_tu(X) = g_u-expectation of -X at depth(t) for the family member
-    attached to the horizon u."""
-    return g_risk_measure(lattice, family.driver_at(u), X, t, u)
+    """rho^G_tu(X) = g_u-expectation of -X at depth(t) for the driver that
+    the {horizon: driver} mapping ``family`` holds at u (within 1e-9)."""
+    for h, g in family.items():
+        if abs(h - u) <= 1e-9:
+            return g_risk_measure(lattice, g, X, t, u)
+    raise TimeGridError(f"horizon {u} not in the family grid "
+                        f"{tuple(sorted(family))}")
 
 
 def quadratic_transform_solve(lattice: BrownianLattice, q: float,

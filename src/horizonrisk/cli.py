@@ -45,7 +45,7 @@ from . import axioms as axioms_mod
 from .bsde import (LinearDriver, QuadraticQDriver, g_risk_measure,
                    longevity_girsanov, quadratic_transform_solve)
 from .duality import DualGrid, _dual_problem, dual_value
-from .errors import RiskLibError
+from .errors import ConfigurationError, RiskLibError
 from .measures import (HorizonSchedule, LossSpec, StepFunction, UtilityFn,
                        certainty_equivalent, entropic, expected_loss,
                        h_entropic, hq_entropic_losses, longevity_index,
@@ -63,10 +63,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_REQUIRED_AXIOM = 4
-
-
-class ConfigError(RiskLibError):
-    """Experiment configuration rejected."""
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +174,7 @@ def _hq_entropic(c: dict, model) -> tuple:
 
 def _bsde(c: dict, model) -> tuple:
     if not isinstance(model, BrownianLattice):
-        raise ConfigError("bsde measures need a lattice model")
+        raise ConfigurationError("bsde measures need a lattice model")
     driver = _build(_DRIVERS, c["driver"])
     return (lambda X, t, u: g_risk_measure(model, driver, X, t, u)), driver
 
@@ -220,13 +216,14 @@ _MEASURES = {
 def _values_position(c: dict, model, depth: int, rng) -> RandomVariable:
     n = model.num_nodes(depth)
     if len(c["values"]) != n:
-        raise ConfigError(f"position needs exactly {n} values at depth {depth}")
+        raise ConfigurationError(
+            f"position needs exactly {n} values at depth {depth}")
     return RandomVariable(model, depth, c["values"])
 
 
 def _two_valued_position(c: dict, model, depth: int, rng) -> RandomVariable:
     if not isinstance(model, BrownianLattice):
-        raise ConfigError("two_valued positions need a lattice model")
+        raise ConfigurationError("two_valued positions need a lattice model")
     b = model.brownian(depth)
     return RandomVariable(model, depth,
                           np.where(b >= c["threshold"], c["hi"], c["lo"]))
@@ -451,8 +448,8 @@ _SECTIONS = {"model": _MODELS, "measure": _MEASURES, "utility": _UTILITIES,
              "position": _POSITIONS, "payoff": _POSITIONS}
 
 
-def _violation(message: str) -> ConfigError:
-    return ConfigError(f"config schema violation: {message}")
+def _violation(message: str) -> ConfigurationError:
+    return ConfigurationError(f"config schema violation: {message}")
 
 
 def _require(cfg, keys) -> None:
@@ -512,7 +509,7 @@ def _finite_number(literal: str) -> float:
     value = float(literal)  # also parses NaN, +-Infinity and 1e999 (to inf)
     if not np.isfinite(value):
         shown = literal if len(literal) <= 24 else literal[:20] + "..."
-        raise ConfigError(f"config holds {shown}, not a finite float")
+        raise ConfigurationError(f"config holds {shown}, not a finite float")
     return value
 
 
@@ -525,13 +522,13 @@ def load_config(path: str | Path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ConfigurationError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text, parse_constant=_finite_number,
                          parse_float=_finite_number,
                          parse_int=_float_range_int)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     _check_config(cfg)
     return cfg
 
@@ -559,12 +556,14 @@ def _build_experiment(cfg: dict, seed: int) -> _Experiment:
             for key in ("t", "u", "v"):
                 grid.depth_of(task[key])  # TimeGridError if off-grid
         if not task["t"] <= task["u"] <= task["v"]:
-            raise ConfigError(f"task {i} needs t <= u <= v, got t={task['t']}, "
-                              f"u={task['u']}, v={task['v']}")
+            raise ConfigurationError(
+                f"task {i} needs t <= u <= v, got t={task['t']}, "
+                f"u={task['u']}, v={task['v']}")
         unchecked = set(task.get("required", [])) - set(task.get("checks", []))
         if unchecked:
-            raise ConfigError(f"task {i} requires axioms it does not check: "
-                              f"{', '.join(sorted(unchecked))}")
+            raise ConfigurationError(
+                f"task {i} requires axioms it does not check: "
+                f"{', '.join(sorted(unchecked))}")
         full = _with_defaults(_TASKS, task)
         # each task draws its positions at depth(u) from its own stream
         draw = lambda section, grid: _build(
@@ -572,20 +571,22 @@ def _build_experiment(cfg: dict, seed: int) -> _Experiment:
             np.random.default_rng(seed + i))
         if task["kind"] == "bsde-convergence":
             if measure["kind"] != "bsde":
-                raise ConfigError("bsde-convergence tasks need a bsde measure")
+                raise ConfigurationError(
+                    "bsde-convergence tasks need a bsde measure")
             if measure["driver"]["kind"] == "linear":
-                raise ConfigError(
+                raise ConfigurationError(
                     "no closed-form reference for general linear drivers")
             exp.inputs.append([(grid, draw(full["payoff"], grid))
                                for grid in grids])
         elif task["kind"] == "duality":
             if measure["kind"] != "shortfall":
-                raise ConfigError("duality tasks need a shortfall measure")
+                raise ConfigurationError(
+                    "duality tasks need a shortfall measure")
             kt, ku = model.depth_of(task["t"]), model.depth_of(task["u"])
             if (kt, ku) != (0, model.terminal_depth):
-                raise ConfigError(f"task {i} is a static dual: it needs "
-                                  f"depth(t) = 0 and depth(u) = "
-                                  f"{model.terminal_depth}, got {kt} and {ku}")
+                raise ConfigurationError(
+                    f"task {i} is a static dual: it needs depth(t) = 0 and "
+                    f"depth(u) = {model.terminal_depth}, got {kt} and {ku}")
             X = draw(full["position"], model)
             _dual_problem(exp.source, model)
             exp.inputs.append((X, DualGrid.simplex(
@@ -614,7 +615,7 @@ def run_config(path: str | Path, out_dir: str | Path | None = None,
         target_dir = Path(out_dir if out_dir is not None
                           else cfg.get("output", {}).get("dir", "."))
         target_dir.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, RiskLibError, ValueError) as exc:
+    except (RiskLibError, ValueError) as exc:
         log.debug("configuration rejected", exc_info=True)
         print(f"riskctl: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -664,7 +665,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         try:
             validate_config(args.config)
-        except (ConfigError, RiskLibError, ValueError) as exc:
+        except (RiskLibError, ValueError) as exc:
             print(f"riskctl: config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         print("config ok")

@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _MAX_ATOMS = 6
+_MAX_GRID = 10_000         # measures of one simplex grid
 _BOX = 1000.0
 _ORACLE_BOX = 20.0         # grid oracle: box [-20, 20]^n, and restarts
 _ORACLE_STARTS = 5
@@ -73,7 +74,8 @@ class DualGrid:
     """Strictly positive probability vectors on the terminal atoms.
 
     ``simplex`` enumerates the resolution-h grid of the open simplex (all
-    entries >= h), realizing the equivalent-measure set at desk scale.
+    entries positive multiples of 1/round(1/h)), realizing the
+    equivalent-measure set at desk scale.
     """
 
     measures: np.ndarray
@@ -105,9 +107,17 @@ class DualGrid:
             raise SpecificationError(
                 f"dual computations are capped at {_MAX_ATOMS} atoms"
             )
+        if not (math.isfinite(resolution) and resolution > 0.0):
+            raise SpecificationError(
+                f"resolution must be finite and positive, got {resolution!r}")
         k = round(1.0 / resolution)
         if k < n_atoms:
             raise SpecificationError("resolution too coarse for the atom count")
+        size = math.comb(k - 1, n_atoms - 1)
+        if size > _MAX_GRID:
+            raise SpecificationError(
+                f"resolution {resolution!r} on {n_atoms} atoms makes {size} "
+                f"measures, above the cap of {_MAX_GRID}")
         rows = []
         for cuts in itertools.combinations(range(1, k), n_atoms - 1):
             parts = np.diff((0,) + cuts + (k,))

@@ -69,6 +69,8 @@ class StepFunction:
 
     def integral(self, t: float, u: float) -> float:
         """Exact integral over [t, u] (signed if u < t)."""
+        if min(t, u) < 0.0:
+            raise DomainError(f"step function integrated below 0: [{t}, {u}]")
         if u < t:
             return -self.integral(u, t)
         total = 0.0

@@ -84,33 +84,26 @@ _GRID_1D = np.linspace(-5.0, 5.0, 50)
 class AggregatorFn:
     """Aggregator f(y, m) between a position outcome y and cash m.
 
-    Declared structure flags are verified on a 50 x 50 sample grid at
-    construction: monotonicity in each argument and, when claimed, the
-    cash-subadditivity condition f(y, k) <= f(y - m, k + m) for m > 0.
+    Checked on a 50 x 50 sample grid at construction: f is non-decreasing
+    in each argument and, when ``csa`` is claimed, cash subadditive,
+    f(y, k) <= f(y - m, k + m) for m > 0.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    monotone_y: bool = True
-    monotone_m: bool = True
     csa: bool = False
     name: str = ""
 
     def __post_init__(self):
         y, m = np.meshgrid(_GRID_1D, _GRID_1D, indexing="ij")
         vals = self.fn(y, m)
-        if self.monotone_y and np.any(np.diff(vals, axis=0) < -1e-10):
-            raise SpecificationError(
-                f"aggregator {self.name!r}: monotone_y flag fails on the grid"
-            )
-        if self.monotone_m and np.any(np.diff(vals, axis=1) < -1e-10):
-            raise SpecificationError(
-                f"aggregator {self.name!r}: monotone_m flag fails on the grid"
-            )
+        for axis, arg in enumerate("ym"):
+            if np.any(np.diff(vals, axis=axis) < -1e-10):
+                raise SpecificationError(
+                    f"aggregator {self.name!r} decreases in {arg} on the grid"
+                )
         if self.csa:
             for shift in (0.5, 1.0, 2.0):
-                lhs = self.fn(y, m)
-                rhs = self.fn(y - shift, m + shift)
-                if np.any(lhs - rhs > 1e-10):
+                if np.any(vals - self.fn(y - shift, m + shift) > 1e-10):
                     raise SpecificationError(
                         f"aggregator {self.name!r}: csa flag fails for "
                         f"m={shift}"
@@ -225,9 +218,6 @@ class ShortfallSpec:
         if isinstance(self._aggregator, AggregatorFn):
             return self._aggregator
         return self._aggregator(t, u)
-
-    def target_at(self, t: float, u: float) -> float:
-        return self.targets(t, u)
 
     @classmethod
     def classic(cls, utility: UtilityFn, B: float) -> "ShortfallSpec":
@@ -357,7 +347,7 @@ def _problem(spec: ShortfallSpec, model: FiltrationModel, depth: int, kt: int,
     if u is None:
         u = model.times[depth]
     U, f = spec.utility_at(u), spec.aggregator_at(t, u)
-    return law, U, lambda y, m: U(f(y, m)), spec.target_at(t, u)
+    return law, U, lambda y, m: U(f(y, m)), spec.targets(t, u)
 
 
 def _level(law: np.ndarray, uf, x: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horizonrisk import (BrownianLattice, ConfigurationError, DomainError,
-                         DriverFamily, GenericLipschitzDriver,
+                         GenericLipschitzDriver,
                          HorizonSchedule, LinearDriver, QuadraticQDriver,
                          RandomVariable, SolverError, StepFunction,
                          TimeGridError, entropic, expected_loss,
@@ -354,12 +354,12 @@ class TestQuadraticTransform:
         assert abs(direct.values[0] - transform.values[0]) < 1e-2
 
 
-class TestDriverFamily:
+class TestSolveFamily:
     def test_constant_family_matches_single_driver(self):
         lat = BrownianLattice(8, 1.0)
         X = sign_payoff(lat, depth=4)
         driver = QuadraticQDriver.entropic()
-        family = DriverFamily({0.5: driver, 1.0: driver})
+        family = {0.5: driver, 1.0: driver}
         via_family = solve_family(lat, family, X, 0.0, 0.5)
         direct = g_risk_measure(lat, driver, X, 0.0, 0.5)
         np.testing.assert_allclose(via_family.values, direct.values)
@@ -367,11 +367,10 @@ class TestDriverFamily:
     def test_increasing_family_gives_longevity(self):
         lat = BrownianLattice(8, 1.0)
         rng = np.random.default_rng(5)
-        family = DriverFamily({u: LinearDriver.from_constants(nu=0.2, c=0.3 * u)
-                               for u in (0.5, 1.0)})
+        family = {u: LinearDriver.from_constants(nu=0.2, c=0.3 * u)
+                  for u in (0.5, 1.0)}
         y, z = rng.uniform(-3.0, 3.0, (2, 100))
-        assert np.all(family.driver_at(0.5)(0.25, y, z)
-                      <= family.driver_at(1.0)(0.25, y, z))
+        assert np.all(family[0.5](0.25, y, z) <= family[1.0](0.25, y, z))
         for seed in range(5):
             X = RandomVariable(lat, 4,
                                np.random.default_rng(seed).uniform(-2, 2, 5))
@@ -382,8 +381,7 @@ class TestDriverFamily:
     def test_horizon_scaled_constant_family_telescopes(self):
         lat = BrownianLattice(8, 1.0)
         c = 0.4
-        family = DriverFamily({u: LinearDriver.from_constants(c=c * u)
-                               for u in (0.5, 1.0)})
+        family = {u: LinearDriver.from_constants(c=c * u) for u in (0.5, 1.0)}
         zero = lat.constant(0.0, 4)
         gamma = solve_family(lat, family, zero, 0.0, 1.0) \
             - solve_family(lat, family, zero, 0.0, 0.5)
@@ -391,10 +389,20 @@ class TestDriverFamily:
         np.testing.assert_allclose(gamma.values, expected, atol=1e-12)
 
     def test_missing_horizon_rejected(self):
-        family = DriverFamily({1.0: QuadraticQDriver.entropic()})
+        family = {1.0: QuadraticQDriver.entropic()}
         lat = BrownianLattice(4, 1.0)
         with pytest.raises(TimeGridError):
             solve_family(lat, family, sign_payoff(lat, depth=2), 0.0, 0.5)
+
+    def test_horizon_found_within_tolerance(self):
+        lat = BrownianLattice(4, 1.0)
+        X = sign_payoff(lat, depth=2)
+        driver = QuadraticQDriver.entropic()
+        near = solve_family(lat, {0.5 + 1e-12: driver}, X, 0.0, 0.5)
+        direct = g_risk_measure(lat, driver, X, 0.0, 0.5)
+        np.testing.assert_array_equal(near.values, direct.values)
+        with pytest.raises(TimeGridError):
+            solve_family(lat, {0.5 + 1e-6: driver}, X, 0.0, 0.5)
 
 
 class TestQuadraticLongevity:

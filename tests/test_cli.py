@@ -482,6 +482,24 @@ class TestRun:
         assert sorted(outs[0]) == ["task00_duality.csv", "task00_duality.json"]
         assert outs[1] == outs[0]
 
+    def test_duality_grid_above_the_row_cap_rejected(self, tmp_path, capsys):
+        # 4 atoms at resolution 1e-5 make C(99 999, 3) ~ 1.7e14 measures:
+        # refused from their count, before one is built
+        cfg = base_config(
+            model=TWO_STEP_MODEL,
+            measure={"kind": "shortfall", "utility": {"kind": "exp_bounded"}},
+            tasks=[{"kind": "duality", "resolution": 1e-5,
+                    "position": {"kind": "values",
+                                 "values": [1.0, -0.5, 0.25, -1.0]}}])
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert run_config(path, out_dir=tmp_path / "out") == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0].startswith("riskctl: config error: resolution 1e-05 ")
+        assert err[0].endswith("above the cap of 10000")
+
     def test_convergence_task_errors_decrease(self, tmp_path):
         cfg = base_config(
             model={"kind": "lattice", "steps": 8, "horizon": 1.0},

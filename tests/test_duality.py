@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -94,6 +96,8 @@ class TestDualGrid:
     def test_resolution_counts(self):
         grid = DualGrid.simplex(2, 0.01)
         assert len(grid) == 99
+        # the step is 1/round(1/h): entries may fall below h itself
+        assert DualGrid.simplex(2, 0.6).measures.tolist() == [[0.5, 0.5]]
 
     def test_atom_cap(self):
         with pytest.raises(SpecificationError):
@@ -110,8 +114,17 @@ class TestDualGrid:
         (lambda: DualGrid(np.array([[np.nan, 0.5]])), "strictly positive"),
         (lambda: DualGrid.simplex(3, 0.5), "too coarse"),
         (lambda: DualGrid.simplex(7, 0.1), "capped at 6 atoms"),
+        # counted, not built: C(99 999, 2) and C(99, 5) measures
+        (lambda: DualGrid.simplex(3, 1e-5), "above the cap of 10000"),
+        (lambda: DualGrid.simplex(6, 0.01), "above the cap of 10000"),
+        (lambda: DualGrid.simplex(2, 0.0), "finite and positive"),
+        (lambda: DualGrid.simplex(2, -0.1), "finite and positive"),
+        (lambda: DualGrid.simplex(2, math.nan), "finite and positive"),
+        (lambda: DualGrid.simplex(2, math.inf), "finite and positive"),
     ], ids=["one_dimensional", "seven_atoms", "row_sum", "nan_entry",
-            "coarse_simplex", "seven_atom_simplex"])
+            "coarse_simplex", "seven_atom_simplex", "fine_three_atoms",
+            "fine_six_atoms", "zero_resolution", "negative_resolution",
+            "nan_resolution", "infinite_resolution"])
     def test_invalid_grids_rejected(self, build, match):
         with pytest.raises(SpecificationError, match=match):
             build()

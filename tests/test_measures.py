@@ -30,6 +30,15 @@ class TestStepFunction:
         with pytest.raises(DomainError, match="t=-0.5 < 0"):
             f(-0.5)
 
+    def test_integral_below_zero_rejected(self):
+        # values[-1] must not stand in on [t, 0)
+        f = StepFunction((0.0, 0.5), (1.0, 2.0))
+        for t, u in [(-1.0, 1.0), (1.0, -1.0), (-2.0, -1.0)]:
+            with pytest.raises(DomainError, match="integrated below 0"):
+                f.integral(t, u)
+        with pytest.raises(DomainError, match="integrated below 0"):
+            HorizonSchedule(f).integral(-1.0, 1.0)
+
     def test_must_start_at_zero(self):
         with pytest.raises(SpecificationError):
             StepFunction((0.5,), (1.0,))

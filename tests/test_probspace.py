@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horizonrisk import (BrownianLattice, DomainError,
-                         DriverFamily, HorizonSchedule, LinearDriver,
+                         HorizonSchedule, LinearDriver,
                          LossSpec, QParams, QuadraticQDriver, RandomVariable,
                          ScenarioTree, ShortfallSpec, TimeGridError,
                          TreeStructureError, UtilityFn, acceptance_member,
@@ -489,7 +489,7 @@ class TestHorizonContract:
         lambda X: LAT8.constant(0.0, 4) + X,
         lambda X: solve_bsde(LAT8, Q_DRIVER, X),
         lambda X: g_risk_measure(LAT8, Q_DRIVER, X, 0.0, 1.0),
-        lambda X: solve_family(LAT8, DriverFamily({1.0: Q_DRIVER}), X, 0.0, 1.0),
+        lambda X: solve_family(LAT8, {1.0: Q_DRIVER}, X, 0.0, 1.0),
         lambda X: restriction_check(LAT8, Q_DRIVER, 0.0, 0.5, 1.0, X),
         lambda X: longevity_girsanov(LAT8, LinearDriver.from_constants(c=0.1),
                                      0.0, 1.0, 1.0, X),

@@ -30,10 +30,12 @@ def entropic_spec(B=0.0):
 
 
 def anti_cash_spec():
-    """A constraint that falls in m: the shortfall must refuse it."""
-    bad = AggregatorFn(fn=lambda y, m: y - m, monotone_y=True,
-                       monotone_m=False, name="anti-cash")
-    return ShortfallSpec(UtilityFn.linear(), bad, TargetSchedule.constant(0.0))
+    """A constraint that falls in m beyond m = 5, outside the aggregator's
+    construction grid: the bracketing probes cross it, and the shortfall
+    must refuse it."""
+    bad = AggregatorFn(fn=lambda y, m: y + np.minimum(m, 10.0 - m),
+                       name="anti-cash")
+    return ShortfallSpec(UtilityFn.linear(), bad, TargetSchedule.constant(4.0))
 
 
 class TestStaticShortfall:
@@ -208,13 +210,15 @@ class TestDynamicShortfall:
         assert dyn.values[1] == pytest.approx(alone, abs=1e-12)
 
     def test_guard_names_the_failing_node(self):
-        # cash helps on gains and hurts on losses: the constraint rises in m
-        # below node 0 (gains only) and falls below node 1 (losses only)
-        signed = AggregatorFn(fn=lambda y, m: np.where(y > 0.0, m, -m),
-                              monotone_y=False, monotone_m=False,
-                              name="signed-cash")
+        # cash helps gains without end and losses only up to m = 5, past
+        # the aggregator's construction grid: the constraint rises in m
+        # below node 0 (gains only) and falls beyond m = 5 below node 1
+        # (losses only), where the bracketing probes reach
+        signed = AggregatorFn(
+            fn=lambda y, m: y + np.where(y > 0.0, m, np.minimum(m, 10.0 - m)),
+            name="signed-cash")
         spec = ShortfallSpec(UtilityFn.linear(), signed,
-                             TargetSchedule.constant(0.0))
+                             TargetSchedule.constant(4.0))
         tree = ScenarioTree((0.0, 0.5, 1.0), [
             (0, 0, None, 1.0), (1, 1, 0, 0.5), (2, 1, 0, 0.5),
             (3, 2, 1, 0.5), (4, 2, 1, 0.5), (5, 2, 2, 0.5), (6, 2, 2, 0.5),
@@ -385,7 +389,7 @@ class TestHqShortfallSpec:
         previous = None
         for u in (0.25, 0.5, 1.0):
             f = spec.aggregator_at(0.0, u)
-            vals = spec.utility_at(u)(f(grid_y, grid_m)) - spec.target_at(0.0, u)
+            vals = spec.utility_at(u)(f(grid_y, grid_m)) - spec.targets(0.0, u)
             if previous is not None:
                 assert np.all(vals <= previous + 1e-12)
             previous = vals
@@ -496,10 +500,14 @@ class TestStructuralProperties:
 
 
 class TestAggregatorValidation:
-    def test_monotone_flag_violation_rejected(self):
-        with pytest.raises(SpecificationError):
-            AggregatorFn(fn=lambda y, m: -y + m, monotone_y=True,
-                         name="decreasing-y")
+    @pytest.mark.parametrize("fn, arg", [
+        (lambda y, m: -y + m, "y"),
+        (lambda y, m: y - m, "m"),
+    ], ids=["decreasing_y", "decreasing_m"])
+    def test_monotone_violation_rejected(self, fn, arg):
+        with pytest.raises(SpecificationError,
+                           match=f"^aggregator 'bad' decreases in {arg} "):
+            AggregatorFn(fn=fn, name="bad")
 
     def test_csa_flag_violation_rejected(self):
         # f(y, m) = 2y + m transfers cash worse than position: not csa
