@@ -9,8 +9,10 @@ and its artifacts are written to ``tests/golden/artifacts/<config stem>/``.
 ``tests/test_golden.py`` compares fresh runs against these files, so a
 solver rewrite is checked against the artifacts of the code it replaces.
 Regenerate only when an artifact is meant to change, and record why.
+Config stems given as arguments regenerate only those configs' artifacts,
+so a config can be added without rewriting the others:
 
-    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py [STEM ...]
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import shutil
+import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
@@ -31,10 +34,16 @@ def golden_configs() -> list[Path]:
             + sorted((GOLDEN / "configs").glob("*.json")))
 
 
-def main() -> None:
+def main(stems: list[str]) -> None:
     from horizonrisk.cli import EXIT_OK, run_config
 
-    for config in golden_configs():
+    configs = golden_configs()
+    unknown = set(stems) - {config.stem for config in configs}
+    if unknown:
+        raise SystemExit(f"no golden config named {', '.join(sorted(unknown))}")
+    for config in configs:
+        if stems and config.stem not in stems:
+            continue
         out = ARTIFACTS / config.stem
         shutil.rmtree(out, ignore_errors=True)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -45,4 +54,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
