@@ -19,6 +19,13 @@ witness when the axiom fails.  Conventions:
   bumps X + B with B i.i.d. uniform on [0, 2]; mixtures l X + (1-l) Y with
   l from {0.25, 0.5, 0.75}; and F_u-measurable positions at every grid
   triple t <= u < v.  Normalization is the degenerate one-case row rho(0);
+* a point check runs in two phases: its case generator first builds every
+  position (X, X + m, the bumped Y, the mixtures; none depends on rho, so
+  the draws and the case order are those of one case at a time), then
+  each distinct position is evaluated once, in order of first appearance,
+  with all of them stacked: a shortfall that the first call asks for
+  solves every one of them in one bisection, and the later calls read
+  their rows of it (see :func:`horizonrisk.shortfall._nodewise`);
 * a sweep evaluates each distinct rho_tu(X) once: it does not depend on v,
   and the constant and spike positions, built once per depth, recur for
   every triple; a BSDE family runs one backward pass per (X, driver) within
@@ -27,7 +34,12 @@ witness when the axiom fails.  Conventions:
   :func:`horizonrisk.bsde.g_risk_measure`);
 * slacks are signed so that >= 0 means the axiom held; the uniform pass
   tolerance is 1e-8, and reports carry the worst slack so borderline
-  numerical failures are distinguishable from structural ones;
+  numerical failures are distinguishable from structural ones.  rho
+  values are never NaN, so a NaN slack is inf - inf: the inequality holds
+  in the extended reals, and the slack reads 0 (rho = +inf everywhere is
+  monotone and cash subadditive, and fails normalization with -inf);
+* every checker but :func:`check_normalized`, which has one case, needs
+  ``samples >= 1`` (else ``DomainError``);
 * checkers are deterministic given the seed: reports are reproducible
   bit for bit.
 
@@ -37,6 +49,7 @@ names of the checkers that sweep the time grid.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import islice
@@ -45,7 +58,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .bsde import _kept_passes
+from .errors import DomainError
 from .probspace import FiltrationModel, RandomVariable
+from .shortfall import _stacked
 
 __all__ = [
     "AxiomReport", "CHECKERS", "SWEEPS", "check_cash_subadditive",
@@ -114,43 +129,43 @@ def _time_triples(model: FiltrationModel) -> list[tuple[float, float, float]]:
 
 
 # Case generators.  Each yields, for every sampled position, the list of its
-# cases: the rho values the slack takes, and a witness without its node.
+# cases.  A point generator's case is (the positions whose rho values the
+# slack takes, the constants it takes after them, a witness without its
+# node); the witness of normalized is a function of rho(0).  A time sweep's
+# case is (the rho values, the witness), found as the sweep goes.
 
-def _cash_shifts(rho, model, depth, samples, seed):
-    """(rho(X), rho(X + m), m) for every cash shift m."""
+def _cash_shifts(model, depth, samples, seed):
+    """(X, X + m; m) for every cash shift m."""
     for X in _sample_positions(model, depth, samples,
                                np.random.default_rng(seed)):
-        base = rho(X).values
-        yield [((base, rho(X + m).values, m), {"x": X.values.tolist(), "m": m})
+        yield [((X, X + m), (m,), {"x": X.values.tolist(), "m": m})
                for m in _CASH_SHIFTS]
 
 
-def _bumps(rho, model, depth, samples, seed):
-    """(rho(X), rho(Y)) for Y = X plus an upward bump drawn per position."""
+def _bumps(model, depth, samples, seed):
+    """(X, Y) for Y = X plus an upward bump drawn per position."""
     rng = np.random.default_rng(seed)
     for X in _sample_positions(model, depth, samples, rng):
         bump = rng.uniform(0.0, 2.0, size=model.num_nodes(depth))
         Y = X + RandomVariable(model, depth, bump)
-        yield [((rho(X).values, rho(Y).values),
-                {"x": X.values.tolist(), "y": Y.values.tolist()})]
+        yield [((X, Y), (), {"x": X.values.tolist(), "y": Y.values.tolist()})]
 
 
-def _mixtures(rho, model, depth, samples, seed):
-    """(rho(X), rho(Y), rho(Z), w) for Z = w X + (1-w) Y and every weight w."""
+def _mixtures(model, depth, samples, seed):
+    """(X, Y, Z; w) for Z = w X + (1-w) Y and every weight w."""
     xs = _sample_positions(model, depth, samples, np.random.default_rng(seed))
     ys = _sample_positions(model, depth, samples,
                            np.random.default_rng(seed + 1))
     for X, Y in zip(xs, ys):
-        rx, ry = rho(X).values, rho(Y).values
-        yield [((rx, ry, rho(w * X + (1.0 - w) * Y).values, w),
+        yield [((X, Y, w * X + (1.0 - w) * Y), (w,),
                 {"x": X.values.tolist(), "y": Y.values.tolist(), "lambda": w})
                for w in _LAMBDAS]
 
 
-def _zero(rho, model, depth, samples, seed):
-    """The single case rho(0)."""
-    value = rho(model.constant(0.0, depth)).values
-    yield [((value,), {"rho_zero": value.tolist()})]
+def _zero(model, depth, samples, seed):
+    """The single case: the zero position, with rho(0) as its witness."""
+    yield [((model.constant(0.0, depth),), (),
+            lambda r0: {"rho_zero": r0.tolist()})]
 
 
 def _grid_triples(rho_family, model, depth, samples, seed):
@@ -171,6 +186,25 @@ def _grid_triples(rho_family, model, depth, samples, seed):
                     {"x": X.values.tolist(), "t": t, "u": u, "v": v})]
 
 
+def _evaluated(rho, generated):
+    """The cases of a point generator with their rho values, in two phases:
+    every position is built first, then each distinct one is evaluated once,
+    in order of first appearance (the order of one case at a time), with all
+    of them stacked for the shortfall (see :func:`shortfall._stacked`)."""
+    generated = list(generated)
+    distinct = list({id(X): X for cases in generated
+                     for positions, _, _ in cases for X in positions}.values())
+    with _stacked(distinct):
+        value = {id(X): rho(X).values for X in distinct}
+
+    def evaluated(positions, constants, witness):
+        values = tuple(value[id(X)] for X in positions)
+        return ((*values, *constants),
+                witness(*values) if callable(witness) else witness)
+
+    return [[evaluated(*case) for case in cases] for cases in generated]
+
+
 # The slack table: axiom -> (case generator, signed slack of one case).
 _SLACKS = {
     "cash_additive": (_cash_shifts, lambda r, rm, m: -np.abs(rm - r + m)),
@@ -184,21 +218,42 @@ _SLACKS = {
 }
 
 
+def _worst_node(per_node: np.ndarray) -> tuple[float, int]:
+    """The worst slack of one case and its first node.  rho values are never
+    NaN, so a NaN slack is inf - inf: the inequality holds there in the
+    extended reals, and it reads 0."""
+    node = int(np.argmin(per_node))  # the first NaN, if any
+    if math.isnan(per_node[node]):
+        return _worst_node(np.where(np.isnan(per_node), 0.0, per_node))
+    return float(per_node[node]), node
+
+
 def _report(axiom: str, rho, model: FiltrationModel, depth: int | None,
             samples: int, seed: int) -> AxiomReport:
     """Run the axiom's row of the slack table and report its worst node
     (the first case attaining it) and the number of sampled positions;
     the BSDE passes run during a time sweep are kept until it returns."""
     cases, slack = _SLACKS[axiom]
+    if samples < 1 and cases is not _zero:
+        raise DomainError(f"{axiom} needs samples >= 1, got {samples}")
     depth = model.terminal_depth if depth is None else depth
+    if cases is _grid_triples:
+        scope, evaluated = _kept_passes(), cases(rho, model, depth, samples,
+                                                 seed)
+    else:
+        scope, evaluated = nullcontext(), iter(_evaluated(
+            rho, cases(model, depth, samples, seed)))
     rows, positions = [], 0
-    with _kept_passes() if cases is _grid_triples else nullcontext():
-        for position in cases(rho, model, depth, samples, seed):
-            positions += 1
-            for values, witness in position:
-                per_node = slack(*values)
-                node = int(np.argmin(per_node))
-                rows.append((float(per_node[node]), {**witness, "node": node}))
+    with scope:
+        # rho runs in islice, outside the errstate of the slacks; a sweep
+        # holds the values of at most 256 positions at once
+        while chunk := list(islice(evaluated, 256)):
+            positions += len(chunk)
+            with np.errstate(invalid="ignore"):  # inf - inf, see _worst_node
+                for position in chunk:
+                    for values, witness in position:
+                        worst, node = _worst_node(slack(*values))
+                        rows.append((worst, {**witness, "node": node}))
     worst, witness = min(rows, key=lambda r: r[0])
     passed = worst >= -TOLERANCE
     return AxiomReport(axiom=axiom, passed=bool(passed), worst_slack=worst,

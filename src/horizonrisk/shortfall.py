@@ -19,12 +19,19 @@ law of :func:`_problem`.  A probe runs in row blocks of at most
 ``_PROBE_CELLS`` law cells (:func:`_level`): a dense probe of a large law
 makes temporaries big enough that the allocator returns them to the OS and
 takes them back, page-faulting on every probe, while the blocks stay in
-cache and give bitwise the same values.  +inf marks a node whose
-constraint set is empty and -inf one where it always holds, and a scalar
-result reads them as ``RiskSentinel`` members (:func:`_extended`).  Times
-obey the horizon contract that :meth:`FiltrationModel.horizon_depths`
-checks: depth(t) <= depth(X) <= depth(u), u defaulting to the time of
-depth(X).
+cache and give bitwise the same values.  While an axiom checker's point
+check runs, its positions are stacked (:func:`_stacked`): a shortfall
+asked of the first of them solves every stacked position of that model
+and depth in one search whose rows are (position, node) pairs, each
+bracketed from its own position's start, and later calls read their row
+block (:func:`_nodewise`).  Each row's search and level are those of its
+position's own solve, so the values are bitwise the same; if the stacked
+solve raises, each position is solved alone and raises its own error.
++inf marks a node whose constraint set is empty and -inf one where it
+always holds, and a scalar result reads them as ``RiskSentinel`` members
+(:func:`_extended`).  Times obey the horizon contract that
+:meth:`FiltrationModel.horizon_depths` checks: depth(t) <= depth(X) <=
+depth(u), u defaulting to the time of depth(X).
 The static shortfall is the root node of the nodewise solve: it takes no t,
 and only its horizon u varies.
 Value-at-Risk is included through its shortfall representation with the
@@ -37,6 +44,8 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
@@ -243,16 +252,17 @@ class ShortfallSpec:
 # ---------------------------------------------------------------------------
 
 def _least_m(met: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-             start: float, n: int) -> np.ndarray:
+             start: float | np.ndarray, n: int) -> np.ndarray:
     """Least m_i meeting each of n monotone constraints, the one cash search:
     ``met(m, open, width)`` tells, for the rows of the mask ``open``, whether
     each one's constraint holds at the finite m_i, given its bracket width
     (the scalar inf while bracketing); the other rows' entries are ignored.
     A row's bracket doubles from +start while the row is unmet there and
     from -start while it is met there, up to the last edge +-2 _BRACKET_CAP;
-    a row still going there is +-inf, its sentinel.  Each row then bisects
-    until its own bracket is below _BISECT_TOL, so its value does not
-    depend on the other rows."""
+    a row still going there is +-inf, its sentinel.  ``start`` is one
+    value for every row or one per row.  Each row then bisects until its
+    own bracket is below _BISECT_TOL, so its value does not depend on the
+    other rows."""
     cap = 2.0 * _BRACKET_CAP
 
     def bracket(sign, going):
@@ -279,29 +289,35 @@ def _least_m(met: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 
 
 def _smallest_m(constraint: Callable[[np.ndarray], np.ndarray], target: float,
-                start: float, n: int, depth: int) -> np.ndarray:
-    """:func:`_least_m` of constraint(m)_i >= target for the nodes i at
-    ``depth``; a decrease along a node's bracketing probes raises
-    SpecificationError."""
-    probes = []  # (m, values): a bracketing probe puts its nodes at one m
+                start: float | np.ndarray, n: int, depth: int
+                ) -> np.ndarray:
+    """:func:`_least_m` of constraint(m)_i >= target for n rows, the nodes at
+    ``depth`` of one position or of a stack of them; a decrease along a
+    row's bracketing probes raises SpecificationError."""
+    probes = []  # (m, values) of each bracketing probe, NaN off its open rows
 
     def met(m, open, width):
         values = constraint(m)
         if isinstance(width, float):  # a bracketing probe
-            probes.append((float(m[open][0]), np.where(open, values, np.nan)))
+            probes.append((m.copy(), np.where(open, values, np.nan)))
         return values >= target
 
     least = _least_m(met, start, n)
-    probes.sort(key=lambda probe: probe[0])  # a node's probes: one run in m
+    # the +start side is bracketed first; in m, every row's probes are the
+    # -start side's, last first, then the +start side's: one run of open ones
+    split = next((k for k, (m, _) in enumerate(probes) if m[0] < 0),
+                 len(probes))
+    probes = probes[split:][::-1] + probes[:split]
+    ms = np.array([m for m, _ in probes])
     vs = np.array([values for _, values in probes])  # NaN compares False
     drops = vs[1:] < vs[:-1] - 1e-9 * np.maximum(1.0, np.abs(vs[:-1]))
     if drops.any():
-        i, j = np.argwhere(drops.T)[0]  # first node, then its first drop
+        i, j = np.argwhere(drops.T)[0]  # first row, then its first drop
         raise SpecificationError(
             f"node {i} at depth {depth}: shortfall constraint is not "
             f"non-decreasing in m: value drops from {float(vs[j, i])!r} at "
-            f"m={probes[j][0]!r} to {float(vs[j + 1, i])!r} at "
-            f"m={probes[j + 1][0]!r}"
+            f"m={float(ms[j, i])!r} to {float(vs[j + 1, i])!r} at "
+            f"m={float(ms[j + 1, i])!r}"
         )
     return least
 
@@ -351,29 +367,94 @@ def _problem(spec: ShortfallSpec, model: FiltrationModel, depth: int, kt: int,
 
 
 def _level(law: np.ndarray, uf, x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """E[U(f(x, m_i)) | node i] for the rows i of ``law``, in even row blocks
-    of at most _PROBE_CELLS law cells.  Each row's reduction and each
-    elementwise term see the same operands in the same order as one dense
-    evaluation, so the values are bitwise the same."""
-    if law.size <= _PROBE_CELLS:  # no loop for the many small laws
+    """E[U(f(x_p, m_r)) | node i] for the rows r = p n + i that pair each
+    position x_p of the stack x (P, n_d) with each row i of ``law``
+    (n, n_d), in blocks of at most _PROBE_CELLS law cells: whole positions
+    while one position's law fits, else even row blocks of one position.
+    Each row's reduction and each elementwise term see the same operands in
+    the same order as one dense evaluation of that position alone, so the
+    values are bitwise the same."""
+    n, stack = len(law), len(x)
+    per = _PROBE_CELLS // law.size  # positions per block
+    if stack == 1 and per:  # no loop for the many small solves
         return np.einsum("ij,ij->i", law, uf(x, m[:, None]))
-    blocks = math.ceil(law.size / _PROBE_CELLS)
-    rows = math.ceil(len(law) / blocks)
-    level = np.empty(len(law))
-    for s in range(0, len(law), rows):
-        level[s:s + rows] = np.einsum("ij,ij->i", law[s:s + rows],
-                                      uf(x, m[s:s + rows, None]))
+    level = np.empty(len(m))
+    if per:
+        m = m.reshape(stack, n)
+        for p in range(0, stack, per):
+            terms = uf(x[p:p + per, None], m[p:p + per, :, None])
+            level[p * n:(p + per) * n] = np.einsum("ij,pij->pi", law,
+                                                   terms).ravel()
+        return level
+    rows = math.ceil(n / math.ceil(law.size / _PROBE_CELLS))
+    for p in range(stack):
+        for s in range(0, n, rows):
+            r = np.s_[p * n + s:p * n + min(s + rows, n)]
+            level[r] = np.einsum("ij,ij->i", law[s:s + rows],
+                                 uf(x[p:p + 1], m[r, None]))
     return level
+
+
+def _solve(xs: list[RandomVariable], spec: ShortfallSpec, kt: int, t: float,
+           u: float | None) -> np.ndarray:
+    """The shortfall at every depth-kt node of each position of xs, which
+    share one model and depth, as a (positions, nodes) array: one bisection
+    over the (position, node) rows, each bracketed from its own position's
+    start; +-inf marks the sentinels."""
+    X = xs[0]
+    law, U, uf, B = _problem(spec, X.model, X.depth, kt, t, u)
+    x = np.array([Y.values for Y in xs])
+    start = np.repeat([_bracket_start(Y, U, B) for Y in xs], len(law))
+    least = _smallest_m(lambda m: _level(law, uf, x, m), B, start,
+                        len(start), kt)
+    return least.reshape(len(xs), len(law))
+
+
+# The positions stacked while a point check runs (None outside one): id ->
+# position, and the stacked solves served from them, (id(spec), id(model),
+# depth, kt, t, u) -> (spec, {id(position): values} or None once the stacked
+# solve raised).  The stack holds its positions and each solve its spec, so
+# no other object takes over their ids.
+_STACK: ContextVar[tuple[dict, dict] | None] = ContextVar("_STACK",
+                                                          default=None)
+
+
+@contextmanager
+def _stacked(positions: list[RandomVariable]):
+    """Stack the positions until the block ends: a shortfall asked of the
+    first of them solves all of its model and depth at once."""
+    token = _STACK.set(({id(X): X for X in positions}, {}))
+    try:
+        yield
+    finally:
+        _STACK.reset(token)
 
 
 def _nodewise(X: RandomVariable, spec: ShortfallSpec, kt: int, t: float,
               u: float | None) -> np.ndarray:
-    """The shortfall at every depth-kt node, one bisection over the rows of
-    the conditional law; +-inf marks the sentinels."""
-    law, U, uf, B = _problem(spec, X.model, X.depth, kt, t, u)
-    x = X.values[None, :]
-    return _smallest_m(lambda m: _level(law, uf, x, m),
-                       B, _bracket_start(X, U, B), len(law), kt)
+    """The shortfall at every depth-kt node of X.  A stacked position reads
+    its row block of the stack's solve for (spec, kt, t, u), which the
+    first stacked position runs when it asks for it; if that solve raises,
+    every position is solved alone, so errors are those of its own solve.
+    What the first position did not ask for, such as a spec that rho
+    builds anew per call, is solved alone."""
+    stack = _STACK.get()
+    if stack is not None and id(X) in stack[0]:
+        positions, solves = stack
+        key = (id(spec), id(X.model), X.depth, kt, t, u)
+        if key not in solves and X is next(iter(positions.values())):
+            group = [Y for Y in positions.values()
+                     if Y.model is X.model and Y.depth == X.depth]
+            try:
+                values = dict(zip(map(id, group),
+                                  _solve(group, spec, kt, t, u)))
+            except Exception:  # each position then raises its own error
+                values = None
+            solves[key] = (spec, values)
+        values = solves.get(key, (spec, None))[1]
+        if values is not None:
+            return values[id(X)].copy()
+    return _solve([X], spec, kt, t, u)[0]
 
 
 def static_shortfall(X: RandomVariable, spec: ShortfallSpec,

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from horizonrisk import (AxiomReport, BrownianLattice,
-                         GenericLipschitzDriver, HorizonSchedule,
+from horizonrisk import (AggregatorFn, AxiomReport, BrownianLattice,
+                         DomainError, GenericLipschitzDriver, HorizonSchedule,
                          LinearDriver, LossSpec, QParams, QuadraticQDriver,
-                         RandomVariable, SolverError, UtilityFn,
+                         RandomVariable, ShortfallSpec, SolverError,
+                         SpecificationError, TargetSchedule, UtilityFn,
                          certainty_equivalent,
                          check_cash_additive, check_cash_subadditive,
                          check_convex, check_h_longevity, check_monotone,
                          check_normalized, check_quasi_convex,
-                         check_restriction, discounted_wrap, entropic,
-                         expected_loss, g_risk_measure, h_entropic, h_var,
-                         hq_entropic_losses, q_entropic_losses)
-from horizonrisk import axioms, bsde
+                         check_restriction, discounted_wrap,
+                         dynamic_shortfall, entropic, expected_loss,
+                         g_risk_measure, h_entropic, h_var,
+                         hq_entropic_losses, hq_shortfall_spec,
+                         q_entropic_losses, static_shortfall)
+from horizonrisk import axioms, bsde, shortfall
 
 from conftest import random_tree
 
@@ -364,3 +367,190 @@ class TestSweepMemo:
         # fixed ones); the kept passes hold no more than one triple's draws
         assert len(drawn) > 50
         assert max(alive) <= samples - 4
+
+
+def _copy(X):
+    return RandomVariable(X.model, X.depth, X.values.copy())
+
+
+def _fresh(rho):
+    """A rho that solves a fresh copy of its position, which no stack
+    holds, so every call is one position's own solve."""
+    return lambda X: rho(_copy(X))
+
+
+class TestStackedShortfall:
+    """A point check evaluates its distinct positions in one stack, and the
+    shortfall solves every stacked position at once; each report and each
+    error is that of one solve per call."""
+
+    SPECS = {
+        "exp_bounded": lambda: ShortfallSpec.classic(
+            UtilityFn.exp_bounded(1.0), 0.1),
+        "scaled_additive": lambda: ShortfallSpec(
+            UtilityFn.exp_bounded(0.8), AggregatorFn.scaled_additive(0.6),
+            TargetSchedule.constant(-0.2)),
+        "exponential": lambda: ShortfallSpec(
+            UtilityFn.linear(), AggregatorFn.exponential(0.4),
+            TargetSchedule.constant(0.2)),
+        "hq": lambda: hq_shortfall_spec(QParams(q=0.7, alpha_q=0.1), 0.2,
+                                        HorizonSchedule.constant(0.3)),
+    }
+    MODELS = {
+        "tree": lambda: random_tree(3, depth=3),
+        "lattice": lambda: BrownianLattice(8, 1.0),
+    }
+    POINT_CHECKS = sorted(set(axioms.CHECKERS) - axioms.SWEEPS)
+
+    def assert_reports_equal(self, rho, model, depth):
+        for name in self.POINT_CHECKS:
+            check = axioms.CHECKERS[name]
+            assert check(rho, model, samples=6, depth=depth, seed=4) == \
+                check(_fresh(rho), model, samples=6, depth=depth, seed=4)
+
+    @pytest.mark.parametrize("kt", [0, 2])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    def test_reports_equal_one_solve_per_call(self, spec, model, kt):
+        spec, model = self.SPECS[spec](), self.MODELS[model]()
+        t = model.times[kt]
+        self.assert_reports_equal(lambda X: dynamic_shortfall(X, t, spec),
+                                  model, model.terminal_depth)
+
+    @pytest.mark.parametrize("route", ["new_spec_per_call", "static"])
+    def test_other_routes_equal_one_solve_per_call(self, route):
+        model, spec_of = random_tree(3, depth=3), self.SPECS["hq"]
+        if route == "static":
+            spec = spec_of()
+            rho = lambda X: RandomVariable(model, 0, [float(
+                static_shortfall(X, spec))])
+        else:
+            rho = lambda X: dynamic_shortfall(X, model.times[1], spec_of())
+        self.assert_reports_equal(rho, model, 2)
+
+    @pytest.mark.parametrize("new_spec_per_call", [False, True])
+    def test_one_stacked_solve_per_check(self, monkeypatch,
+                                         new_spec_per_call):
+        model, spec_of = random_tree(3, depth=3), self.SPECS["scaled_additive"]
+        spec = spec_of()
+        solved = []
+        real = shortfall._solve
+        monkeypatch.setattr(shortfall, "_solve",
+                            lambda xs, *args: solved.append(len(xs))
+                            or real(xs, *args))
+        calls = []
+
+        def rho(X):
+            calls.append(X)
+            return dynamic_shortfall(X, 0.0, spec_of() if new_spec_per_call
+                                     else spec)
+
+        check_convex(rho, model, samples=7, seed=1)
+        # seven pairs (X, Y), each with three mixtures, are 35 positions;
+        # a spec that only a later call asks for is solved alone
+        assert solved == [35] + [1] * 34 * new_spec_per_call
+        assert len(calls) == 35
+        assert shortfall._STACK.get() is None
+
+    @pytest.mark.parametrize("cells", [10, 100, 1_000])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_stacked_blocks_change_no_value(self, monkeypatch, model, cells):
+        # from row blocks of one position (the law has 27 or more cells) to
+        # several positions per block
+        model, spec = self.MODELS[model](), self.SPECS["hq"]()
+        depth = model.terminal_depth
+        xs = axioms._sample_positions(model, depth, 9,
+                                      np.random.default_rng(0))
+        t = model.times[2]
+        alone = [dynamic_shortfall(X, t, spec).values for X in xs]
+        monkeypatch.setattr(shortfall, "_PROBE_CELLS", cells)
+        with shortfall._stacked(xs):
+            for X, want in zip(xs, alone):
+                assert np.array_equal(dynamic_shortfall(X, t, spec).values,
+                                      want)
+
+    @staticmethod
+    def dropping_spec():
+        # non-decreasing on the 50 x 50 check grid, but the constraint
+        # drops by 20 once m passes 6
+        f = AggregatorFn(fn=lambda y, m: y + np.where(m > 6.0, m - 20.0, m),
+                         name="drops past 6")
+        return ShortfallSpec(UtilityFn.linear(), f,
+                             TargetSchedule.constant(0.5))
+
+    def test_a_dropping_position_raises_its_own_error(self):
+        model, spec = random_tree(5, depth=2), self.dropping_spec()
+        n = model.num_nodes(2)
+        # bracket starts 1 + 2 (max|X| + 0.5): 3, 8 (its probes at -8 and 8
+        # cross the drop) and 5
+        xs = [model.constant(0.5, 2),
+              RandomVariable(model, 2, np.full(n, 3.0)),
+              model.constant(-1.5, 2)]
+        alone = []
+        for X in xs:
+            try:
+                alone.append(dynamic_shortfall(_copy(X), 0.5, spec).values)
+            except SpecificationError as err:
+                alone.append(str(err))
+        assert [isinstance(a, str) for a in alone] == [False, True, False]
+        with shortfall._stacked(xs):
+            for X, want in zip(xs, alone):
+                if isinstance(want, str):
+                    with pytest.raises(SpecificationError) as err:
+                        dynamic_shortfall(X, 0.5, spec)
+                    assert str(err.value) == want
+                else:
+                    assert np.array_equal(
+                        dynamic_shortfall(X, 0.5, spec).values, want)
+
+    def test_a_checker_raises_the_error_of_one_solve_per_call(self):
+        model, spec = random_tree(5, depth=2), self.dropping_spec()
+        rho = lambda X: dynamic_shortfall(X, 0.0, spec)
+        errors = []
+        for each in (rho, _fresh(rho)):
+            with pytest.raises(SpecificationError) as err:
+                check_monotone(each, model, samples=4, seed=2)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert "not non-decreasing in m" in errors[0]
+
+
+class TestSentinelSlacks:
+    """rho = +inf everywhere meets every inequality in extended reals; a
+    NaN slack is inf - inf, read as 0, with no warning."""
+
+    SPEC = ShortfallSpec(UtilityFn.linear(), AggregatorFn.exponential(0.5),
+                         TargetSchedule.constant(1.5))
+
+    @pytest.mark.parametrize("name", ["monotone", "cash_subadditive",
+                                      "cash_additive", "convex",
+                                      "quasi_convex"])
+    def test_plus_inf_everywhere_passes_with_zero_slack(self, name):
+        model = random_tree(7, depth=2)
+        rho = lambda X: dynamic_shortfall(X, 0.0, self.SPEC)
+        assert np.isposinf(rho(model.constant(0.0, 2)).values).all()
+        report = axioms.CHECKERS[name](rho, model, samples=6, seed=7)
+        assert report.passed and report.worst_slack == 0.0
+
+    def test_normalized_still_fails_with_minus_inf(self):
+        model = random_tree(7, depth=2)
+        report = check_normalized(
+            lambda X: dynamic_shortfall(X, 0.0, self.SPEC), model)
+        assert not report.passed and report.worst_slack == -np.inf
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("samples", [0, -1])
+    @pytest.mark.parametrize("name", sorted(set(axioms.CHECKERS)
+                                            - {"normalized"}))
+    def test_fewer_than_one_sample_is_a_domain_error(self, name, samples,
+                                                     tree):
+        if name in axioms.SWEEPS:
+            rho = lambda X, t, u: entropic(X, t, 1.0)
+        else:
+            rho = entropic_rho(tree)
+        with pytest.raises(DomainError, match=f"{name} needs samples >= 1"):
+            axioms.CHECKERS[name](rho, tree, samples=samples)
+
+    def test_normalized_ignores_samples(self, tree):
+        assert check_normalized(entropic_rho(tree), tree, samples=0).passed

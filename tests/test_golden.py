@@ -95,3 +95,9 @@ def test_comparison_rules(got, want, ok):
     else:
         with pytest.raises(AssertionError):
             _assert_match([got], [want], "cell")
+
+
+def test_make_golden_refuses_an_unknown_stem():
+    from golden.make_golden import main
+    with pytest.raises(SystemExit, match="no golden config named nope"):
+        main(["nope"])
