@@ -2,9 +2,11 @@
 
 The checkers share one slack table.  Each axiom is one row of it: the case
 generator that samples its cases, and the axiom's signed slack as a
-function of the ``rho`` values of one case.  One reporter evaluates that
-slack at every node of every case and reports the worst node, with a
-witness when the axiom fails.  Conventions:
+function of the ``rho`` values of its cases.  Every generator yields blocks
+of cases with their values stacked, and one reporter scores each block at
+once: the slack over its (cases, nodes) array, the first worst node of the
+first worst case, and a witness for that case only when the axiom fails.
+Conventions:
 
 * ``rho`` is a callable RandomVariable -> RandomVariable (time binding done
   by the caller); the two time sweeps, restriction and h-longevity, take
@@ -25,12 +27,15 @@ witness when the axiom fails.  Conventions:
   each distinct position is evaluated once, in order of first appearance,
   with all of them stacked: a shortfall that the first call asks for
   solves every one of them in one bisection, and the later calls read
-  their rows of it (see :func:`horizonrisk.shortfall._nodewise`);
-* a sweep evaluates each distinct rho_tu(X) once: it does not depend on v,
-  and the constant and spike positions, built once per depth, recur for
-  every triple; a BSDE family runs one backward pass per (X, driver) within
-  a sweep, with the horizons stacked as columns, which every (t, u) reads,
-  and keeps nothing outside one (see
+  their rows of it (see :func:`horizonrisk.shortfall._nodewise`); each
+  sampled position's cases are one block;
+* a sweep yields one block per (t, u), over every v and every position,
+  and evaluates each distinct rho_tu(X) once: it does not depend on v, and
+  the constant and spike positions, built once per depth, recur for every
+  triple; each triple's positions are registered together, so a BSDE
+  family runs one backward pass per set of positions and driver within a
+  sweep, with the positions and horizons stacked as columns, which every
+  (t, u) reads, and keeps nothing outside one (see
   :func:`horizonrisk.bsde.g_risk_measure`);
 * slacks are signed so that >= 0 means the axiom held; the uniform pass
   tolerance is 1e-8, and reports carry the worst slack so borderline
@@ -52,12 +57,14 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from itertools import islice
-from typing import Callable, Iterator
+from functools import partial
+from itertools import groupby, islice
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .bsde import _kept_passes
+from .bsde import _kept_passes, _share_passes
 from .errors import DomainError
 from .probspace import FiltrationModel, RandomVariable
 from .shortfall import _stacked
@@ -128,18 +135,30 @@ def _time_triples(model: FiltrationModel) -> list[tuple[float, float, float]]:
     ]
 
 
-# Case generators.  Each yields, for every sampled position, the list of its
-# cases.  A point generator's case is (the positions whose rho values the
-# slack takes, the constants it takes after them, a witness without its
-# node); the witness of normalized is a function of rho(0).  A time sweep's
-# case is (the rho values, the witness), found as the sweep goes.
+# Case generators.  Every case generator yields blocks of cases with their
+# values stacked (see _Block): a point generator yields, per sampled
+# position, its cases (the positions whose rho values the slack takes, the
+# constants it takes after them) and the witness of a case as a function of
+# them and of its rho values, which _evaluated turns into one block; a time
+# sweep yields one block per (t, u), found as the sweep goes.
+
+class _Block(NamedTuple):
+    """Cases with their values stacked: the number of positions they sample,
+    the slack's arguments (each a (cases, nodes) array of rho values or a
+    (cases, 1) column of constants) and the witness of case i, without its
+    node."""
+
+    positions: int
+    values: tuple[np.ndarray, ...]
+    witness: Callable[[int], dict]
+
 
 def _cash_shifts(model, depth, samples, seed):
     """(X, X + m; m) for every cash shift m."""
     for X in _sample_positions(model, depth, samples,
                                np.random.default_rng(seed)):
-        yield [((X, X + m), (m,), {"x": X.values.tolist(), "m": m})
-               for m in _CASH_SHIFTS]
+        yield ([((X, X + m), (m,)) for m in _CASH_SHIFTS],
+               lambda xs, cs, rs: {"x": xs[0].values.tolist(), "m": cs[0]})
 
 
 def _bumps(model, depth, samples, seed):
@@ -148,7 +167,9 @@ def _bumps(model, depth, samples, seed):
     for X in _sample_positions(model, depth, samples, rng):
         bump = rng.uniform(0.0, 2.0, size=model.num_nodes(depth))
         Y = X + RandomVariable(model, depth, bump)
-        yield [((X, Y), (), {"x": X.values.tolist(), "y": Y.values.tolist()})]
+        yield ([((X, Y), ())],
+               lambda xs, cs, rs: {"x": xs[0].values.tolist(),
+                                   "y": xs[1].values.tolist()})
 
 
 def _mixtures(model, depth, samples, seed):
@@ -157,55 +178,77 @@ def _mixtures(model, depth, samples, seed):
     ys = _sample_positions(model, depth, samples,
                            np.random.default_rng(seed + 1))
     for X, Y in zip(xs, ys):
-        yield [((X, Y, w * X + (1.0 - w) * Y), (w,),
-                {"x": X.values.tolist(), "y": Y.values.tolist(), "lambda": w})
-               for w in _LAMBDAS]
+        yield ([((X, Y, w * X + (1.0 - w) * Y), (w,)) for w in _LAMBDAS],
+               lambda xs, cs, rs: {"x": xs[0].values.tolist(),
+                                   "y": xs[1].values.tolist(),
+                                   "lambda": cs[0]})
 
 
 def _zero(model, depth, samples, seed):
     """The single case: the zero position, with rho(0) as its witness."""
-    yield [((model.constant(0.0, depth),), (),
-            lambda r0: {"rho_zero": r0.tolist()})]
+    yield ([((model.constant(0.0, depth),), ())],
+           lambda xs, cs, rs: {"rho_zero": rs[0].tolist()})
 
 
 def _grid_triples(rho_family, model, depth, samples, seed):
-    """(rho_tv(X), rho_tu(X)) for F_u-measurable X at every grid triple,
-    with rho_tu(X) kept per (X, t, u) and the fixed positions built once per
-    depth, so the same objects recur from triple to triple."""
+    """One block per (t, u): (rho_tv(X), rho_tu(X)) for F_u-measurable X at
+    every grid triple (t, u, v), v-major, with rho_tu(X) evaluated once per
+    X and the fixed positions built once per depth, so the same objects
+    recur from triple to triple.  Each triple's positions are registered to
+    share their BSDE passes (see :func:`horizonrisk.bsde._share_passes`);
+    the block keeps their values, not the positions, so no pass of a drawn
+    position outlives its triple."""
     rng = np.random.default_rng(seed)
-    rho_tu, fixed = {}, {}
-    for t, u, v in _time_triples(model):
+    fixed = {}
+    for (t, u), triples in groupby(_time_triples(model), itemgetter(0, 1)):
         k = model.depth_of(u)
         if k not in fixed:
             fixed[k] = list(_fixed_positions(model, k))
-        for X in _sample_positions(model, k, samples, rng, fixed[k]):
-            rv, key = rho_family(X, t, v).values, (X.values.tobytes(), t, u)
-            if key not in rho_tu:
-                rho_tu[key] = rho_family(X, t, u).values
-            yield [((rv, rho_tu[key]),
-                    {"x": X.values.tolist(), "t": t, "u": u, "v": v})]
+        rho_tu, rvs, rus, cases = {}, [], [], []
+        for _, _, v in triples:
+            xs = _sample_positions(model, k, samples, rng, fixed[k])
+            _share_passes(xs)
+            for X in xs:
+                rvs.append(rho_family(X, t, v).values)
+                key = X.values.tobytes()
+                if key not in rho_tu:
+                    rho_tu[key] = rho_family(X, t, u).values
+                rus.append(rho_tu[key])
+                cases.append((X.values, v))
+        yield _Block(len(cases), (np.array(rvs), np.array(rus)),
+                     lambda i, cases=cases, t=t, u=u: {
+                         "x": cases[i][0].tolist(), "t": t, "u": u,
+                         "v": cases[i][1]})
 
 
-def _evaluated(rho, generated):
-    """The cases of a point generator with their rho values, in two phases:
-    every position is built first, then each distinct one is evaluated once,
-    in order of first appearance (the order of one case at a time), with all
-    of them stacked for the shortfall (see :func:`shortfall._stacked`)."""
+def _case_witness(cases, witness, values, i):
+    """The witness of case i of a point generator's block."""
+    positions, constants = cases[i]
+    return witness(positions, constants, tuple(r[i] for r in values))
+
+
+def _evaluated(rho, generated) -> list[_Block]:
+    """The blocks of a point generator, in two phases: every position is
+    built first, then each distinct one is evaluated once, in order of first
+    appearance (the order of one case at a time), with all of them stacked
+    for the shortfall (see :func:`shortfall._stacked`)."""
     generated = list(generated)
-    distinct = list({id(X): X for cases in generated
-                     for positions, _, _ in cases for X in positions}.values())
+    distinct = list({id(X): X for cases, _ in generated
+                     for positions, _ in cases for X in positions}.values())
     with _stacked(distinct):
         value = {id(X): rho(X).values for X in distinct}
+    blocks = []
+    for cases, witness in generated:
+        values = tuple(np.array([value[id(X)] for X in column])
+                       for column in zip(*(xs for xs, _ in cases)))
+        constants = tuple(np.array(column)[:, None]
+                          for column in zip(*(cs for _, cs in cases)))
+        blocks.append(_Block(1, (*values, *constants),
+                             partial(_case_witness, cases, witness, values)))
+    return blocks
 
-    def evaluated(positions, constants, witness):
-        values = tuple(value[id(X)] for X in positions)
-        return ((*values, *constants),
-                witness(*values) if callable(witness) else witness)
 
-    return [[evaluated(*case) for case in cases] for cases in generated]
-
-
-# The slack table: axiom -> (case generator, signed slack of one case).
+# The slack table: axiom -> (case generator, signed slack of stacked cases).
 _SLACKS = {
     "cash_additive": (_cash_shifts, lambda r, rm, m: -np.abs(rm - r + m)),
     "cash_subadditive": (_cash_shifts, lambda r, rm, m: rm - r + m),
@@ -218,43 +261,38 @@ _SLACKS = {
 }
 
 
-def _worst_node(per_node: np.ndarray) -> tuple[float, int]:
-    """The worst slack of one case and its first node.  rho values are never
-    NaN, so a NaN slack is inf - inf: the inequality holds there in the
-    extended reals, and it reads 0."""
-    node = int(np.argmin(per_node))  # the first NaN, if any
-    if math.isnan(per_node[node]):
-        return _worst_node(np.where(np.isnan(per_node), 0.0, per_node))
-    return float(per_node[node]), node
-
-
 def _report(axiom: str, rho, model: FiltrationModel, depth: int | None,
             samples: int, seed: int) -> AxiomReport:
-    """Run the axiom's row of the slack table and report its worst node
-    (the first case attaining it) and the number of sampled positions;
-    the BSDE passes run during a time sweep are kept until it returns."""
+    """Run the axiom's row of the slack table and report its worst value,
+    at the first case and the first node attaining it, and the number of
+    sampled positions; the BSDE passes run during a time sweep are kept
+    until it returns.  rho values are never NaN, so a NaN slack is
+    inf - inf: the inequality holds there in the extended reals, and it
+    reads 0."""
     cases, slack = _SLACKS[axiom]
     if samples < 1 and cases is not _zero:
         raise DomainError(f"{axiom} needs samples >= 1, got {samples}")
     depth = model.terminal_depth if depth is None else depth
     if cases is _grid_triples:
-        scope, evaluated = _kept_passes(), cases(rho, model, depth, samples,
-                                                 seed)
+        scope, blocks = _kept_passes(), cases(rho, model, depth, samples,
+                                              seed)
     else:
-        scope, evaluated = nullcontext(), iter(_evaluated(
-            rho, cases(model, depth, samples, seed)))
-    rows, positions = [], 0
+        scope, blocks = nullcontext(), _evaluated(
+            rho, cases(model, depth, samples, seed))
+    positions, worst, witness = 0, None, None
     with scope:
-        # rho runs in islice, outside the errstate of the slacks; a sweep
-        # holds the values of at most 256 positions at once
-        while chunk := list(islice(evaluated, 256)):
-            positions += len(chunk)
-            with np.errstate(invalid="ignore"):  # inf - inf, see _worst_node
-                for position in chunk:
-                    for values, witness in position:
-                        worst, node = _worst_node(slack(*values))
-                        rows.append((worst, {**witness, "node": node}))
-    worst, witness = min(rows, key=lambda r: r[0])
+        for block in blocks:  # a sweep's rho runs here, outside the errstate
+            positions += block.positions
+            with np.errstate(invalid="ignore"):  # inf - inf
+                per_case = slack(*block.values)
+            i = int(np.argmin(per_case))  # the first NaN, if any
+            if math.isnan(per_case.flat[i]):
+                per_case = np.where(np.isnan(per_case), 0.0, per_case)
+                i = int(np.argmin(per_case))
+            case, node = divmod(i, per_case.shape[1])
+            if worst is None or per_case[case, node] < worst:
+                worst = float(per_case[case, node])
+                witness = {**block.witness(case), "node": node}
     passed = worst >= -TOLERANCE
     return AxiomReport(axiom=axiom, passed=bool(passed), worst_slack=worst,
                        samples=positions, witness=None if passed else witness)

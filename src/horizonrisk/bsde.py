@@ -18,15 +18,20 @@ raise :class:`SolverError` where a value they return is not finite; each
 pass runs, checks included, under one numpy errstate, so overflow and
 invalid values raise no numpy warnings on the way.
 
-While a time sweep runs, :func:`g_risk_measure` runs one pass per position X
-and driver: every horizon depth(X)..N is a column of one (nodes, horizons)
-array, a horizon step at depth k >= depth(X) advances the columns whose
-horizon lies above k, and the lattice steps below depth(X) advance all of
-them at once.  The first call, at the deepest t, runs the pass, and every
-later (t, u) reads a copy of one column of one layer.  The passes are keyed
-weakly on X and dropped when the sweep returns; nothing is kept outside
-one, and a call outside a sweep is the one-column case of the same backward
-loop.
+While a time sweep runs, :func:`g_risk_measure` runs one pass per driver
+for each set of positions that the sweep registers together (one triple's
+positions, all at one depth): every position of the set that misses the
+pass and every horizon depth(X)..N is a column of one (nodes, positions,
+horizons) array, a horizon step at depth k >= depth(X) advances the columns
+whose horizon lies above k, and the lattice steps below depth(X) advance
+all of them at once.  The first call, at the deepest t, runs the pass, and
+every later (t, u) of every position of the set reads a copy of one column
+of one layer, checked against a finiteness flag computed once per layer.
+A set whose stacked pass raises is dissolved, and each of its positions
+runs its own pass at its own first call, so errors are those of one pass
+per position.  The passes are keyed weakly on X and dropped when the sweep
+returns; nothing is kept outside one, and a call outside a sweep is the
+one-column case of the same backward loop.
 
 Beyond the depth at which X resolves, Y stays measurable there and Z
 vanishes, so those steps reduce to the per-node recursion
@@ -52,7 +57,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -198,17 +203,17 @@ def _backward(lattice: BrownianLattice, driver, y: np.ndarray,
               resolved: int, top: int, stop: int
               ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The Y layers at depths stop..resolved and the Z layers at depths
-    stop..resolved-1 of the pass from the (nodes, H) stack y at depth top,
-    for a terminal resolved at depth ``resolved``.  Column j is the pass
-    from horizon top - H + 1 + j >= resolved: at the depths >= resolved,
-    Z = 0 and the columns whose horizon lies above k take the horizon step,
-    in place in y, closed form for a q-quadratic driver; the lattice steps
-    below.  For a q-quadratic driver the entering layer of every pass, with
-    steps or none, is checked for the domain; a generic driver's pass with
-    steps is checked for contraction before its first step.  Overflow and
-    invalid values are left to the caller's finite check, without numpy's
-    warnings."""
-    first = top - y.shape[1] + 1  # the horizon of column 0
+    stop..resolved-1 of the pass from the (nodes, ..., H) stack y at depth
+    top, for terminals resolved at depth ``resolved``.  Column j of the last
+    axis is the pass from horizon top - H + 1 + j >= resolved: at the depths
+    >= resolved, Z = 0 and the columns whose horizon lies above k take the
+    horizon step, in place in y, closed form for a q-quadratic driver; the
+    lattice steps below.  For a q-quadratic driver the entering layer of
+    every pass, with steps or none, is checked for the domain; a generic
+    driver's pass with steps is checked for contraction before its first
+    step.  Overflow and invalid values are left to the caller's finite
+    check, without numpy's warnings."""
+    first = top - y.shape[-1] + 1  # the horizon of column 0
     ys, zs = [y], []
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(driver, QuadraticQDriver):
@@ -222,7 +227,7 @@ def _backward(lattice: BrownianLattice, driver, y: np.ndarray,
                     "contraction; refine the lattice")
         for k in range(top - 1, resolved - 1, -1):
             t, dt = lattice.times[k], lattice.dt(k)
-            columns = y[:, max(k - first + 1, 0):]
+            columns = y[..., max(k - first + 1, 0):]
             if isinstance(driver, QuadraticQDriver):  # g(t, y, 0) = a(t)
                 columns += driver.rate(t) * dt
             else:
@@ -261,31 +266,107 @@ def solve_bsde(lattice: BrownianLattice, driver, terminal: RandomVariable
     return BsdeSolution(Y=(*Y, terminal), Z=tuple(Z))
 
 
-# The passes kept while a time sweep runs (None outside one): position ->
-# {id(driver): (driver, kt, Y at depths kt..depth(X))}, each layer a
-# (nodes, horizons) stack whose column j is the horizon depth(X) + j.  The
-# entry holds its driver, so no other driver takes over its id.
-_PASSES: ContextVar[WeakKeyDictionary | None] = ContextVar("_PASSES",
-                                                           default=None)
+class _Kept(NamedTuple):
+    """A position's kept pass: the (nodes, positions, horizons) stacks of
+    Y at depths kt..depth(X) that it shares with the positions of its group,
+    their columns' finiteness flags, (depths, positions, horizons), and X's
+    index on the positions axis.  It holds its driver, so no other driver
+    takes over its id."""
+
+    driver: Driver
+    kt: int
+    layers: list[np.ndarray]
+    finite: np.ndarray
+    index: int
+
+
+class _Passes(WeakKeyDictionary):
+    """The passes kept while a time sweep runs: position ->
+    {id(driver): _Kept}, keyed weakly on the position, and ``group``, the
+    positions registered last, which share their passes."""
+
+    group: tuple[RandomVariable, ...] = ()
+
+
+# The store of the time sweep that runs, None outside one.
+_PASSES: ContextVar[_Passes | None] = ContextVar("_PASSES", default=None)
 
 
 @contextmanager
 def _kept_passes():
     """Keep the passes of :func:`g_risk_measure` until the block ends."""
-    token = _PASSES.set(WeakKeyDictionary())
+    token = _PASSES.set(_Passes())
     try:
         yield
     finally:
         _PASSES.reset(token)
 
 
+def _share_passes(positions) -> None:
+    """Let ``positions`` share one backward pass per driver in the time
+    sweep that runs, replacing the group registered before; nothing outside
+    a sweep."""
+    store = _PASSES.get()
+    if store is not None:
+        store.group = tuple(positions)
+
+
+def _passes(lattice: BrownianLattice, driver, positions, kt: int,
+            first: int, top: int) -> list[np.ndarray]:
+    """The Y layers at depths kt..depth of the passes from -X at the
+    horizons first..top down to kt, for each X of ``positions``, all at one
+    depth: one (nodes, positions, horizons) stack per depth."""
+    y = np.stack([-X.values for X in positions], axis=1)[..., None]
+    y = np.repeat(y, top - first + 1, axis=2)
+    return _backward(lattice, driver, y, positions[0].depth, top, kt)[0]
+
+
 def _pass(lattice: BrownianLattice, driver, X: RandomVariable, kt: int,
           first: int, top: int) -> list[np.ndarray]:
-    """The Y layers at depths kt..depth(X) of the passes from -X at the
-    horizons first..top down to kt, one (nodes, horizons) stack per
+    """:func:`_passes` for X alone, one (nodes, horizons) stack per
     depth."""
-    y = np.repeat(-X.values[:, None], top - first + 1, axis=1)
-    return _backward(lattice, driver, y, X.depth, top, kt)[0]
+    return [layer[:, 0] for layer in _passes(lattice, driver, [X], kt,
+                                             first, top)]
+
+
+def _keep(store: _Passes, lattice: BrownianLattice, driver,
+          positions: list[RandomVariable], kt: int) -> None:
+    """Run one pass for ``positions`` over every horizon depth..N down to
+    kt, and keep it for each of them."""
+    layers = _passes(lattice, driver, positions, kt, positions[0].depth,
+                     lattice.terminal_depth)
+    finite = np.array([np.isfinite(layer).all(axis=0) for layer in layers])
+    for j, X in enumerate(positions):
+        store.setdefault(X, {})[id(driver)] = _Kept(driver, kt, layers,
+                                                    finite, j)
+
+
+def _kept(store: _Passes, driver, X: RandomVariable, kt: int
+          ) -> _Kept | None:
+    """X's kept pass for ``driver`` if it reaches down to kt, else None."""
+    kept = store.get(X, {}).get(id(driver))
+    return None if kept is None or kept.kt > kt else kept
+
+
+def _run(store: _Passes, lattice: BrownianLattice, driver,
+         X: RandomVariable, kt: int) -> _Kept:
+    """Run X's missing pass down to kt, stacked with the positions
+    registered with X that miss it too.  A stacked pass that raises
+    dissolves the group, and X runs its own pass, as every other position
+    of the group then does at its own first call."""
+    group = [X]
+    if any(Y is X for Y in store.group):
+        group = [Y for Y in store.group if Y is X or (
+            Y.model is X.model and Y.depth == X.depth
+            and _kept(store, driver, Y, kt) is None)]
+    if len(group) > 1:
+        try:
+            _keep(store, lattice, driver, group, kt)
+        except Exception:  # the error is X's own pass's, or none
+            store.group, group = (), [X]
+    if len(group) == 1:  # raises, if at all, outside the handler above
+        _keep(store, lattice, driver, group, kt)
+    return store[X][id(driver)]
 
 
 def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,
@@ -293,26 +374,30 @@ def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,
     """rho_tu(X): the Y-component at depth(t) of the BSDE with terminal -X
     at horizon u.  u may exceed the depth at which X resolves.
 
-    Inside a time sweep one pass per (X, driver) serves every (t, u): it
-    runs every horizon depth(X)..N at once, as the columns of one
-    (nodes, horizons) stack, down to the deepest t asked for, and a later
-    call no deeper than it reads a copy of one column of one layer.  Each
-    column is bitwise the value of its own pass, and a read checks its
-    column for finiteness, as a new pass would; a domain error in any
-    column raises at the first call for X.  The check must not change X in
-    place while it runs."""
+    Inside a time sweep one pass per driver serves every (t, u) of every
+    position of a registered group (see :func:`_share_passes`): it runs
+    every horizon depth(X)..N of every position of the group that misses it
+    at once, as the columns of one (nodes, positions, horizons) stack, down
+    to the deepest t asked for, and a later call no deeper than it reads a
+    copy of one column of one layer.  Each column is bitwise the value of
+    its own pass.  A read checks its column's finiteness flag, computed
+    once per layer when the pass ran, and raises as a new pass would.  A
+    stacked pass that raises (a domain error in any column, a fixed point
+    that does not converge) dissolves the group: X then runs its own pass,
+    and so does every other position at its own first call, so the error,
+    its message and the call that raises it are those of one pass per
+    position.  The check must not change X in place while it runs."""
     kt, ku = lattice.horizon_depths(X, t, u)
-    passes = _PASSES.get()
-    if passes is None:
-        layer, column = _pass(lattice, driver, X, kt, ku, ku)[0], 0
+    store = _PASSES.get()
+    if store is None:
+        y = _finite(_pass(lattice, driver, X, kt, ku, ku)[0][:, 0], kt)
     else:
-        kept = passes.get(X, {}).get(id(driver))
-        if kept is None or kept[1] > kt:
-            kept = driver, kt, _pass(lattice, driver, X, kt, X.depth,
-                                     lattice.terminal_depth)
-            passes.setdefault(X, {})[id(driver)] = kept
-        layer, column = kept[2][kt - kept[1]], ku - X.depth
-    y = _finite(layer[:, column], kt)
+        kept = _kept(store, driver, X, kt) or _run(store, lattice, driver,
+                                                   X, kt)
+        depth, column = kt - kept.kt, ku - X.depth
+        y = kept.layers[depth][:, kept.index, column]
+        if not kept.finite[depth, kept.index, column]:
+            _finite(y, kt)
     return RandomVariable(lattice, kt, y.copy())
 
 

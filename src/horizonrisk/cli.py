@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -267,8 +268,21 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _strict(data: Any) -> Any:
+    """``data`` with every non-finite float spelled as in the CSV files
+    (``+inf``, ``-inf``, ``nan``), which strict JSON readers accept."""
+    if isinstance(data, float) and not math.isfinite(data):
+        return _fmt(data)
+    if isinstance(data, dict):
+        return {key: _strict(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_strict(value) for value in data]
+    return data
+
+
 def _write_json(path: Path, data: Any) -> None:
-    _write_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(_strict(data), indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

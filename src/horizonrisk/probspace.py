@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -83,7 +84,20 @@ class FiltrationModel:
         return self.n_steps
 
     def depth_of(self, t: float) -> int:
-        """Map a grid time to its depth index: the first within 1e-9."""
+        """Map a grid time to its depth index: the first within 1e-9.  The
+        model's own grid times are looked up, each mapped once by the
+        bisection below, which any other t runs."""
+        try:
+            k = self._grid_depths.get(t)
+        except TypeError:  # an unhashable t, such as a 0-d array
+            k = None
+        return self._bisect_depth(t) if k is None else k
+
+    @cached_property
+    def _grid_depths(self) -> dict[float, int]:
+        return {s: self._bisect_depth(s) for s in self.times}
+
+    def _bisect_depth(self, t: float) -> int:
         lo = bisect_left(self.times, t - 2e-9)
         for k in range(lo, bisect_right(self.times, t + 2e-9, lo)):
             if abs(self.times[k] - t) <= 1e-9:

@@ -324,6 +324,35 @@ class TestSweepMemo:
         assert outcomes[0] == outcomes[1]
         assert "not finite at depth 0" in outcomes[0][1]
 
+    @pytest.mark.parametrize("axiom", sorted(axioms.SWEEPS))
+    @pytest.mark.parametrize("driver, error, message, call", [
+        # the +3 spike leaves the domain: 1 + (1 - 0.5) (-3) = -0.5
+        (QuadraticQDriver(0.5, HorizonSchedule.constant(0.2)), DomainError,
+         "quadratic driver outside its domain: 1 + (1-q) y reached -0.5",
+         7),
+        # Lipschitz 162 in y with C = 5.4: the fixed point cannot converge
+        (GenericLipschitzDriver(lambda t, y, z: 0.9 * 6 * np.cos(30 * y),
+                                5.4), SolverError,
+         "implicit step at t=0.8333333333333334 did not converge within 100 "
+         "iterations (residual 1.820e-01) (node 0)", 1),
+    ], ids=["q_domain", "generic_no_convergence"])
+    def test_a_group_pass_that_raises_gives_the_error_of_own_passes(
+            self, axiom, driver, error, message, call):
+        """The positions of a triple share one pass; where it raises, the
+        error, its message and the call that raises it are those of one
+        pass per position."""
+        lattice = BrownianLattice(6, 1.0)
+        calls = []
+
+        def counted(X, t, u):
+            calls.append((t, u))
+            return g_risk_measure(lattice, driver, X, t, u)
+
+        with pytest.raises(error) as err:
+            axioms.CHECKERS[axiom](counted, lattice, samples=6, seed=0)
+        assert str(err.value) == message
+        assert len(calls) == call
+
     def test_reads_are_copies_and_nothing_outlives_a_check(self):
         lattice = BrownianLattice(6, 1.0)
         driver = self.DRIVERS["q"]

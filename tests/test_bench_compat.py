@@ -112,9 +112,9 @@ def test_a_bsde_sweep_runs_one_pass_per_position():
     axiom layer makes the calls it made before, and the driver layer does
     less work.  The reference family copies X on every call, so it never
     reads a kept pass.  With samples=2 the positions are the constants -2
-    and 0; one pass for X at depth j serves every horizon, as the columns
-    of one stack, and runs j driver steps: 2 * sum_j j = 12 calls on four
-    steps, against 50 for a new pass per (t, X, v)."""
+    and 0; one pass for both positions at depth j serves every horizon, as
+    the columns of one stack, and runs j driver steps: sum_j j = 6 calls on
+    four steps, against 50 for a new pass per (t, X, v)."""
     lat = hr.BrownianLattice(4, 1.0)
     driver = hr.QuadraticQDriver(0.8, hr.HorizonSchedule.constant(0.2))
     families = {
@@ -136,4 +136,4 @@ def test_a_bsde_sweep_runs_one_pass_per_position():
                         tracer.counts["bsde.driver.calls"],
                         tracer.counts["probspace.step_expectation.calls"])
     assert reports["kept"] == reports["copied"]
-    assert counts == {"kept": (60, 12, 12), "copied": (60, 50, 50)}
+    assert counts == {"kept": (60, 6, 6), "copied": (60, 50, 50)}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horizonrisk import bsde
 from horizonrisk import (BrownianLattice, ConfigurationError, DomainError,
                          GenericLipschitzDriver,
                          HorizonSchedule, LinearDriver, QuadraticQDriver,
@@ -14,7 +15,8 @@ from horizonrisk import (BrownianLattice, ConfigurationError, DomainError,
                          g_risk_measure, longevity_girsanov,
                          quadratic_transform_solve, restriction_check,
                          solve_bsde, solve_family)
-from horizonrisk.bsde import _implicit_step, _kept_passes, _pass
+from horizonrisk.bsde import (_implicit_step, _kept_passes, _pass, _passes,
+                              _share_passes)
 
 
 def sign_payoff(lattice, scale=0.75, threshold=0.1, depth=None):
@@ -533,6 +535,98 @@ class TestOneBackwardRecursion:
             assert len(own) == len(stack)
             for layer, column in zip(stack, own):
                 assert np.array_equal(layer[:, j], column[:, 0])
+
+
+class TestStackedPositions:
+    """Inside a sweep the positions registered together share one pass per
+    driver, stacked on a positions axis: each column is bitwise its own
+    pass, and a column that is not finite raises only at its own read."""
+
+    DRIVERS = {
+        "q": QuadraticQDriver(0.8, HorizonSchedule.constant(0.2)),
+        "entropic": QuadraticQDriver.entropic(),
+        "linear": LinearDriver.from_constants(0.3, 0.2, 0.1),
+        "generic": GenericLipschitzDriver(
+            lambda t, y, z: 0.225 * np.tanh(4.0 * y) + 0.5 * np.abs(z) + 0.3,
+            1.4),
+    }
+
+    @staticmethod
+    def group(lat, driver, depth, size, seed):
+        """``size`` positions at ``depth``; the last of two or more has a
+        spike whose Z leaves the floats one lattice step down: -X is 1.7e308
+        at one node and, where the driver has no domain to keep, -1.7e308
+        at the next."""
+        rng = np.random.default_rng(seed)
+        xs = [RandomVariable(lat, depth, rng.uniform(-1.0, 1.0, depth + 1))
+              for _ in range(size)]
+        if size > 1:
+            xs[-1].values[depth // 2] = -1.7e308
+            if not isinstance(driver, QuadraticQDriver):
+                xs[-1].values[depth // 2 + 1] = 1.7e308
+        return xs
+
+    @pytest.mark.parametrize("size", [1, 2, 6])
+    @pytest.mark.parametrize("n", [4, 7, 10, 13, 16])
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_each_column_is_its_own_pass(self, driver, n, size):
+        driver, lat = self.DRIVERS[driver], BrownianLattice(n, 1.0)
+        for depth in (n // 2, n - 1):
+            xs = self.group(lat, driver, depth, size, seed=n + depth)
+            kt = depth // 3
+            stack = _passes(lat, driver, xs, kt, depth, n)
+            assert [layer.shape for layer in stack] == \
+                [(k + 1, size, n - depth + 1) for k in range(kt, depth + 1)]
+            for j, X in enumerate(xs):
+                own = _pass(lat, driver, X, kt, depth, n)
+                for layer, column in zip(stack, own):
+                    assert layer[:, j].tobytes() == column.tobytes()
+            if size > 1:  # only the spiked column leaves the floats
+                finite = np.isfinite(stack[0]).all(axis=0).all(axis=1)
+                assert finite.tolist() == [True] * (size - 1) + [False]
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_a_column_that_is_not_finite_raises_at_its_own_read(self,
+                                                                 driver):
+        driver, lat = self.DRIVERS[driver], BrownianLattice(8, 1.0)
+        xs = self.group(lat, driver, 6, 6, seed=1)
+        xs.insert(2, xs.pop())  # the spiked position in the middle
+
+        def outcome(X):
+            try:
+                return g_risk_measure(lat, driver, X, 0.0, 1.0).values
+            except SolverError as exc:
+                return str(exc)
+
+        own = [outcome(X) for X in xs]
+        assert [isinstance(o, str) for o in own] == [False] * 2 + [True] + \
+            [False] * 3
+        with _kept_passes():
+            _share_passes(xs)
+            stacked = [outcome(X) for X in xs]
+            kept = bsde._PASSES.get()
+            assert len({id(kept[X][id(driver)].layers) for X in xs}) == 1
+        for a, b in zip(own, stacked):
+            assert a == b if isinstance(a, str) else a.tobytes() == b.tobytes()
+
+    def test_a_group_that_raises_is_dissolved(self):
+        """A domain error in one column of the stacked pass leaves each
+        position to its own pass: the others read their values, and the
+        error comes at the bad position's own call."""
+        lat = BrownianLattice(6, 1.0)
+        driver = QuadraticQDriver(0.5, HorizonSchedule.constant(0.2))
+        xs = [lat.constant(c, 3) for c in (-1.0, 0.5, 3.0, 1.0)]
+        with _kept_passes():
+            _share_passes(xs)
+            first = g_risk_measure(lat, driver, xs[0], 0.0, 1.0)
+            assert bsde._PASSES.get().group == ()
+            assert len(bsde._PASSES.get()) == 1
+            second = g_risk_measure(lat, driver, xs[1], 0.0, 1.0)
+            with pytest.raises(DomainError, match=r"reached -0\.5$"):
+                g_risk_measure(lat, driver, xs[2], 0.0, 1.0)
+        for X, rho in zip(xs, (first, second)):
+            assert rho.values.tobytes() == \
+                g_risk_measure(lat, driver, X, 0.0, 1.0).values.tobytes()
 
 
 class TestNonFiniteValues:

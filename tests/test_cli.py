@@ -409,6 +409,30 @@ class TestRun:
         assert run_config(path, out_dir=tmp_path / "out") == \
             EXIT_REQUIRED_AXIOM
 
+    def test_json_artifacts_are_strict_json(self, tmp_path):
+        """Non-finite floats are written with the CSV's spellings: the
+        shortfall is +inf everywhere, so normalized fails with -inf."""
+        cfg = base_config(
+            model={"kind": "random_tree", "depth": 2},
+            measure={"kind": "shortfall", "utility": {"kind": "linear"},
+                     "aggregator": {"kind": "exponential", "gamma": 0.5},
+                     "target": 1.5},
+            tasks=[{"kind": "axioms", "checks": ["normalized", "monotone"]}],
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert run_config(path, out_dir=out) == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        artifacts = {p.name: json.loads(p.read_text(), parse_constant=reject)
+                     for p in sorted(out.glob("*.json"))}
+        assert list(artifacts) == ["task00_axioms.json"]
+        normalized = artifacts["task00_axioms.json"][0]
+        assert normalized["worst_slack"] == "-inf"
+        assert normalized["witness"]["rho_zero"] == ["+inf"]
+
     def test_numerical_error_exits_three(self, tmp_path):
         # quadratic driver outside its domain: terminal -X below 1/(q-1)
         cfg = base_config(

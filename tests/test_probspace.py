@@ -475,6 +475,27 @@ class TestHorizonContract:
                 else:
                     assert model.depth_of(t) == want
 
+    @pytest.mark.parametrize("model", [
+        BrownianLattice(1, 1.0), BrownianLattice(7, 3e6),
+        BrownianLattice(64, 1e-8), BrownianLattice(512, 1.0),
+        *(random_tree(seed, depth=depth) for seed, depth in
+          [(0, 1), (1, 3), (2, 5)]),
+        random_tree(3, depth=4, times=[0.0, 1e-10, 5e-10, 1.2e-9, 1.0]),
+    ], ids=["lattice1", "lattice7_long", "lattice64_dense", "lattice512",
+            "tree1", "tree3", "tree5", "tree_dense"])
+    def test_depth_of_looks_up_what_the_bisection_finds(self, model):
+        """The model's own grid times are looked up; each of them, and every
+        time 5e-10 from one, maps to the depth of the bisection and of the
+        linear scan, in whatever numeric type it comes."""
+        for tk in model.times:
+            for t in (tk, tk + 5e-10, tk - 5e-10):
+                want = model._bisect_depth(t)
+                assert want == first_grid_match(model.times, t)
+                for probe in (t, np.float64(t), np.array(t)):
+                    assert model.depth_of(probe) == want
+        with pytest.raises(TimeGridError):
+            model.depth_of(model.times[-1] + 1.0)
+
     def test_depths_and_default_horizon(self):
         lat = BrownianLattice(4, 1.0)
         X = lat.constant(1.0, 2)
