@@ -24,19 +24,17 @@ Conventions:
 * a point check runs in two phases: its case generator first builds every
   position (X, X + m, the bumped Y, the mixtures; none depends on rho, so
   the draws and the case order are those of one case at a time), then
-  each distinct position is evaluated once, in order of first appearance,
-  with all of them stacked: a shortfall that the first call asks for
-  solves every one of them in one bisection, and the later calls read
-  their rows of it (see :func:`horizonrisk.shortfall._nodewise`); each
-  sampled position's cases are one block;
+  each distinct position is evaluated once, in order of first appearance;
+  each sampled position's cases are one block;
 * a sweep yields one block per (t, u), over every v and every position,
   and evaluates each distinct rho_tu(X) once: it does not depend on v, and
   the constant and spike positions, built once per depth, recur for every
-  triple; each triple's positions are registered together, so a BSDE
-  family runs one backward pass per set of positions and driver within a
-  sweep, with the positions and horizons stacked as columns, which every
-  (t, u) reads, and keeps nothing outside one (see
-  :func:`horizonrisk.bsde.g_risk_measure`);
+  triple;
+* every check runs in one stacking scope (see
+  :mod:`horizonrisk.probspace`): a point check registers its distinct
+  positions as one group and a sweep each triple's positions, so the
+  shortfall and the BSDE solve each group in one stacked solve, bitwise
+  the values of one solve per position;
 * slacks are signed so that >= 0 means the axiom held; the uniform pass
   tolerance is 1e-8, and reports carry the worst slack so borderline
   numerical failures are distinguishable from structural ones.  rho
@@ -55,7 +53,6 @@ names of the checkers that sweep the time grid.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import groupby, islice
@@ -64,10 +61,8 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .bsde import _kept_passes, _share_passes
 from .errors import DomainError
-from .probspace import FiltrationModel, RandomVariable
-from .shortfall import _stacked
+from .probspace import FiltrationModel, RandomVariable, _stack, _stacking
 
 __all__ = [
     "AxiomReport", "CHECKERS", "SWEEPS", "check_cash_subadditive",
@@ -194,10 +189,9 @@ def _grid_triples(rho_family, model, depth, samples, seed):
     """One block per (t, u): (rho_tv(X), rho_tu(X)) for F_u-measurable X at
     every grid triple (t, u, v), v-major, with rho_tu(X) evaluated once per
     X and the fixed positions built once per depth, so the same objects
-    recur from triple to triple.  Each triple's positions are registered to
-    share their BSDE passes (see :func:`horizonrisk.bsde._share_passes`);
-    the block keeps their values, not the positions, so no pass of a drawn
-    position outlives its triple."""
+    recur from triple to triple.  Each triple's positions are registered as
+    one group; the block keeps their values, not the positions, so no
+    result of a drawn position outlives its triple."""
     rng = np.random.default_rng(seed)
     fixed = {}
     for (t, u), triples in groupby(_time_triples(model), itemgetter(0, 1)):
@@ -207,7 +201,7 @@ def _grid_triples(rho_family, model, depth, samples, seed):
         rho_tu, rvs, rus, cases = {}, [], [], []
         for _, _, v in triples:
             xs = _sample_positions(model, k, samples, rng, fixed[k])
-            _share_passes(xs)
+            _stack(xs)
             for X in xs:
                 rvs.append(rho_family(X, t, v).values)
                 key = X.values.tobytes()
@@ -230,13 +224,13 @@ def _case_witness(cases, witness, values, i):
 def _evaluated(rho, generated) -> list[_Block]:
     """The blocks of a point generator, in two phases: every position is
     built first, then each distinct one is evaluated once, in order of first
-    appearance (the order of one case at a time), with all of them stacked
-    for the shortfall (see :func:`shortfall._stacked`)."""
+    appearance (the order of one case at a time), registered as one
+    group."""
     generated = list(generated)
     distinct = list({id(X): X for cases, _ in generated
                      for positions, _ in cases for X in positions}.values())
-    with _stacked(distinct):
-        value = {id(X): rho(X).values for X in distinct}
+    _stack(distinct)
+    value = {id(X): rho(X).values for X in distinct}
     blocks = []
     for cases, witness in generated:
         values = tuple(np.array([value[id(X)] for X in column])
@@ -265,22 +259,18 @@ def _report(axiom: str, rho, model: FiltrationModel, depth: int | None,
             samples: int, seed: int) -> AxiomReport:
     """Run the axiom's row of the slack table and report its worst value,
     at the first case and the first node attaining it, and the number of
-    sampled positions; the BSDE passes run during a time sweep are kept
-    until it returns.  rho values are never NaN, so a NaN slack is
-    inf - inf: the inequality holds there in the extended reals, and it
-    reads 0."""
+    sampled positions, in one stacking scope.  rho values are never NaN,
+    so a NaN slack is inf - inf: the inequality holds there in the
+    extended reals, and it reads 0."""
     cases, slack = _SLACKS[axiom]
     if samples < 1 and cases is not _zero:
         raise DomainError(f"{axiom} needs samples >= 1, got {samples}")
     depth = model.terminal_depth if depth is None else depth
-    if cases is _grid_triples:
-        scope, blocks = _kept_passes(), cases(rho, model, depth, samples,
-                                              seed)
-    else:
-        scope, blocks = nullcontext(), _evaluated(
-            rho, cases(model, depth, samples, seed))
     positions, worst, witness = 0, None, None
-    with scope:
+    with _stacking():
+        blocks = (cases(rho, model, depth, samples, seed)
+                  if cases is _grid_triples
+                  else _evaluated(rho, cases(model, depth, samples, seed)))
         for block in blocks:  # a sweep's rho runs here, outside the errstate
             positions += block.positions
             with np.errstate(invalid="ignore"):  # inf - inf

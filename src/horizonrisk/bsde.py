@@ -18,20 +18,13 @@ raise :class:`SolverError` where a value they return is not finite; each
 pass runs, checks included, under one numpy errstate, so overflow and
 invalid values raise no numpy warnings on the way.
 
-While a time sweep runs, :func:`g_risk_measure` runs one pass per driver
-for each set of positions that the sweep registers together (one triple's
-positions, all at one depth): every position of the set that misses the
-pass and every horizon depth(X)..N is a column of one (nodes, positions,
-horizons) array, a horizon step at depth k >= depth(X) advances the columns
-whose horizon lies above k, and the lattice steps below depth(X) advance
-all of them at once.  The first call, at the deepest t, runs the pass, and
-every later (t, u) of every position of the set reads a copy of one column
-of one layer, checked against a finiteness flag computed once per layer.
-A set whose stacked pass raises is dissolved, and each of its positions
-runs its own pass at its own first call, so errors are those of one pass
-per position.  The passes are keyed weakly on X and dropped when the sweep
-returns; nothing is kept outside one, and a call outside a sweep is the
-one-column case of the same backward loop.
+While an axiom check runs, :func:`g_risk_measure` stacks the positions
+registered together under the rule of the stacking scope in
+:mod:`horizonrisk.probspace`: every position of the pass and every horizon
+depth(X)..N is a column of one (nodes, positions, horizons) array, a
+horizon step at depth k >= depth(X) advances the columns whose horizon
+lies above k, and the lattice steps below depth(X) advance all of them at
+once.  A call outside a check is the one-column case of the same loop.
 
 Beyond the depth at which X resolves, Y stays measurable there and Z
 vanishes, so those steps reduce to the per-node recursion
@@ -54,11 +47,8 @@ trusted.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
-from weakref import WeakKeyDictionary
+from typing import Callable
 
 import numpy as np
 
@@ -66,7 +56,7 @@ from .errors import (ConfigurationError, DomainError, SolverError,
                      TimeGridError)
 from .measures import (HorizonSchedule, StepFunction, _ln_q_mean,
                        longevity_index)
-from .probspace import BrownianLattice, RandomVariable
+from .probspace import BrownianLattice, RandomVariable, _shared
 
 __all__ = [
     "GenericLipschitzDriver", "LinearDriver", "QuadraticQDriver", "Driver",
@@ -266,51 +256,6 @@ def solve_bsde(lattice: BrownianLattice, driver, terminal: RandomVariable
     return BsdeSolution(Y=(*Y, terminal), Z=tuple(Z))
 
 
-class _Kept(NamedTuple):
-    """A position's kept pass: the (nodes, positions, horizons) stacks of
-    Y at depths kt..depth(X) that it shares with the positions of its group,
-    their columns' finiteness flags, (depths, positions, horizons), and X's
-    index on the positions axis.  It holds its driver, so no other driver
-    takes over its id."""
-
-    driver: Driver
-    kt: int
-    layers: list[np.ndarray]
-    finite: np.ndarray
-    index: int
-
-
-class _Passes(WeakKeyDictionary):
-    """The passes kept while a time sweep runs: position ->
-    {id(driver): _Kept}, keyed weakly on the position, and ``group``, the
-    positions registered last, which share their passes."""
-
-    group: tuple[RandomVariable, ...] = ()
-
-
-# The store of the time sweep that runs, None outside one.
-_PASSES: ContextVar[_Passes | None] = ContextVar("_PASSES", default=None)
-
-
-@contextmanager
-def _kept_passes():
-    """Keep the passes of :func:`g_risk_measure` until the block ends."""
-    token = _PASSES.set(_Passes())
-    try:
-        yield
-    finally:
-        _PASSES.reset(token)
-
-
-def _share_passes(positions) -> None:
-    """Let ``positions`` share one backward pass per driver in the time
-    sweep that runs, replacing the group registered before; nothing outside
-    a sweep."""
-    store = _PASSES.get()
-    if store is not None:
-        store.group = tuple(positions)
-
-
 def _passes(lattice: BrownianLattice, driver, positions, kt: int,
             first: int, top: int) -> list[np.ndarray]:
     """The Y layers at depths kt..depth of the passes from -X at the
@@ -321,52 +266,16 @@ def _passes(lattice: BrownianLattice, driver, positions, kt: int,
     return _backward(lattice, driver, y, positions[0].depth, top, kt)[0]
 
 
-def _pass(lattice: BrownianLattice, driver, X: RandomVariable, kt: int,
-          first: int, top: int) -> list[np.ndarray]:
-    """:func:`_passes` for X alone, one (nodes, horizons) stack per
-    depth."""
-    return [layer[:, 0] for layer in _passes(lattice, driver, [X], kt,
-                                             first, top)]
-
-
-def _keep(store: _Passes, lattice: BrownianLattice, driver,
-          positions: list[RandomVariable], kt: int) -> None:
-    """Run one pass for ``positions`` over every horizon depth..N down to
-    kt, and keep it for each of them."""
+def _shared_pass(lattice: BrownianLattice, driver, kt: int, positions
+                 ) -> list[tuple]:
+    """One pass for ``positions`` over every horizon depth..N down to kt,
+    as each position's result in a stacking scope: (kt, the layers, their
+    columns' finiteness flags (depths, positions, horizons), its index on
+    the positions axis)."""
     layers = _passes(lattice, driver, positions, kt, positions[0].depth,
                      lattice.terminal_depth)
     finite = np.array([np.isfinite(layer).all(axis=0) for layer in layers])
-    for j, X in enumerate(positions):
-        store.setdefault(X, {})[id(driver)] = _Kept(driver, kt, layers,
-                                                    finite, j)
-
-
-def _kept(store: _Passes, driver, X: RandomVariable, kt: int
-          ) -> _Kept | None:
-    """X's kept pass for ``driver`` if it reaches down to kt, else None."""
-    kept = store.get(X, {}).get(id(driver))
-    return None if kept is None or kept.kt > kt else kept
-
-
-def _run(store: _Passes, lattice: BrownianLattice, driver,
-         X: RandomVariable, kt: int) -> _Kept:
-    """Run X's missing pass down to kt, stacked with the positions
-    registered with X that miss it too.  A stacked pass that raises
-    dissolves the group, and X runs its own pass, as every other position
-    of the group then does at its own first call."""
-    group = [X]
-    if any(Y is X for Y in store.group):
-        group = [Y for Y in store.group if Y is X or (
-            Y.model is X.model and Y.depth == X.depth
-            and _kept(store, driver, Y, kt) is None)]
-    if len(group) > 1:
-        try:
-            _keep(store, lattice, driver, group, kt)
-        except Exception:  # the error is X's own pass's, or none
-            store.group, group = (), [X]
-    if len(group) == 1:  # raises, if at all, outside the handler above
-        _keep(store, lattice, driver, group, kt)
-    return store[X][id(driver)]
+    return [(kt, layers, finite, j) for j in range(len(positions))]
 
 
 def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,
@@ -374,29 +283,21 @@ def g_risk_measure(lattice: BrownianLattice, driver, X: RandomVariable,
     """rho_tu(X): the Y-component at depth(t) of the BSDE with terminal -X
     at horizon u.  u may exceed the depth at which X resolves.
 
-    Inside a time sweep one pass per driver serves every (t, u) of every
-    position of a registered group (see :func:`_share_passes`): it runs
-    every horizon depth(X)..N of every position of the group that misses it
-    at once, as the columns of one (nodes, positions, horizons) stack, down
-    to the deepest t asked for, and a later call no deeper than it reads a
-    copy of one column of one layer.  Each column is bitwise the value of
-    its own pass.  A read checks its column's finiteness flag, computed
-    once per layer when the pass ran, and raises as a new pass would.  A
-    stacked pass that raises (a domain error in any column, a fixed point
-    that does not converge) dissolves the group: X then runs its own pass,
-    and so does every other position at its own first call, so the error,
-    its message and the call that raises it are those of one pass per
-    position.  The check must not change X in place while it runs."""
+    In a stacking scope (see :mod:`horizonrisk.probspace`) the driver is
+    the key: a kept pass that reaches depth(t) serves the call with a copy
+    of one column of one layer, checked against its finiteness flag, which
+    raises as a new pass would.  The check must not change X in place
+    while it runs."""
     kt, ku = lattice.horizon_depths(X, t, u)
-    store = _PASSES.get()
-    if store is None:
-        y = _finite(_pass(lattice, driver, X, kt, ku, ku)[0][:, 0], kt)
+    kept = _shared(X, driver, id(driver), kt,
+                   lambda xs: _shared_pass(lattice, driver, kt, xs))
+    if kept is None:
+        y = _finite(_passes(lattice, driver, [X], kt, ku, ku)[0][:, 0, 0], kt)
     else:
-        kept = _kept(store, driver, X, kt) or _run(store, lattice, driver,
-                                                   X, kt)
-        depth, column = kt - kept.kt, ku - X.depth
-        y = kept.layers[depth][:, kept.index, column]
-        if not kept.finite[depth, kept.index, column]:
+        top, layers, finite, j = kept
+        depth, column = kt - top, ku - X.depth
+        y = layers[depth][:, j, column]
+        if not finite[depth, j, column]:
             _finite(y, kt)
     return RandomVariable(lattice, kt, y.copy())
 

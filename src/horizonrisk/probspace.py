@@ -22,14 +22,33 @@ A :class:`RandomVariable` holds one value per node at a fixed depth and is
 F_k-measurable by construction.  It is the one carrier of values on a model:
 an adapted process, such as a BSDE solution, is one random variable per
 depth.
+
+While an axiom checker runs, it holds one stacking scope (:func:`_stacking`)
+in which it registers positions as a group (:func:`_stack`): a point check
+its distinct positions, a time sweep each triple's positions in place of
+the last triple's.  A solver reads X's result for a key of its own at a
+depth kt (:func:`_shared`) under one rule: the first member of X's group,
+of X's model and depth, that has no result for the key down to kt runs one
+stacked solve for every such member, and any other call solves X alone.
+A stacked solve that raises dissolves the group for that key: each member
+then solves alone at its own call, so errors, their messages and the call
+that raises them are those of one solve per position.  Results are kept
+per position, weakly, until the check returns, and a result solved down to
+kt serves every later call at kt or above.  The nodewise shortfall keys on
+(spec, t, u); the BSDE keys on the driver and solves a pass over the
+horizons depth(X)..N.  Each value is bitwise that of the position's own
+solve.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -517,3 +536,73 @@ class RandomVariable:
     def __repr__(self) -> str:
         return (f"RandomVariable(depth={self.depth}, "
                 f"values={np.array2string(self.values, precision=6)})")
+
+
+class _Scope(WeakKeyDictionary):
+    """A stacking scope's results, position -> {key: (owner, depth,
+    result)}, keyed weakly on the position, with the group registered
+    last and the keys whose stacked solve raised for it, {key: owner}.  A
+    key names its owner, a spec or a driver, by id, and each entry holds
+    the owner, so no other object takes over its id."""
+
+    def __init__(self):
+        super().__init__()
+        self.group, self.dissolved = (), {}
+
+
+# The scope of the axiom check that runs, None outside one.
+_SCOPE: ContextVar[_Scope | None] = ContextVar("_SCOPE", default=None)
+
+
+@contextmanager
+def _stacking():
+    """Open a stacking scope until the block ends."""
+    token = _SCOPE.set(_Scope())
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _stack(positions: Iterable[RandomVariable]) -> None:
+    """Register ``positions`` as the group of the open scope, in place of
+    the group before; nothing outside a scope."""
+    scope = _SCOPE.get()
+    if scope is not None:
+        scope.group, scope.dissolved = tuple(positions), {}
+
+
+def _shared(X: RandomVariable, owner: Any, key: Hashable, kt: int,
+            solve: Callable[[list[RandomVariable]], Sequence]) -> Any:
+    """X's result for ``key``, which names ``owner`` by id, under the rule
+    of the open stacking scope (see the module docstring), None outside
+    one.  ``solve(xs)`` gives one result per position of xs, all of one
+    model and depth, down to depth kt; a kept result serves every later
+    call at kt or above, and every result solved here is kept."""
+    scope = _SCOPE.get()
+    if scope is None:
+        return None
+    held = scope.get(X, {}).get(key)
+    if held is not None and held[1] <= kt:
+        return held[2]
+
+    def lacks(Y):
+        held = scope.get(Y, {}).get(key)
+        return held is None or held[1] > kt
+
+    xs = [X]
+    if any(Y is X for Y in scope.group) and key not in scope.dissolved:
+        lacking = (Y for Y in scope.group if Y.model is X.model
+                   and Y.depth == X.depth and lacks(Y))
+        if next(lacking) is X:
+            xs += lacking
+    if len(xs) > 1:
+        try:
+            solved = solve(xs)
+        except Exception:  # the error is X's own solve's, or none
+            scope.dissolved[key], xs = owner, [X]
+    if len(xs) == 1:  # raises, if at all, outside the handler above
+        solved = solve(xs)
+    for Y, value in zip(xs, solved):
+        scope.setdefault(Y, {})[key] = (owner, kt, value)
+    return solved[0]

@@ -19,19 +19,17 @@ law of :func:`_problem`.  A probe runs in row blocks of at most
 ``_PROBE_CELLS`` law cells (:func:`_level`): a dense probe of a large law
 makes temporaries big enough that the allocator returns them to the OS and
 takes them back, page-faulting on every probe, while the blocks stay in
-cache and give bitwise the same values.  While an axiom checker's point
-check runs, its positions are stacked (:func:`_stacked`): a shortfall
-asked of the first of them solves every stacked position of that model
-and depth in one search whose rows are (position, node) pairs, each
-bracketed from its own position's start, and later calls read their row
-block (:func:`_nodewise`).  Each row's search and level are those of its
-position's own solve, so the values are bitwise the same; if the stacked
-solve raises, each position is solved alone and raises its own error.
-+inf marks a node whose constraint set is empty and -inf one where it
-always holds, and a scalar result reads them as ``RiskSentinel`` members
-(:func:`_extended`).  Times obey the horizon contract that
-:meth:`FiltrationModel.horizon_depths` checks: depth(t) <= depth(X) <=
-depth(u), u defaulting to the time of depth(X).
+cache and give bitwise the same values.  While an axiom check runs, the
+positions registered together are solved under the rule of the stacking
+scope in :mod:`horizonrisk.probspace`, in one search whose rows are
+(position, node) pairs, each bracketed from its own position's start
+(:func:`_solve`); each row's search and level are those of its position's
+own solve, so the values are bitwise the same.  +inf marks a node whose
+constraint set is empty and -inf one where it always holds, and a scalar
+result reads them as ``RiskSentinel`` members (:func:`_extended`).  Times
+obey the horizon contract that :meth:`FiltrationModel.horizon_depths`
+checks: depth(t) <= depth(X) <= depth(u), u defaulting to the time of
+depth(X).
 The static shortfall is the root node of the nodewise solve: it takes no t,
 and only its horizon u varies.
 Value-at-Risk is included through its shortfall representation with the
@@ -44,8 +42,6 @@ from __future__ import annotations
 
 import enum
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, SpecificationError
 from .measures import HorizonSchedule, UtilityFn
-from .probspace import FiltrationModel, RandomVariable
+from .probspace import FiltrationModel, RandomVariable, _shared
 from .qcalculus import QParams, exp_q, exp_q_extended
 
 __all__ = [
@@ -410,51 +406,14 @@ def _solve(xs: list[RandomVariable], spec: ShortfallSpec, kt: int, t: float,
     return least.reshape(len(xs), len(law))
 
 
-# The positions stacked while a point check runs (None outside one): id ->
-# position, and the stacked solves served from them, (id(spec), id(model),
-# depth, kt, t, u) -> (spec, {id(position): values} or None once the stacked
-# solve raised).  The stack holds its positions and each solve its spec, so
-# no other object takes over their ids.
-_STACK: ContextVar[tuple[dict, dict] | None] = ContextVar("_STACK",
-                                                          default=None)
-
-
-@contextmanager
-def _stacked(positions: list[RandomVariable]):
-    """Stack the positions until the block ends: a shortfall asked of the
-    first of them solves all of its model and depth at once."""
-    token = _STACK.set(({id(X): X for X in positions}, {}))
-    try:
-        yield
-    finally:
-        _STACK.reset(token)
-
-
 def _nodewise(X: RandomVariable, spec: ShortfallSpec, kt: int, t: float,
               u: float | None) -> np.ndarray:
-    """The shortfall at every depth-kt node of X.  A stacked position reads
-    its row block of the stack's solve for (spec, kt, t, u), which the
-    first stacked position runs when it asks for it; if that solve raises,
-    every position is solved alone, so errors are those of its own solve.
-    What the first position did not ask for, such as a spec that rho
-    builds anew per call, is solved alone."""
-    stack = _STACK.get()
-    if stack is not None and id(X) in stack[0]:
-        positions, solves = stack
-        key = (id(spec), id(X.model), X.depth, kt, t, u)
-        if key not in solves and X is next(iter(positions.values())):
-            group = [Y for Y in positions.values()
-                     if Y.model is X.model and Y.depth == X.depth]
-            try:
-                values = dict(zip(map(id, group),
-                                  _solve(group, spec, kt, t, u)))
-            except Exception:  # each position then raises its own error
-                values = None
-            solves[key] = (spec, values)
-        values = solves.get(key, (spec, None))[1]
-        if values is not None:
-            return values[id(X)].copy()
-    return _solve([X], spec, kt, t, u)[0]
+    """The shortfall at every depth-kt node of X: in a stacking scope (see
+    :mod:`horizonrisk.probspace`), X's row of the solve for the key
+    (spec, t, u)."""
+    row = _shared(X, spec, (id(spec), t, u), kt,
+                  lambda xs: _solve(xs, spec, kt, t, u))
+    return _solve([X], spec, kt, t, u)[0] if row is None else row.copy()
 
 
 def static_shortfall(X: RandomVariable, spec: ShortfallSpec,

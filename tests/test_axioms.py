@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from horizonrisk import (AggregatorFn, AxiomReport, BrownianLattice,
                          g_risk_measure, h_entropic, h_var,
                          hq_entropic_losses, hq_shortfall_spec,
                          q_entropic_losses, static_shortfall)
-from horizonrisk import axioms, bsde, shortfall
+from horizonrisk import axioms, bsde, probspace, shortfall
 
 from conftest import random_tree
 
@@ -243,9 +245,9 @@ def _unmemoized_sweep(axiom, rho_family, model, samples, seed):
 class TestSweepMemo:
     """The sweep evaluates each distinct rho_tu(X) once; its reports are
     those of the plain two-calls-per-case loop.  A BSDE family runs one
-    backward pass per (X, u, v) within a sweep; its reports and errors are
-    those of a new pass per call, and no pass outlives its position or the
-    check."""
+    backward pass per triple's positions within a sweep; its reports and
+    errors are those of a new pass per call, and no pass outlives its
+    position or the check."""
 
     LATTICE = BrownianLattice(5, 1.0)
     Q_DRIVER = QuadraticQDriver(0.8, HorizonSchedule.constant(0.3))
@@ -368,34 +370,44 @@ class TestSweepMemo:
             check = axioms.CHECKERS[axiom]
             assert check(scribbling, lattice, samples=2, seed=1) == \
                 check(copied, lattice, samples=2, seed=1)
-        assert bsde._PASSES.get() is None
+        assert probspace._SCOPE.get() is None
         X = RandomVariable(lattice, 3, np.tanh(lattice.brownian(3)))
-        with bsde._kept_passes():
+        with probspace._stacking():
             first = g_risk_measure(lattice, driver, X, 0.0, 1.0)
             want = first.values.copy()
             first.values += 1.0
             assert np.array_equal(
                 g_risk_measure(lattice, driver, X, 0.0, 1.0).values, want)
-        assert bsde._PASSES.get() is None
+        assert probspace._SCOPE.get() is None
 
     def test_no_pass_of_a_drawn_position_outlives_its_triple(self):
+        """The one scope keeps the BSDE passes and the shortfall rows of a
+        sweep; neither solver keeps a result of a drawn position past its
+        triple."""
         lattice, samples = BrownianLattice(5, 1.0), 8
-        kept, _ = self.families(lattice, self.DRIVERS["q"])
+        driver = self.DRIVERS["q"]
+        kept, _ = self.families(lattice, driver)
+        spec = ShortfallSpec.classic(UtilityFn.exp_bounded(1.0), 0.1)
         fixed_values = [-3.0, -2.0, 0.0, 1.5, 3.0]
-        drawn, alive = set(), []
+        drawn, alive, owners = set(), [], set()
 
         def watched(X, t, u):
             if not np.isin(X.values, fixed_values).all():
                 drawn.add(X.values.tobytes())
+            rho = kept(X, t, u) + dynamic_shortfall(X, t, spec, u)
+            results = probspace._SCOPE.get()
             alive.append(sum(not np.isin(Y.values, fixed_values).all()
-                             for Y in bsde._PASSES.get().keys()))
-            return kept(X, t, u)
+                             for Y in results.keys()))
+            owners.update(id(owner) for held in results.values()
+                          for owner, _, _ in held.values())
+            return rho
 
         check_h_longevity(watched, lattice, samples=samples, seed=2)
         # a triple draws samples - 4 positions at most (one node, four
-        # fixed ones); the kept passes hold no more than one triple's draws
+        # fixed ones); the kept results hold no more than one triple's draws
         assert len(drawn) > 50
         assert max(alive) <= samples - 4
+        assert owners == {id(driver), id(spec)}
 
 
 def _copy(X):
@@ -457,6 +469,29 @@ class TestStackedShortfall:
             rho = lambda X: dynamic_shortfall(X, model.times[1], spec_of())
         self.assert_reports_equal(rho, model, 2)
 
+    @pytest.mark.parametrize("axiom", sorted(axioms.SWEEPS))
+    @pytest.mark.parametrize("model", ["tree", "lattice"])
+    @pytest.mark.parametrize("spec", ["exp_bounded", "hq"])
+    def test_sweeps_equal_unscoped_solves(self, monkeypatch, spec, model,
+                                          axiom):
+        """A sweep stacks each triple's positions in one solve per (t, u)
+        pair; its reports and rho calls are those of one solve per
+        call."""
+        spec = self.SPECS[spec]()
+        model = (random_tree(3, depth=3) if model == "tree"
+                 else BrownianLattice(5, 1.0))
+        solved, real = [], shortfall._solve
+        monkeypatch.setattr(shortfall, "_solve", lambda xs, *args:
+                            solved.append(len(xs)) or real(xs, *args))
+        for family in (lambda X, t, u: dynamic_shortfall(X, t, spec),
+                       lambda X, t, u: dynamic_shortfall(X, t, spec, u)):
+            scoped, unscoped = _scoped_and_unscoped(
+                monkeypatch, axioms.CHECKERS[axiom], family, model,
+                samples=8, seed=2)
+            assert scoped == unscoped
+            assert isinstance(scoped[0], AxiomReport)
+        assert max(solved) == 8
+
     @pytest.mark.parametrize("new_spec_per_call", [False, True])
     def test_one_stacked_solve_per_check(self, monkeypatch,
                                          new_spec_per_call):
@@ -479,7 +514,7 @@ class TestStackedShortfall:
         # a spec that only a later call asks for is solved alone
         assert solved == [35] + [1] * 34 * new_spec_per_call
         assert len(calls) == 35
-        assert shortfall._STACK.get() is None
+        assert probspace._SCOPE.get() is None
 
     @pytest.mark.parametrize("cells", [10, 100, 1_000])
     @pytest.mark.parametrize("model", sorted(MODELS))
@@ -493,7 +528,8 @@ class TestStackedShortfall:
         t = model.times[2]
         alone = [dynamic_shortfall(X, t, spec).values for X in xs]
         monkeypatch.setattr(shortfall, "_PROBE_CELLS", cells)
-        with shortfall._stacked(xs):
+        with probspace._stacking():
+            probspace._stack(xs)
             for X, want in zip(xs, alone):
                 assert np.array_equal(dynamic_shortfall(X, t, spec).values,
                                       want)
@@ -522,7 +558,8 @@ class TestStackedShortfall:
             except SpecificationError as err:
                 alone.append(str(err))
         assert [isinstance(a, str) for a in alone] == [False, True, False]
-        with shortfall._stacked(xs):
+        with probspace._stacking():
+            probspace._stack(xs)
             for X, want in zip(xs, alone):
                 if isinstance(want, str):
                     with pytest.raises(SpecificationError) as err:
@@ -542,6 +579,140 @@ class TestStackedShortfall:
             errors.append(str(err.value))
         assert errors[0] == errors[1]
         assert "not non-decreasing in m" in errors[0]
+
+
+def _outcome(check, rho, model, **kw):
+    """check's report, or the class and message of its error, with the
+    number of rho calls made."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return rho(*args)
+
+    try:
+        return check(counted, model, **kw), len(calls)
+    except Exception as exc:  # compared with the unscoped run's
+        return (type(exc), str(exc)), len(calls)
+
+
+def _scoped_and_unscoped(monkeypatch, check, rho, model, **kw):
+    """The outcomes of the check in its stacking scope and with none, where
+    every call is one solve of its position alone."""
+    scoped = _outcome(check, rho, model, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(axioms, "_stacking", nullcontext)
+        return scoped, _outcome(check, rho, model, **kw)
+
+
+class TestStackedBsde:
+    """A point check stacks its distinct positions in one BSDE pass per
+    driver, and a sweep each triple's positions; every report, every error,
+    its message and the call that raises it are those of one unscoped pass
+    per position."""
+
+    DRIVERS = TestSweepMemo.DRIVERS
+    POINT_CHECKS = sorted(set(axioms.CHECKERS) - axioms.SWEEPS)
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_point_checks_equal_unscoped_passes(self, monkeypatch, driver,
+                                                n):
+        lattice, driver = BrownianLattice(n, 1.0), self.DRIVERS[driver]
+        for depth, t in ((n, 0.0), (n - 1, lattice.times[n // 3])):
+            rho = lambda X: g_risk_measure(lattice, driver, X, t, 1.0)
+            for name in self.POINT_CHECKS:
+                scoped, unscoped = _scoped_and_unscoped(
+                    monkeypatch, axioms.CHECKERS[name], rho, lattice,
+                    samples=6, depth=depth, seed=n)
+                assert scoped == unscoped
+
+    @pytest.mark.parametrize("driver, n, raising", [
+        # ROADMAP item 1: the entropic scheme leaves the floats at N = 16
+        (QuadraticQDriver.entropic(), 16, set(POINT_CHECKS) - {"normalized"}),
+        # the +3 spike leaves the domain: 1 + (1 - 0.5) (-3) = -0.5
+        (QuadraticQDriver(0.5, HorizonSchedule.constant(0.2)), 6,
+         set(POINT_CHECKS) - {"normalized"}),
+        # Lipschitz 162 in y with C = 5.4: the fixed point cannot converge
+        (GenericLipschitzDriver(lambda t, y, z: 0.9 * 6 * np.cos(30 * y),
+                                5.4), 6, set(POINT_CHECKS)),
+    ], ids=["entropic_n16", "q_domain", "generic_no_convergence"])
+    def test_a_point_check_that_raises_raises_as_unscoped(
+            self, monkeypatch, driver, n, raising):
+        lattice = BrownianLattice(n, 1.0)
+        rho = lambda X: g_risk_measure(lattice, driver, X, 0.0, 1.0)
+        errors = {}
+        for name in self.POINT_CHECKS:
+            scoped, unscoped = _scoped_and_unscoped(
+                monkeypatch, axioms.CHECKERS[name], rho, lattice,
+                samples=20, seed=0)
+            assert scoped == unscoped
+            if isinstance(scoped[0], tuple):
+                errors[name] = scoped[0][1]
+        assert set(errors) == raising
+        if n == 16:
+            assert set(errors.values()) == {
+                "BSDE value not finite at depth 0 (node 0)"}
+
+    @staticmethod
+    def widths(monkeypatch):
+        """The positions axis of every backward pass, in order."""
+        widths, real = [], bsde._backward
+        monkeypatch.setattr(bsde, "_backward", lambda lattice, driver, y, *a:
+                            widths.append(y.shape[1]) or real(lattice, driver,
+                                                              y, *a))
+        return widths
+
+    @pytest.mark.parametrize("new_driver_per_call", [False, True])
+    def test_one_stacked_pass_per_check(self, monkeypatch,
+                                        new_driver_per_call):
+        lattice = BrownianLattice(4, 1.0)
+        driver_of = lambda: QuadraticQDriver(0.7)
+        driver, widths = driver_of(), self.widths(monkeypatch)
+        rho = lambda X: g_risk_measure(
+            lattice, driver_of() if new_driver_per_call else driver, X, 0.0,
+            1.0)
+        report = check_convex(rho, lattice, samples=7, seed=1)
+        # seven pairs (X, Y), each with three mixtures, are 35 positions; a
+        # driver that only a later call asks for runs its own pass
+        assert widths == [35] + [1] * 34 * new_driver_per_call
+        monkeypatch.setattr(axioms, "_stacking", nullcontext)
+        assert check_convex(rho, lattice, samples=7, seed=1) == report
+
+    # samples=6 on a 3-step lattice: each triple registers six positions;
+    # depth 0 has four fixed ones and two draws, depth 1 five and one,
+    # depth 2 six and none.  The six blocks (t, u) hold ten triples.
+    SHARED_WIDTHS = [
+        6, 2, 2,  # t = 0, u = 0: the first triple's six, then new draws
+        6, 1,     # t = 0, u = 1/3
+        6,        # t = 0, u = 2/3
+        1, 1,     # t = 1/3, u = 1/3: the fixed passes reach depth 1
+    ]
+    # a driver built per call is a new key at every call: the first
+    # position of a triple runs a stacked pass at each of its calls, one
+    # per triple and one more for rho_tu in each block's first triple, and
+    # every other call runs its own pass
+    PER_CALL_WIDTHS = {6: 10 + 6, 1: 102 - 16}
+
+    @pytest.mark.parametrize("new_driver_per_call", [False, True])
+    def test_a_driver_built_per_call_runs_a_bounded_stack(
+            self, monkeypatch, new_driver_per_call):
+        lattice = BrownianLattice(3, 1.0)
+        driver_of = lambda: QuadraticQDriver(0.7)
+        driver, widths = driver_of(), self.widths(monkeypatch)
+        rho = lambda X, t, u: g_risk_measure(
+            lattice, driver_of() if new_driver_per_call else driver, X, t, u)
+        report, calls = _outcome(check_h_longevity, rho, lattice, samples=6,
+                                 seed=1)
+        assert calls == 102
+        if new_driver_per_call:
+            assert {w: widths.count(w) for w in set(widths)} == \
+                self.PER_CALL_WIDTHS
+        else:
+            assert widths == self.SHARED_WIDTHS
+        assert report == check_h_longevity(
+            lambda X, t, u: g_risk_measure(lattice, driver, _copy(X), t, u),
+            lattice, samples=6, seed=1)
 
 
 class TestSentinelSlacks:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horizonrisk import bsde
+from horizonrisk import probspace
 from horizonrisk import (BrownianLattice, ConfigurationError, DomainError,
                          GenericLipschitzDriver,
                          HorizonSchedule, LinearDriver, QuadraticQDriver,
@@ -15,8 +15,15 @@ from horizonrisk import (BrownianLattice, ConfigurationError, DomainError,
                          g_risk_measure, longevity_girsanov,
                          quadratic_transform_solve, restriction_check,
                          solve_bsde, solve_family)
-from horizonrisk.bsde import (_implicit_step, _kept_passes, _pass, _passes,
-                              _share_passes)
+from horizonrisk.bsde import _implicit_step, _passes
+from horizonrisk.probspace import _stack, _stacking
+
+
+def _pass(lattice, driver, X, kt, first, top):
+    """The pass of X alone over the horizons first..top, one (nodes,
+    horizons) stack per depth kt..depth(X)."""
+    return [layer[:, 0] for layer in _passes(lattice, driver, [X], kt, first,
+                                             top)]
 
 
 def sign_payoff(lattice, scale=0.75, threshold=0.1, depth=None):
@@ -493,7 +500,7 @@ class TestOneBackwardRecursion:
         lat = BrownianLattice(n, 1.0)
         X = RandomVariable(lat, dx, rng.uniform(-1.0, 1.0, lat.num_nodes(dx)))
         u = lat.times[ku]
-        with _kept_passes():
+        with _stacking():
             kept = [g_risk_measure(lat, driver, X, lat.times[k], u)
                     for k in range(dx, -1, -1)]
             for Y in kept:
@@ -601,11 +608,12 @@ class TestStackedPositions:
         own = [outcome(X) for X in xs]
         assert [isinstance(o, str) for o in own] == [False] * 2 + [True] + \
             [False] * 3
-        with _kept_passes():
-            _share_passes(xs)
+        with _stacking():
+            _stack(xs)
             stacked = [outcome(X) for X in xs]
-            kept = bsde._PASSES.get()
-            assert len({id(kept[X][id(driver)].layers) for X in xs}) == 1
+            scope = probspace._SCOPE.get()
+            # each entry is (owner, kt, (kt, layers, finite flags, index))
+            assert len({id(scope[X][id(driver)][2][1]) for X in xs}) == 1
         for a, b in zip(own, stacked):
             assert a == b if isinstance(a, str) else a.tobytes() == b.tobytes()
 
@@ -616,11 +624,12 @@ class TestStackedPositions:
         lat = BrownianLattice(6, 1.0)
         driver = QuadraticQDriver(0.5, HorizonSchedule.constant(0.2))
         xs = [lat.constant(c, 3) for c in (-1.0, 0.5, 3.0, 1.0)]
-        with _kept_passes():
-            _share_passes(xs)
+        with _stacking():
+            _stack(xs)
             first = g_risk_measure(lat, driver, xs[0], 0.0, 1.0)
-            assert bsde._PASSES.get().group == ()
-            assert len(bsde._PASSES.get()) == 1
+            scope = probspace._SCOPE.get()
+            assert scope.dissolved == {id(driver): driver}
+            assert len(scope) == 1
             second = g_risk_measure(lat, driver, xs[1], 0.0, 1.0)
             with pytest.raises(DomainError, match=r"reached -0\.5$"):
                 g_risk_measure(lat, driver, xs[2], 0.0, 1.0)
@@ -663,7 +672,7 @@ class TestNonFiniteValues:
                 solve_bsde(lat, driver, -X)
             lat = BrownianLattice(20, 1.0)
             X = RandomVariable(lat, 16, draw)
-            with _kept_passes(), \
+            with _stacking(), \
                     pytest.raises(SolverError, match="not finite at depth 0"):
                 g_risk_measure(lat, driver, X, 0.0, 1.0)
             # an infinite value meets the entering layer's domain check
@@ -704,7 +713,7 @@ class TestNonFiniteValues:
             for _ in range(200):
                 X = RandomVariable(lat, n, rng.uniform(-3.0, 3.0, n + 1))
                 new = [outcome(X, t) for t in (0.0, 0.5)]
-                with _kept_passes():
+                with _stacking():
                     assert [outcome(X, t) for t in (0.0, 0.5)] == new
                 try:
                     solution = solve_bsde(lat, driver, -X)
